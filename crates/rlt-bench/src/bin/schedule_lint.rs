@@ -19,61 +19,42 @@
 
 use rlt_mp::analyze::{analyze, analyze_text, ClusterModel};
 use rlt_mp::fuzz::{fuzz_faulty_rediscovery, fuzz_mw_rediscovery, record_clean_corpus, FuzzConfig};
-use rlt_mp::{AbdCluster, FaultyAbdCluster, MwAbdCluster};
-use rlt_spec::ProcessId;
+use rlt_mp::AbdCluster;
 
 fn named_model(name: &str) -> Option<ClusterModel> {
-    Some(match name {
-        "permissive" => ClusterModel::permissive(),
-        "abd" => ClusterModel::single_writer(5, ProcessId(0)),
-        "faulty-abd" => ClusterModel::single_writer(5, ProcessId(0)).without_write_backs(),
-        "mw-abd" => ClusterModel::multi_writer(5),
-        "faulty-mw-abd" => ClusterModel::multi_writer(5).without_write_backs(),
-        _ => return None,
-    })
+    match name {
+        "permissive" => Some(ClusterModel::permissive()),
+        _ => AbdCluster::named(name).map(|cluster| cluster.model()),
+    }
 }
 
-/// Analyzes one recorded corpus, asserting every schedule is clean.
-fn lint_corpus(label: &str, schedules: &[rlt_mp::Schedule], model: &ClusterModel) {
+/// Records a clean corpus on the named flavour and analyzes it under that
+/// cluster's own model, asserting every schedule is clean.
+fn lint_corpus(name: &str, deliveries_per_run: u64, seed: u64, multi_writer: bool) {
+    let fresh = || AbdCluster::named(name).expect("a named flavour");
+    let model = fresh().model();
+    let schedules = record_clean_corpus(fresh, 3, deliveries_per_run, seed, multi_writer);
     let mut steps = 0usize;
     for (i, schedule) in schedules.iter().enumerate() {
-        let analysis = analyze(schedule, model);
+        let analysis = analyze(schedule, &model);
         assert!(
             analysis.is_clean(),
-            "{label} recording {i} flagged: {:?}",
+            "{name} recording {i} flagged: {:?}",
             analysis.diagnostics
         );
         steps += schedule.len();
     }
     println!(
-        "{label}: {} clean recordings, {steps} steps, 0 diagnostics",
+        "{name}: {} clean recordings, {steps} steps, 0 diagnostics",
         schedules.len()
     );
 }
 
 fn smoke() {
     println!("schedule_lint smoke: clean corpus + minimized trophies");
-    lint_corpus(
-        "abd",
-        &record_clean_corpus(|| AbdCluster::new(5, ProcessId(0)), 3, 60, 21, false),
-        &named_model("abd").unwrap(),
-    );
-    lint_corpus(
-        "faulty-abd",
-        &record_clean_corpus(|| FaultyAbdCluster::new(5, ProcessId(0)), 3, 60, 22, false),
-        &named_model("faulty-abd").unwrap(),
-    );
-    lint_corpus(
-        "faulty-mw-abd",
-        &record_clean_corpus(
-            || MwAbdCluster::new(5).without_write_back(),
-            3,
-            160,
-            23,
-            true,
-        ),
-        &named_model("faulty-mw-abd").unwrap(),
-    );
+    lint_corpus("abd", 60, 21, false);
+    lint_corpus("faulty-abd", 60, 22, false);
+    lint_corpus("faulty-mw-abd", 160, 23, true);
     // Minimized trophies: 1-minimal ⇒ no removable step ⇒ no skipped step ⇒
     // the analyzer (sound for skipped-ness) must report zero dead steps.
     for (name, report) in [

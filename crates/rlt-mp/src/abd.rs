@@ -1,14 +1,27 @@
-//! The ABD (Attiya–Bar-Noy–Dolev) SWMR register in an asynchronous message-passing
+//! The ABD (Attiya–Bar-Noy–Dolev) register in an asynchronous message-passing
 //! system with crash failures, as a discrete-event simulation.
 //!
-//! Protocol (standard ABD, single writer):
+//! One state machine, [`AbdCluster`], runs every flavour the experiments use:
 //!
-//! * **write(v)** — the writer increments its sequence number `seq`, sends
-//!   `WriteReq(seq, v)` to every process, and returns once a majority has acknowledged.
+//! * **write(v)**, single writer ([`AbdCluster::new`]) — the designated writer
+//!   increments its sequence number `seq`, sends `WriteReq(seq, v)` to every process,
+//!   and returns once a majority has acknowledged.
+//! * **write(v)**, multi-writer ([`AbdCluster::multi_writer`]) — any process may
+//!   write. The write first runs a query phase (a `ReadReq`/`ReadReply` majority
+//!   exchange) for the highest stored sequence number, then propagates `v` as above
+//!   under a higher one, with the writer's process id packed into the low bits as a
+//!   deterministic tie-breaker.
 //! * **read()** — the reader queries every process, waits for a majority of
-//!   `(seq, value)` replies, picks the pair with the largest `seq`, *writes it back* to
-//!   a majority, and then returns the value. The write-back phase is what makes ABD
-//!   linearizable.
+//!   `(seq, value)` replies, picks the largest pair, *writes it back* to a majority,
+//!   and then returns the value. The write-back phase is what makes ABD
+//!   linearizable: [`AbdCluster::without_write_back`] removes it, giving the negative
+//!   control ([`FaultyAbdCluster`] is its single-writer form) in which a partially
+//!   propagated write lets two sequential reads observe "new then old".
+//!
+//! Every flavour speaks the same wire language ([`AbdMessage`] / [`Envelope`]), so
+//! every [`crate::adversary::DeliveryAdversary`] and recorded
+//! [`crate::delivery::Schedule`] applies to all of them, and [`AbdCluster::model`]
+//! describes each one to the static analyzer.
 //!
 //! The simulation assumes fewer than half of the processes crash (the standard ABD
 //! assumption); the delivery order of messages is entirely under the caller's control,
@@ -16,64 +29,92 @@
 //! [`AbdCluster::deliver`], through the shared random delivery of
 //! [`MessageCluster`], or through a [`crate::adversary::DeliveryAdversary`].
 
+use crate::analyze::ClusterModel;
 use crate::delivery::{InflightQueue, MessageCluster};
 use crate::faults::{RetryPolicy, SimNet};
-use rlt_spec::{History, OpId, OpKind, Operation, ProcessId, RegisterId, Time};
-use std::collections::{BTreeMap, BTreeSet};
+use rlt_spec::{History, OpId, OpKind, Operation, ProcessId, RegisterId};
+use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 
 pub use crate::delivery::{AbdMessage, Envelope};
 
-/// Register id used for the ABD-implemented register in recorded histories.
+/// Register id of the correct single-writer flavour in recorded histories.
 pub const ABD_REGISTER: RegisterId = RegisterId(400);
 
-#[derive(Debug, Clone)]
-enum ClientState {
-    Idle,
-    Writing {
-        op: OpId,
-        seq: u64,
-        value: i64,
-        acks: BTreeSet<usize>,
-    },
-    ReadingQuery {
-        op: OpId,
-        rid: u64,
-        replies: BTreeMap<usize, (u64, i64)>,
-    },
-    ReadingWriteBack {
-        op: OpId,
-        rid: u64,
-        seq: u64,
-        value: i64,
-        acks: BTreeSet<usize>,
-    },
+/// Register id of the write-back-free single-writer flavour.
+pub const FAULTY_REGISTER: RegisterId = RegisterId(401);
+
+/// Register id of both multi-writer flavours.
+pub const MW_REGISTER: RegisterId = RegisterId(402);
+
+/// Bits of a multi-writer sequence number that hold the writer's process id.
+pub(crate) const PID_BITS: u32 = 6;
+
+/// Packs `(counter, writer)` into a multi-writer sequence number: counters
+/// dominate, the writer id breaks ties deterministically.
+fn pack_seq(counter: u64, writer: ProcessId) -> u64 {
+    (counter << PID_BITS) | writer.0 as u64
 }
 
-/// A simulated ABD cluster of `n` processes implementing one SWMR register.
+/// One protocol phase of a client's operation in progress: `request` went to every
+/// process, and a majority of answers completes the phase.
+#[derive(Debug, Clone)]
+struct Phase {
+    op: OpId,
+    request: AbdMessage,
+    /// Each distinct responder with the `(seq, value)` it reported.
+    replies: BTreeMap<usize, (u64, i64)>,
+}
+
+/// The `(seq, value)` that `response` reports if it answers `request` (acks report
+/// `(0, 0)`), or `None` if it belongs to another phase.
+fn answer(request: &AbdMessage, response: &AbdMessage) -> Option<(u64, i64)> {
+    match (request, response) {
+        (AbdMessage::ReadReq { rid }, AbdMessage::ReadReply { rid: r, seq, value }) if r == rid => {
+            Some((*seq, *value))
+        }
+        (AbdMessage::WriteReq { seq, .. }, AbdMessage::WriteAck { seq: s }) if s == seq => {
+            Some((0, 0))
+        }
+        (AbdMessage::WriteBackReq { rid, .. }, AbdMessage::WriteBackAck { rid: r }) if r == rid => {
+            Some((0, 0))
+        }
+        _ => None,
+    }
+}
+
+/// A simulated ABD cluster of `n` processes implementing one register.
 ///
-/// All network and failure behavior — the in-flight queue, crashes and recoveries,
-/// partitions, injected faults, the virtual clock, and (when enabled with
-/// [`AbdCluster::with_retries`]) timeout-driven client retransmission — lives in the
-/// embedded [`SimNet`]; this type holds only the protocol state machines.
+/// The configuration — process count, a designated writer or multi-writer,
+/// write-back on or off, and retries — is exactly what [`AbdCluster::model`] reports
+/// to the static analyzer. All network and failure behavior — the in-flight queue,
+/// crashes and recoveries, partitions, injected faults, the virtual clock, and (when
+/// enabled with [`AbdCluster::with_retries`]) timeout-driven client retransmission —
+/// lives in the embedded [`SimNet`]; this type holds only the protocol state machines.
 #[derive(Debug)]
 pub struct AbdCluster {
     n: usize,
+    /// The designated writer; process 0, the actor of a bare `write`, on a
+    /// multi-writer cluster.
     writer: ProcessId,
+    multi_writer: bool,
+    write_back: bool,
     /// Replica state: the stored `(seq, value)` of each process. This is the
     /// *persisted* state: it survives a crash, so a recovered replica rejoins with
     /// the `(timestamp, value)` it had when it failed.
     replicas: Vec<(u64, i64)>,
-    clients: Vec<ClientState>,
+    /// Each process's client: the phase of its operation in progress, if any.
+    clients: Vec<Option<Phase>>,
     net: SimNet,
-    next_op: u64,
+    /// Read ids, shared by reads and multi-writer query phases.
     next_rid: u64,
     writer_seq: u64,
     ops: Vec<Operation<i64>>,
 }
 
 impl AbdCluster {
-    /// Creates a cluster of `n >= 3` processes; `writer` is the single process allowed
-    /// to write the register. The register initially holds `0`.
+    /// Creates a single-writer cluster of `n >= 3` processes; `writer` is the single
+    /// process allowed to write the register. The register initially holds `0`.
     ///
     /// # Panics
     ///
@@ -85,25 +126,79 @@ impl AbdCluster {
         AbdCluster {
             n,
             writer,
+            multi_writer: false,
+            write_back: true,
             replicas: vec![(0, 0); n],
-            clients: vec![ClientState::Idle; n],
+            clients: vec![None; n],
             net: SimNet::new(n),
-            next_op: 0,
             next_rid: 0,
             writer_seq: 0,
             ops: Vec::new(),
         }
     }
 
+    /// Creates a multi-writer cluster of `3 <= n <= 64` processes: every process may
+    /// write, via a query-then-propagate protocol.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 3` or `n > 64` (the packed-sequence tie-breaker reserves six
+    /// bits for the writer id).
+    #[must_use]
+    pub fn multi_writer(n: usize) -> Self {
+        assert!(n <= 1 << PID_BITS, "writer id does not fit the seq packing");
+        AbdCluster {
+            multi_writer: true,
+            ..AbdCluster::new(n, ProcessId(0))
+        }
+    }
+
+    /// The faulty flavour: reads respond straight after their majority query, never
+    /// writing back. Not linearizable under adversarial delivery.
+    #[must_use]
+    pub fn without_write_back(mut self) -> Self {
+        self.write_back = false;
+        self
+    }
+
     /// Enables timeout-driven client retry under `policy`: a client whose protocol
     /// phase stalls (lost, delayed, or partitioned traffic) re-broadcasts that phase's
     /// requests with bounded exponential backoff when virtual time advances past its
-    /// timeout. Without this, the cluster's behavior is bit-identical to the
-    /// retry-free original.
+    /// timeout. Every phase starts from a fresh timeout at attempt zero. Without this,
+    /// the cluster's behavior is bit-identical to the retry-free original. Retries do
+    /// not fix a missing write-back — they only keep operations from wedging on lossy
+    /// links.
     #[must_use]
     pub fn with_retries(mut self, policy: RetryPolicy) -> Self {
         self.net.set_retry(policy);
         self
+    }
+
+    /// The fresh 5-process cluster (writer: process 0) of a named flavour: `abd`,
+    /// `faulty-abd`, `mw-abd` or `faulty-mw-abd`. These are the names the
+    /// `schedule_lint` bin and the server's `POST /analyze/{model}` accept.
+    #[must_use]
+    pub fn named(name: &str) -> Option<Self> {
+        Some(match name {
+            "abd" => AbdCluster::new(5, ProcessId(0)),
+            "faulty-abd" => AbdCluster::new(5, ProcessId(0)).without_write_back(),
+            "mw-abd" => AbdCluster::multi_writer(5),
+            "faulty-mw-abd" => AbdCluster::multi_writer(5).without_write_back(),
+            _ => return None,
+        })
+    }
+
+    /// What the static analyzer may assume about this cluster — derived from its
+    /// configuration, so the analyzer cannot drift from the protocol it models.
+    #[must_use]
+    pub fn model(&self) -> ClusterModel {
+        ClusterModel {
+            processes: Some(self.n),
+            writer: Some(self.writer),
+            multi_writer: Some(self.multi_writer),
+            write_backs: Some(self.write_back),
+            retries: self.net.retry_policy().is_some(),
+        }
     }
 
     /// Number of processes.
@@ -112,7 +207,7 @@ impl AbdCluster {
         self.n
     }
 
-    /// The designated writer.
+    /// The designated writer (process 0 on a multi-writer cluster).
     #[must_use]
     pub fn writer(&self) -> ProcessId {
         self.writer
@@ -124,14 +219,13 @@ impl AbdCluster {
         self.n / 2 + 1
     }
 
-    fn tick(&mut self) -> Time {
-        self.net.tick()
-    }
-
-    fn fresh_op(&mut self) -> OpId {
-        let id = OpId(self.next_op);
-        self.next_op += 1;
-        id
+    /// The register id this flavour records its operations under.
+    fn register(&self) -> RegisterId {
+        match (self.multi_writer, self.write_back) {
+            (true, _) => MW_REGISTER,
+            (false, true) => ABD_REGISTER,
+            (false, false) => FAULTY_REGISTER,
+        }
     }
 
     /// Routes a message through the fault layer: dropped (and counted) if the
@@ -139,12 +233,6 @@ impl AbdCluster {
     /// otherwise.
     fn send(&mut self, from: ProcessId, to: ProcessId, message: AbdMessage) {
         self.net.send(Envelope { from, to, message });
-    }
-
-    fn broadcast(&mut self, from: ProcessId, message: AbdMessage) {
-        for to in 0..self.n {
-            self.send(from, ProcessId(to), message.clone());
-        }
     }
 
     /// Marks a process as crashed (fail-stop): it issues no further protocol steps,
@@ -164,7 +252,7 @@ impl AbdCluster {
         if !self.net.recover(p) {
             return false;
         }
-        self.clients[p.0] = ClientState::Idle;
+        self.clients[p.0] = None;
         true
     }
 
@@ -177,7 +265,12 @@ impl AbdCluster {
     /// Returns `true` if `p` has no operation in progress.
     #[must_use]
     pub fn is_idle(&self, p: ProcessId) -> bool {
-        matches!(self.clients[p.0], ClientState::Idle)
+        self.clients[p.0].is_none()
+    }
+
+    /// `true` if `p` is in range, alive and idle, so it may invoke an operation.
+    fn can_start(&self, p: ProcessId) -> bool {
+        p.0 < self.n && !self.is_crashed(p) && self.is_idle(p)
     }
 
     /// Invokes a write of `value` by the designated writer.
@@ -186,32 +279,33 @@ impl AbdCluster {
     ///
     /// Panics if the writer already has an operation in progress or has crashed.
     pub fn start_write(&mut self, value: i64) -> OpId {
-        let w = self.writer;
-        assert!(!self.is_crashed(w), "the writer has crashed");
+        self.start_write_by(self.writer, value)
+    }
+
+    /// Invokes a write of `value` by process `p`: any process on a multi-writer
+    /// cluster, only the designated writer otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` may not write, already has an operation in progress, has
+    /// crashed, or is out of range.
+    pub fn start_write_by(&mut self, p: ProcessId, value: i64) -> OpId {
         assert!(
-            self.is_idle(w),
-            "the writer already has an operation in progress"
+            self.multi_writer || p == self.writer,
+            "process {p} is not the writer"
         );
-        let op = self.fresh_op();
-        let t = self.tick();
-        self.ops.push(Operation {
-            id: op,
-            process: w,
-            register: ABD_REGISTER,
-            kind: OpKind::Write(value),
-            invoked_at: t,
-            responded_at: None,
-        });
-        self.writer_seq += 1;
-        let seq = self.writer_seq;
-        self.clients[w.0] = ClientState::Writing {
-            op,
-            seq,
-            value,
-            acks: BTreeSet::new(),
+        let op = self.invoke(p, OpKind::Write(value));
+        let request = if self.multi_writer {
+            self.next_rid += 1;
+            AbdMessage::ReadReq { rid: self.next_rid }
+        } else {
+            self.writer_seq += 1;
+            AbdMessage::WriteReq {
+                seq: self.writer_seq,
+                value,
+            }
         };
-        self.broadcast(w, AbdMessage::WriteReq { seq, value });
-        self.net.arm_retry(w);
+        self.enter(p, op, request);
         op
     }
 
@@ -222,32 +316,45 @@ impl AbdCluster {
     /// Panics if `p` already has an operation in progress, has crashed, or is out of
     /// range.
     pub fn start_read(&mut self, p: ProcessId) -> OpId {
+        let op = self.invoke(p, OpKind::Read(None));
+        self.next_rid += 1;
+        self.enter(p, op, AbdMessage::ReadReq { rid: self.next_rid });
+        op
+    }
+
+    /// Records the invocation of `kind` by `p` at a fresh tick.
+    fn invoke(&mut self, p: ProcessId, kind: OpKind<i64>) -> OpId {
         assert!(p.0 < self.n, "process out of range");
         assert!(!self.is_crashed(p), "process {p} has crashed");
         assert!(
             self.is_idle(p),
             "process {p} already has an operation in progress"
         );
-        let op = self.fresh_op();
-        let t = self.tick();
+        let id = OpId(self.ops.len() as u64);
+        let invoked_at = self.net.tick();
         self.ops.push(Operation {
-            id: op,
+            id,
             process: p,
-            register: ABD_REGISTER,
-            kind: OpKind::Read(None),
-            invoked_at: t,
+            register: self.register(),
+            kind,
+            invoked_at,
             responded_at: None,
         });
-        self.next_rid += 1;
-        let rid = self.next_rid;
-        self.clients[p.0] = ClientState::ReadingQuery {
+        id
+    }
+
+    /// Starts a protocol phase of `p`'s operation `op`: broadcasts `request` and
+    /// arms a fresh retry timer from attempt zero — the one rule for every phase.
+    fn enter(&mut self, p: ProcessId, op: OpId, request: AbdMessage) {
+        self.clients[p.0] = Some(Phase {
             op,
-            rid,
+            request: request.clone(),
             replies: BTreeMap::new(),
-        };
-        self.broadcast(p, AbdMessage::ReadReq { rid });
+        });
+        for to in 0..self.n {
+            self.send(p, ProcessId(to), request.clone());
+        }
         self.net.arm_retry(p);
-        op
     }
 
     /// Number of messages currently in flight.
@@ -274,110 +381,83 @@ impl AbdCluster {
     ///
     /// Panics if the slot is free or out of bounds.
     pub fn deliver(&mut self, slot: usize) {
-        let envelope = self.net.take_slot(slot);
-        let to = envelope.to;
+        let Envelope { from, to, message } = self.net.take_slot(slot);
         debug_assert!(
             !self.is_crashed(to),
             "messages to crashed processes are purged on crash"
         );
-        self.tick();
-        match envelope.message {
-            AbdMessage::WriteReq { seq, value } => {
-                if seq > self.replicas[to.0].0 {
-                    self.replicas[to.0] = (seq, value);
-                }
-                self.send(to, envelope.from, AbdMessage::WriteAck { seq });
-            }
-            AbdMessage::WriteAck { seq } => {
-                if let ClientState::Writing {
-                    op,
-                    seq: pending_seq,
-                    acks,
-                    ..
-                } = &mut self.clients[to.0]
-                {
-                    if *pending_seq == seq {
-                        acks.insert(envelope.from.0);
-                        if acks.len() > self.n / 2 {
-                            let op = *op;
-                            self.clients[to.0] = ClientState::Idle;
-                            self.net.cancel_retry(to);
-                            self.respond(op, None);
-                        }
-                    }
-                }
-            }
+        self.net.tick();
+        let reply = match message {
             AbdMessage::ReadReq { rid } => {
                 let (seq, value) = self.replicas[to.0];
-                self.send(to, envelope.from, AbdMessage::ReadReply { rid, seq, value });
+                AbdMessage::ReadReply { rid, seq, value }
             }
-            AbdMessage::ReadReply { rid, seq, value } => {
-                if let ClientState::ReadingQuery {
-                    op,
-                    rid: pending_rid,
-                    replies,
-                } = &mut self.clients[to.0]
-                {
-                    if *pending_rid == rid {
-                        replies.insert(envelope.from.0, (seq, value));
-                        if replies.len() > self.n / 2 {
-                            let (&_, &(best_seq, best_value)) = replies
-                                .iter()
-                                .max_by_key(|(_, (s, _))| *s)
-                                .expect("majority of replies present");
-                            let op = *op;
-                            self.clients[to.0] = ClientState::ReadingWriteBack {
-                                op,
-                                rid,
-                                seq: best_seq,
-                                value: best_value,
-                                acks: BTreeSet::new(),
-                            };
-                            self.broadcast(
-                                to,
-                                AbdMessage::WriteBackReq {
-                                    rid,
-                                    seq: best_seq,
-                                    value: best_value,
-                                },
-                            );
-                            // New protocol phase, fresh timeout from attempt zero.
-                            self.net.arm_retry(to);
-                        }
-                    }
-                }
+            AbdMessage::WriteReq { seq, value } => {
+                self.store(to, seq, value);
+                AbdMessage::WriteAck { seq }
             }
             AbdMessage::WriteBackReq { rid, seq, value } => {
-                if seq > self.replicas[to.0].0 {
-                    self.replicas[to.0] = (seq, value);
-                }
-                self.send(to, envelope.from, AbdMessage::WriteBackAck { rid });
+                self.store(to, seq, value);
+                AbdMessage::WriteBackAck { rid }
             }
-            AbdMessage::WriteBackAck { rid } => {
-                if let ClientState::ReadingWriteBack {
-                    op,
-                    rid: pending_rid,
-                    value,
-                    acks,
-                    ..
-                } = &mut self.clients[to.0]
-                {
-                    if *pending_rid == rid {
-                        acks.insert(envelope.from.0);
-                        if acks.len() > self.n / 2 {
-                            let op = *op;
-                            let value = *value;
-                            self.clients[to.0] = ClientState::Idle;
-                            self.net.cancel_retry(to);
-                            self.respond(op, Some(value));
-                        }
-                    }
-                }
+            response => {
+                self.on_response(from, to, &response);
+                return;
             }
+        };
+        self.send(to, from, reply);
+    }
+
+    /// Replica `p` adopts `(seq, value)` if it is newer than what it stores.
+    fn store(&mut self, p: ProcessId, seq: u64, value: i64) {
+        if seq > self.replicas[p.0].0 {
+            self.replicas[p.0] = (seq, value);
         }
     }
 
-    /// Re-broadcasts the requests of `p`'s current protocol phase to the processes
+    /// Counts `response` from `from` towards `to`'s current phase; a majority of
+    /// distinct responders completes the phase and starts the next one, or
+    /// completes the operation.
+    fn on_response(&mut self, from: ProcessId, to: ProcessId, response: &AbdMessage) {
+        let majority = self.majority();
+        let Some(phase) = self.clients[to.0].as_mut() else {
+            return;
+        };
+        let Some(reported) = answer(&phase.request, response) else {
+            return;
+        };
+        phase.replies.insert(from.0, reported);
+        if phase.replies.len() < majority {
+            return;
+        }
+        let Phase {
+            op,
+            request,
+            replies,
+        } = self.clients[to.0].take().expect("a phase in progress");
+        match request {
+            AbdMessage::ReadReq { rid } => {
+                let &(seq, value) = replies.values().max().expect("majority of replies");
+                match self.ops[op.0 as usize].kind {
+                    // A multi-writer write's query phase: propagate the written
+                    // value under a seq above every one the majority reported.
+                    OpKind::Write(value) => {
+                        let seq = pack_seq((seq >> PID_BITS) + 1, to);
+                        self.enter(to, op, AbdMessage::WriteReq { seq, value });
+                    }
+                    _ if self.write_back => {
+                        self.enter(to, op, AbdMessage::WriteBackReq { rid, seq, value });
+                    }
+                    // FAULT (write-back-free flavours): respond without writing back.
+                    _ => self.respond(to, op, Some(value)),
+                }
+            }
+            AbdMessage::WriteBackReq { value, .. } => self.respond(to, op, Some(value)),
+            _ => self.respond(to, op, None),
+        }
+    }
+
+    /// Re-broadcasts the request of `p`'s current protocol phase to the processes
     /// that have not answered yet, and re-arms the backed-off retry timer. ABD's
     /// handlers are idempotent (sequence numbers and read ids guard every state
     /// change), so retransmissions and the duplicate replies they provoke are
@@ -386,62 +466,25 @@ impl AbdCluster {
         if self.is_crashed(p) {
             return;
         }
-        let pending: Vec<(ProcessId, AbdMessage)> = match &self.clients[p.0] {
-            ClientState::Idle => Vec::new(),
-            ClientState::Writing {
-                seq, value, acks, ..
-            } => {
-                let message = AbdMessage::WriteReq {
-                    seq: *seq,
-                    value: *value,
-                };
-                (0..self.n)
-                    .filter(|to| !acks.contains(to))
-                    .map(|to| (ProcessId(to), message.clone()))
-                    .collect()
-            }
-            ClientState::ReadingQuery { rid, replies, .. } => {
-                let message = AbdMessage::ReadReq { rid: *rid };
-                (0..self.n)
-                    .filter(|to| !replies.contains_key(to))
-                    .map(|to| (ProcessId(to), message.clone()))
-                    .collect()
-            }
-            ClientState::ReadingWriteBack {
-                rid,
-                seq,
-                value,
-                acks,
-                ..
-            } => {
-                let message = AbdMessage::WriteBackReq {
-                    rid: *rid,
-                    seq: *seq,
-                    value: *value,
-                };
-                (0..self.n)
-                    .filter(|to| !acks.contains(to))
-                    .map(|to| (ProcessId(to), message.clone()))
-                    .collect()
-            }
-        };
-        if pending.is_empty() {
+        let Some(phase) = &self.clients[p.0] else {
             return;
-        }
-        self.net.count_retransmissions(pending.len() as u64);
-        for (to, message) in pending {
-            self.send(p, to, message);
+        };
+        let request = phase.request.clone();
+        let silent: Vec<usize> = (0..self.n)
+            .filter(|to| !phase.replies.contains_key(to))
+            .collect();
+        self.net.count_retransmissions(silent.len() as u64);
+        for to in silent {
+            self.send(p, ProcessId(to), request.clone());
         }
         self.net.rearm_retry(p);
     }
 
-    fn respond(&mut self, op: OpId, read_value: Option<i64>) {
-        let t = self.tick();
-        let rec = self
-            .ops
-            .iter_mut()
-            .find(|o| o.id == op)
-            .expect("operation exists");
+    /// Completes `p`'s operation `op`, with the value a read returns.
+    fn respond(&mut self, p: ProcessId, op: OpId, read_value: Option<i64>) {
+        self.net.cancel_retry(p);
+        let t = self.net.tick();
+        let rec = &mut self.ops[op.0 as usize];
         rec.responded_at = Some(t);
         if let Some(v) = read_value {
             rec.kind = OpKind::Read(Some(v));
@@ -471,16 +514,16 @@ impl MessageCluster for AbdCluster {
     }
 
     fn deliver_slot(&mut self, slot: usize) {
-        AbdCluster::deliver(self, slot);
+        self.deliver(slot);
     }
 
-    fn try_start_write(&mut self, value: i64) -> Option<OpId> {
-        let w = self.writer;
-        (!self.is_crashed(w) && self.is_idle(w)).then(|| self.start_write(value))
+    fn try_start_write_by(&mut self, p: ProcessId, value: i64) -> Option<OpId> {
+        ((self.multi_writer || p == self.writer) && self.can_start(p))
+            .then(|| self.start_write_by(p, value))
     }
 
     fn try_start_read(&mut self, p: ProcessId) -> Option<OpId> {
-        (p.0 < self.n && !self.is_crashed(p) && self.is_idle(p)).then(|| self.start_read(p))
+        self.can_start(p).then(|| self.start_read(p))
     }
 
     fn on_timer(&mut self, p: ProcessId) {
@@ -488,7 +531,7 @@ impl MessageCluster for AbdCluster {
     }
 
     fn recover_process(&mut self, p: ProcessId) -> bool {
-        AbdCluster::recover(self, p)
+        self.recover(p)
     }
 
     fn history(&self) -> History<i64> {
@@ -509,6 +552,94 @@ impl MessageCluster for AbdCluster {
 
     fn is_idle(&self, p: ProcessId) -> bool {
         AbdCluster::is_idle(self, p)
+    }
+}
+
+/// The single-writer cluster without the read write-back phase — the negative
+/// control, **not** linearizable — under its own type name: a thin wrapper over
+/// [`AbdCluster::without_write_back`] that dereferences to the [`AbdCluster`].
+#[derive(Debug)]
+pub struct FaultyAbdCluster(AbdCluster);
+
+impl FaultyAbdCluster {
+    /// Creates a faulty cluster of `n >= 3` processes with the given writer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 3` or the writer is out of range.
+    #[must_use]
+    pub fn new(n: usize, writer: ProcessId) -> Self {
+        FaultyAbdCluster(AbdCluster::new(n, writer).without_write_back())
+    }
+
+    /// Enables timeout-driven client retry (see [`AbdCluster::with_retries`]).
+    #[must_use]
+    pub fn with_retries(self, policy: RetryPolicy) -> Self {
+        FaultyAbdCluster(self.0.with_retries(policy))
+    }
+}
+
+impl Deref for FaultyAbdCluster {
+    type Target = AbdCluster;
+
+    fn deref(&self) -> &AbdCluster {
+        &self.0
+    }
+}
+
+impl DerefMut for FaultyAbdCluster {
+    fn deref_mut(&mut self) -> &mut AbdCluster {
+        &mut self.0
+    }
+}
+
+impl MessageCluster for FaultyAbdCluster {
+    fn net(&self) -> &SimNet {
+        self.0.net()
+    }
+
+    fn net_mut(&mut self) -> &mut SimNet {
+        self.0.net_mut()
+    }
+
+    fn deliver_slot(&mut self, slot: usize) {
+        self.0.deliver_slot(slot);
+    }
+
+    fn try_start_write_by(&mut self, p: ProcessId, value: i64) -> Option<OpId> {
+        self.0.try_start_write_by(p, value)
+    }
+
+    fn try_start_read(&mut self, p: ProcessId) -> Option<OpId> {
+        self.0.try_start_read(p)
+    }
+
+    fn on_timer(&mut self, p: ProcessId) {
+        self.0.on_timer(p);
+    }
+
+    fn recover_process(&mut self, p: ProcessId) -> bool {
+        self.0.recover_process(p)
+    }
+
+    fn history(&self) -> History<i64> {
+        self.0.history()
+    }
+
+    fn operations(&self) -> &[Operation<i64>] {
+        self.0.operations()
+    }
+
+    fn process_count(&self) -> usize {
+        self.0.process_count()
+    }
+
+    fn writer(&self) -> ProcessId {
+        self.0.writer()
+    }
+
+    fn is_idle(&self, p: ProcessId) -> bool {
+        self.0.is_idle(p)
     }
 }
 
@@ -533,6 +664,68 @@ mod tests {
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    /// Delivers the oldest in-flight message matching `pick` until none is left.
+    fn deliver_all(c: &mut AbdCluster, pick: impl Fn(&Envelope) -> bool) {
+        while let Some(slot) = c.inflight().oldest_matching(&pick) {
+            c.deliver(slot);
+        }
+    }
+
+    /// Builds the classic new/old inversion by adversarial delivery on the
+    /// write-back-free flavour: a write is propagated to a single replica (and stays
+    /// pending), a first read queries a majority *containing* that replica (so it
+    /// observes the new value), and a second, later read queries a majority
+    /// *excluding* it (so it observes the old value). With the write-back phase the
+    /// first read would have repaired the gap; without it, the history is not
+    /// linearizable. (The [`crate::adversary::ReplyWithholdingAdversary`] reaches
+    /// the same shape without this hand construction.)
+    fn new_old_inversion(n: usize) -> History<i64> {
+        let majority = n / 2 + 1;
+        let mut c = FaultyAbdCluster::new(n, ProcessId(0));
+        c.start_write(7);
+        let slot = c
+            .inflight()
+            .oldest_matching(|e| {
+                matches!(e.message, AbdMessage::WriteReq { .. }) && e.to == ProcessId(1)
+            })
+            .expect("write request to replica 1");
+        c.deliver(slot);
+        // First read by p1: its queries reach a majority that includes replica 1.
+        c.start_read(ProcessId(1));
+        for _ in 0..majority {
+            let slot = c
+                .inflight()
+                .oldest_matching(|e| {
+                    matches!(e.message, AbdMessage::ReadReq { rid } if rid == 1)
+                        && e.to.0 < majority
+                })
+                .expect("read-1 request to a low-indexed replica");
+            c.deliver(slot);
+        }
+        deliver_all(
+            &mut c,
+            |e| matches!(e.message, AbdMessage::ReadReply { rid, .. } if rid == 1),
+        );
+        // Second read by p2, after the first responded: its queries reach a majority
+        // that excludes replica 1 — all of them stale.
+        c.start_read(ProcessId(2));
+        for _ in 0..majority {
+            let slot = c
+                .inflight()
+                .oldest_matching(|e| {
+                    matches!(e.message, AbdMessage::ReadReq { rid } if rid == 2)
+                        && e.to != ProcessId(1)
+                })
+                .expect("read-2 request to a replica other than replica 1");
+            c.deliver(slot);
+        }
+        deliver_all(
+            &mut c,
+            |e| matches!(e.message, AbdMessage::ReadReply { rid, .. } if rid == 2),
+        );
+        c.history()
     }
 
     #[test]
@@ -790,5 +983,250 @@ mod tests {
         assert!(is_linearizable(&h));
         // And the cluster actually quiesced — no garbage circulates forever.
         assert_eq!(c.inflight_count(), 0);
+    }
+
+    #[test]
+    fn quiescent_sequential_use_still_works() {
+        // Without concurrency or adversarial delivery the faulty variant looks fine —
+        // which is exactly why a checker is needed.
+        let mut c = FaultyAbdCluster::new(3, ProcessId(0));
+        let mut rng = rng(1);
+        c.start_write(5);
+        c.run_to_quiescence(&mut rng, 10_000);
+        c.start_read(ProcessId(1));
+        c.run_to_quiescence(&mut rng, 10_000);
+        let h = c.history();
+        assert_eq!(h.reads().next().unwrap().read_value(), Some(&5));
+        assert!(is_linearizable(&h));
+    }
+
+    #[test]
+    fn new_old_inversion_is_rejected_by_the_checker() {
+        for n in [5usize, 7, 9] {
+            let h = new_old_inversion(n);
+            let r_values: Vec<i64> = h.reads().filter_map(|r| r.read_value().copied()).collect();
+            // First read (by p1) sees the new value; the later read by p2 sees the old
+            // one — the classic new/old inversion the write-back phase exists to
+            // prevent.
+            assert_eq!(r_values, vec![7, 0], "n = {n}");
+            assert!(
+                !is_linearizable(&h),
+                "new/old inversion must be rejected (n = {n})"
+            );
+        }
+    }
+
+    #[test]
+    fn random_schedules_eventually_exhibit_non_linearizable_histories() {
+        // Under unconstrained random delivery with overlapping reads the missing
+        // write-back shows up as a linearizability violation in at least one seed.
+        let mut violation_found = false;
+        for seed in 0..40u64 {
+            let mut c = FaultyAbdCluster::new(5, ProcessId(0));
+            let mut rng = rng(seed);
+            c.start_write(1);
+            for _ in 0..4 {
+                c.deliver_random(&mut rng);
+            }
+            c.start_read(ProcessId(1));
+            c.run_to_quiescence(&mut rng, 5);
+            c.start_read(ProcessId(2));
+            c.run_to_quiescence(&mut rng, 100_000);
+            if !is_linearizable(&c.history()) {
+                violation_found = true;
+                break;
+            }
+        }
+        assert!(
+            violation_found || {
+                // Fall back to the deterministic construction if randomness was unlucky.
+                !is_linearizable(&new_old_inversion(5))
+            }
+        );
+    }
+
+    #[test]
+    fn packed_seqs_totally_order_competing_writers() {
+        assert!(pack_seq(1, ProcessId(3)) > pack_seq(1, ProcessId(2)));
+        assert!(pack_seq(2, ProcessId(0)) > pack_seq(1, ProcessId(63)));
+        assert_eq!(pack_seq(9, ProcessId(5)) >> PID_BITS, 9);
+    }
+
+    #[test]
+    fn sequential_multi_writer_use_is_linearizable() {
+        let mut c = AbdCluster::multi_writer(5);
+        let mut rng = rng(1);
+        for (p, v) in [(0usize, 10i64), (3, 20), (1, 30)] {
+            c.start_write_by(ProcessId(p), v);
+            c.run_to_quiescence(&mut rng, 10_000);
+        }
+        c.start_read(ProcessId(2));
+        c.run_to_quiescence(&mut rng, 10_000);
+        let h = c.history();
+        assert_eq!(h.reads().next().unwrap().read_value(), Some(&30));
+        assert!(is_linearizable(&h));
+    }
+
+    #[test]
+    fn concurrent_writers_stay_linearizable_across_seeds() {
+        for seed in 0..12u64 {
+            let mut c = AbdCluster::multi_writer(5);
+            let mut rng = rng(seed);
+            c.start_write_by(ProcessId(1), 111);
+            c.start_write_by(ProcessId(4), 444);
+            for _ in 0..6 {
+                c.deliver_random(&mut rng);
+            }
+            c.start_read(ProcessId(2));
+            c.run_to_quiescence(&mut rng, 100_000);
+            c.start_read(ProcessId(3));
+            c.run_to_quiescence(&mut rng, 100_000);
+            let h = c.history();
+            assert!(is_linearizable(&h), "seed {seed}: {h}");
+        }
+    }
+
+    #[test]
+    fn write_back_free_flavor_admits_inversions() {
+        // Mirror of the single-writer negative control, built by hand: the write
+        // finishes its query phase, then its propagation reaches replica 1 only;
+        // a first read queries a majority containing replica 1 (sees the new
+        // value), a later read queries a majority excluding it (sees the old).
+        let mut c = AbdCluster::multi_writer(5).without_write_back();
+        c.start_write_by(ProcessId(0), 7);
+        // Query phase: all ReadReqs, then a majority of replies.
+        deliver_all(&mut c, |e| matches!(e.message, AbdMessage::ReadReq { .. }));
+        for _ in 0..3 {
+            let slot = c
+                .inflight()
+                .oldest_matching(|e| matches!(e.message, AbdMessage::ReadReply { .. }))
+                .expect("query reply");
+            c.deliver(slot);
+        }
+        // Propagation reaches replica 1 only; the write stays pending.
+        let slot = c
+            .inflight()
+            .oldest_matching(|e| {
+                matches!(e.message, AbdMessage::WriteReq { .. }) && e.to == ProcessId(1)
+            })
+            .expect("write propagation to replica 1");
+        c.deliver(slot);
+        // First read by p1 against {1, 2, 3}; no write-back, responds with 7.
+        c.start_read(ProcessId(1));
+        for _ in 0..3 {
+            let slot = c
+                .inflight()
+                .oldest_matching(|e| {
+                    matches!(e.message, AbdMessage::ReadReq { rid } if rid == 2)
+                        && (1..=3).contains(&e.to.0)
+                })
+                .expect("read-1 query");
+            c.deliver(slot);
+        }
+        deliver_all(
+            &mut c,
+            |e| matches!(e.message, AbdMessage::ReadReply { rid, .. } if rid == 2),
+        );
+        // Second read by p2 against {2, 3, 4}; all stale, responds with 0.
+        c.start_read(ProcessId(2));
+        for _ in 0..3 {
+            let slot = c
+                .inflight()
+                .oldest_matching(|e| {
+                    matches!(e.message, AbdMessage::ReadReq { rid } if rid == 3)
+                        && (2..=4).contains(&e.to.0)
+                })
+                .expect("read-2 query");
+            c.deliver(slot);
+        }
+        deliver_all(
+            &mut c,
+            |e| matches!(e.message, AbdMessage::ReadReply { rid, .. } if rid == 3),
+        );
+        let h = c.history();
+        let values: Vec<i64> = h.reads().filter_map(|r| r.read_value().copied()).collect();
+        assert_eq!(values, vec![7, 0]);
+        assert!(!is_linearizable(&h), "inversion must be rejected: {h}");
+    }
+
+    #[test]
+    fn recorded_multi_writer_schedules_replay_bit_identically() {
+        use crate::adversary::UniformAdversary;
+        use crate::delivery::ScheduleRun;
+        let mut run = ScheduleRun::new(AbdCluster::multi_writer(5));
+        let mut adv = UniformAdversary::new(9);
+        run.start_write_by(ProcessId(2), 7);
+        run.start_write_by(ProcessId(4), 8);
+        for _ in 0..30 {
+            if !run.deliver_next(&mut adv) {
+                break;
+            }
+        }
+        run.start_read(ProcessId(1));
+        for _ in 0..30 {
+            if !run.deliver_next(&mut adv) {
+                break;
+            }
+        }
+        let history = run.history();
+        let schedule = run.into_schedule();
+        // Round-trips through text (the `write-by` verb) and replays identically.
+        let parsed: crate::delivery::Schedule = schedule.to_string().parse().unwrap();
+        assert_eq!(parsed, schedule);
+        let mut replay = AbdCluster::multi_writer(5);
+        parsed.replay_on(&mut replay);
+        assert_eq!(replay.history(), history);
+    }
+
+    #[test]
+    fn multi_writer_phase_changes_rearm_retries_from_attempt_zero() {
+        // Every phase entry arms a fresh timer: the write's propagate phase times
+        // out `base` ticks after the query phase completes (not at the query
+        // phase's stale deadline), and stalled, it fires `max_attempts` times.
+        let policy = RetryPolicy::default();
+        let mut c = AbdCluster::multi_writer(5).with_retries(policy);
+        c.start_write_by(ProcessId(0), 7);
+        while c
+            .inflight()
+            .iter()
+            .all(|(_, e)| !matches!(e.message, AbdMessage::WriteReq { .. }))
+        {
+            let slot = c
+                .inflight()
+                .oldest_matching(|e| {
+                    matches!(
+                        e.message,
+                        AbdMessage::ReadReq { .. } | AbdMessage::ReadReply { .. }
+                    )
+                })
+                .expect("query traffic while the write is in its query phase");
+            c.deliver(slot);
+        }
+        let t = c.net().now();
+        assert_eq!(c.net_mut().next_deadline(), Some(t + policy.base));
+        while c.advance_time() {}
+        assert_eq!(c.fault_log().timer_fires, u64::from(policy.max_attempts));
+    }
+
+    #[test]
+    fn model_matches_each_flavours_hand_written_model() {
+        let sw = ClusterModel::single_writer(5, ProcessId(0));
+        let mw = ClusterModel::multi_writer(5);
+        for (name, model) in [
+            ("abd", sw.clone()),
+            ("faulty-abd", sw.clone().without_write_backs()),
+            ("mw-abd", mw.clone()),
+            ("faulty-mw-abd", mw.without_write_backs()),
+        ] {
+            let cluster = AbdCluster::named(name).expect("a named flavour");
+            assert_eq!(cluster.model(), model, "{name}");
+            let retrying = cluster.with_retries(RetryPolicy::default());
+            assert_eq!(retrying.model(), model.with_retries(), "{name}");
+        }
+        assert!(AbdCluster::named("permissive").is_none());
+        assert_eq!(
+            FaultyAbdCluster::new(5, ProcessId(0)).model(),
+            sw.without_write_backs()
+        );
     }
 }

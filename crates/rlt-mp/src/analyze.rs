@@ -47,14 +47,10 @@ use std::fmt;
 
 use rlt_spec::ProcessId;
 
+use crate::abd::PID_BITS;
 use crate::delivery::{
     ClientEvent, EnvelopeKey, MessageKind, Schedule, ScheduleParseError, ScheduleStep,
 };
-
-/// Mirrors `mw.rs`: multi-writer sequence numbers pack the writer id into the
-/// low 6 bits, so a `write-req#s` with `s >= 64` names an MW write by process
-/// `s & 63`.
-const MW_PID_MASK: u64 = 63;
 
 /// How serious a [`Diagnostic`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -402,9 +398,10 @@ impl Pass<'_> {
                     && s >= 1
                     && s <= self.poss_writes_sw
                     && self.model.writer.is_none_or(|w| f == w.0);
+                // Multi-writer sequence numbers pack `(counter >= 1, writer)`.
                 let mw_ok = self.model.multi_writer != Some(false)
-                    && s >= 64
-                    && (s & MW_PID_MASK) as usize == f
+                    && s >> PID_BITS >= 1
+                    && s & ((1 << PID_BITS) - 1) == f as u64
                     && (self.mw_write_started.contains(&f) || self.wildcard_write_started)
                     && self
                         .reply_senders
@@ -888,7 +885,7 @@ pub fn canonicalize(schedule: &Schedule) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AbdCluster, FaultyAbdCluster, MessageCluster, MwAbdCluster};
+    use crate::{AbdCluster, FaultyAbdCluster, MessageCluster};
 
     fn sched(text: &str) -> Schedule {
         text.parse().expect("schedule parses")
@@ -910,7 +907,9 @@ mod tests {
                 analysis.diagnostics
             );
         }
-        for schedule in crate::fuzz::record_clean_corpus(|| MwAbdCluster::new(5), 3, 60, 7, true) {
+        for schedule in
+            crate::fuzz::record_clean_corpus(|| AbdCluster::multi_writer(5), 3, 60, 7, true)
+        {
             let analysis = analyze(&schedule, &ClusterModel::multi_writer(5));
             assert!(
                 analysis.is_clean(),
@@ -1077,16 +1076,17 @@ mod tests {
     fn canonicalize_is_replay_equivalent_and_idempotent() {
         // A recorded MW run interleaves requests with disjoint endpoints; the
         // commuting request deliveries get sorted into text order.
-        let schedule = crate::fuzz::record_clean_corpus(|| MwAbdCluster::new(5), 1, 80, 11, true)
-            .pop()
-            .expect("one recording");
+        let schedule =
+            crate::fuzz::record_clean_corpus(|| AbdCluster::multi_writer(5), 1, 80, 11, true)
+                .pop()
+                .expect("one recording");
 
         let canon = canonicalize(&schedule);
         assert_eq!(canon, canonicalize(&canon), "idempotent");
         assert_eq!(canon.len(), schedule.len());
 
-        let mut a = MwAbdCluster::new(5);
-        let mut b = MwAbdCluster::new(5);
+        let mut a = AbdCluster::multi_writer(5);
+        let mut b = AbdCluster::multi_writer(5);
         let da = schedule.replay_on(&mut a);
         let db = canon.replay_on(&mut b);
         assert_eq!(da, db);

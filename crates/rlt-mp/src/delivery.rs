@@ -1,10 +1,10 @@
 //! The shared delivery core of the message-passing simulations.
 //!
-//! Both [`crate::AbdCluster`] and [`crate::FaultyAbdCluster`] move protocol messages
-//! through the same machinery defined here:
+//! Every [`crate::AbdCluster`] flavour moves protocol messages through the machinery
+//! defined here:
 //!
-//! * [`Envelope`] / [`AbdMessage`] — the wire types (the faulty variant simply never
-//!   sends the write-back messages).
+//! * [`Envelope`] / [`AbdMessage`] — the wire types (the write-back-free flavours
+//!   simply never send the write-back messages).
 //! * [`InflightQueue`] — an **index-stable slot queue** of in-flight messages. Unlike a
 //!   compacting `Vec`, delivering one message never moves the others, so adversaries
 //!   can hold slot indices across deliveries without silent reindexing, and a delivery
@@ -33,8 +33,8 @@ use std::str::FromStr;
 
 /// A protocol message.
 ///
-/// Shared by the correct and the faulty cluster; the faulty variant never sends
-/// `WriteBackReq`/`WriteBackAck` (dropping the write-back phase is its fault).
+/// Shared by every cluster flavour; the write-back-free flavours never send
+/// `WriteBackReq`/`WriteBackAck` (dropping the write-back phase is their fault).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AbdMessage {
     /// Writer → replica: store `(seq, value)` if newer.
@@ -715,23 +715,19 @@ pub trait MessageCluster {
 
     /// Starts a write of `value` by the designated writer if it is idle and alive;
     /// returns `None` (without recording anything) otherwise.
-    fn try_start_write(&mut self, value: i64) -> Option<OpId>;
+    fn try_start_write(&mut self, value: i64) -> Option<OpId> {
+        self.try_start_write_by(self.writer(), value)
+    }
 
     /// Starts a read by `p` if it is idle, alive, and in range; returns `None`
     /// (without recording anything) otherwise.
     fn try_start_read(&mut self, p: ProcessId) -> Option<OpId>;
 
-    /// Starts a write of `value` by process `p`. The default covers single-writer
-    /// clusters: the event fires only when `p` *is* the designated writer (so
-    /// replaying a multi-writer schedule on a single-writer cluster skips foreign
-    /// writes, keeping replay total); multi-writer clusters override it.
-    fn try_start_write_by(&mut self, p: ProcessId, value: i64) -> Option<OpId> {
-        if p == self.writer() {
-            self.try_start_write(value)
-        } else {
-            None
-        }
-    }
+    /// Starts a write of `value` by process `p` if `p` may write, is idle, alive,
+    /// and in range; returns `None` (without recording anything) otherwise. On a
+    /// single-writer cluster only the designated writer may write, so replaying a
+    /// multi-writer schedule there skips foreign writes, keeping replay total.
+    fn try_start_write_by(&mut self, p: ProcessId, value: i64) -> Option<OpId>;
 
     /// Reacts to `p`'s retry timer firing: re-broadcast the messages of `p`'s current
     /// protocol phase (if any) and re-arm the backed-off timer. Called by

@@ -30,7 +30,7 @@
 //! rediscovery benchmark: find the new/old inversion *without* the
 //! [`crate::ReplyWithholdingAdversary`]), the correct cluster hunted for
 //! strong-linearizability distinctions through [`ExtensionFamily`], and the
-//! multi-writer stretch target [`crate::MwAbdCluster`].
+//! write-back-free multi-writer stretch target ([`AbdCluster::multi_writer`]).
 
 use crate::adversary::UniformAdversary;
 use crate::analyze::{analyze, canonicalize, scrub, ClusterModel};
@@ -39,7 +39,7 @@ use crate::delivery::{
 };
 use crate::faults::FaultLog;
 use crate::minimize::{minimize_schedule, minimize_schedule_by, MinimizeReport};
-use crate::{AbdCluster, FaultyAbdCluster, MwAbdCluster};
+use crate::{AbdCluster, FaultyAbdCluster};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlt_sim::Budget;
@@ -1186,8 +1186,8 @@ fn fresh_correct() -> AbdCluster {
     AbdCluster::new(5, ProcessId(0))
 }
 
-fn fresh_mw_faulty() -> MwAbdCluster {
-    MwAbdCluster::new(5).without_write_back()
+fn fresh_mw_faulty() -> AbdCluster {
+    AbdCluster::multi_writer(5).without_write_back()
 }
 
 /// The rediscovery benchmark: fuzz the 5-process faulty cluster from clean
@@ -1197,7 +1197,7 @@ fn fresh_mw_faulty() -> MwAbdCluster {
 pub fn fuzz_faulty_rediscovery(scenario_seed: u64, config: &FuzzConfig) -> FuzzReport {
     let seeds = record_clean_corpus(fresh_faulty, 3, 60, mix64(scenario_seed ^ 0x5EED), false);
     let target = LinearizabilityTarget::new("faulty-abd", fresh_faulty as fn() -> FaultyAbdCluster)
-        .with_model(ClusterModel::single_writer(5, ProcessId(0)).without_write_backs());
+        .with_model(fresh_faulty().model());
     let config = FuzzConfig {
         seed: scenario_seed,
         ..config.clone()
@@ -1221,15 +1221,14 @@ pub fn fuzz_strong_distinctions(scenario_seed: u64, config: &FuzzConfig) -> Fuzz
     fuzz(&target, &seeds, &config)
 }
 
-/// The multi-writer stretch target: fuzz the write-back-free
-/// [`MwAbdCluster`] from clean multi-writer recordings, hunting inversions
+/// The multi-writer stretch target: fuzz the write-back-free multi-writer
+/// [`AbdCluster`] from clean multi-writer recordings, hunting inversions
 /// among competing writers.
 #[must_use]
 pub fn fuzz_mw_rediscovery(scenario_seed: u64, config: &FuzzConfig) -> FuzzReport {
     let seeds = record_clean_corpus(fresh_mw_faulty, 3, 160, mix64(scenario_seed ^ 0x3700), true);
-    let target =
-        LinearizabilityTarget::new("faulty-mw-abd", fresh_mw_faulty as fn() -> MwAbdCluster)
-            .with_model(ClusterModel::multi_writer(5).without_write_backs());
+    let target = LinearizabilityTarget::new("faulty-mw-abd", fresh_mw_faulty as fn() -> AbdCluster)
+        .with_model(fresh_mw_faulty().model());
     let config = FuzzConfig {
         seed: scenario_seed,
         ..config.clone()

@@ -9,14 +9,18 @@
 //! * [`AbdCluster`] — a discrete-event simulation of the ABD protocol: `n` processes,
 //!   each acting as a replica and a client, communicating through messages whose
 //!   delivery order is controlled by the caller (the adversary), with crash failures of
-//!   a minority of processes.
-//! * [`FaultyAbdCluster`] — ABD with the read write-back removed, the negative control
-//!   whose histories the checkers must reject.
+//!   a minority of processes. One state machine runs every flavour: single-writer or
+//!   multi-writer ([`AbdCluster::multi_writer`], writes tagged with
+//!   `(counter, writer-id)` sequence pairs and driven by the `write-by` schedule
+//!   verb), each with or without the read write-back
+//!   ([`AbdCluster::without_write_back`]). The write-back-free flavours are the
+//!   negative controls whose histories the checkers must reject;
+//!   [`FaultyAbdCluster`] names the single-writer one by type.
 //! * The shared [`delivery`] core: the index-stable [`InflightQueue`], the
-//!   [`MessageCluster`] trait both clusters implement (home of the shared
+//!   [`MessageCluster`] trait the clusters implement (home of the shared
 //!   random-delivery helpers), and replayable recorded [`Schedule`]s with a stable
 //!   textual form (`Display`/`FromStr` round-trip).
-//! * The virtual-time [`faults`] layer both clusters embed ([`SimNet`]): seeded
+//! * The virtual-time [`faults`] layer every cluster embeds ([`SimNet`]): seeded
 //!   per-link drop/duplicate/delay injection ([`FaultInjector`]), named installable
 //!   [`Partition`]s, crash-*recovery* with persisted replica state, timeout-driven
 //!   client retry with bounded exponential backoff ([`RetryPolicy`]), and a per-run
@@ -34,9 +38,6 @@
 //!   keeps mutants discovering novel checker-state or schedule-shape coverage, and
 //!   ddmin-minimizes every confirmed trophy — the untargeted counterpart of the
 //!   hand-written adversaries (see the quickstart below).
-//! * A multi-writer ABD variant ([`MwAbdCluster`], writes tagged with
-//!   `(counter, writer-id)` sequence pairs) in a correct and a write-back-free
-//!   flavor, driven by the `write-by` schedule verb.
 //! * A static schedule [`analyze`](mod@analyze)r — a pre-replay verifier over the schedule
 //!   grammar below — whose canonical forms front the fuzzer's triage and the
 //!   minimizer's replay cache (see *Schedule grammar and diagnostics*).
@@ -140,7 +141,8 @@
 //!
 //! [`analyze`](mod@analyze) decides much of that skipping **statically**. Given a
 //! [`ClusterModel`] (process count, designated writer, multi-writer?,
-//! write-backs?, retries?) it walks the schedule once and emits line-numbered
+//! write-backs?, retries?; [`AbdCluster::model`] derives it from a cluster's
+//! configuration) it walks the schedule once and emits line-numbered
 //! [`Diagnostic`]s: `dead`-severity codes mark steps *guaranteed* to be
 //! skipped by replay (`dead-recover`, `dead-heal`, `dead-advance`,
 //! `crashed-endpoint`, `partition-limbo`, `unsent-key`, `no-write-back`,
@@ -164,12 +166,10 @@ pub mod adversary;
 pub mod analyze;
 pub mod delivery;
 pub mod faults;
-pub mod faulty;
 pub mod fuzz;
 pub mod minimize;
-pub mod mw;
 
-pub use abd::{AbdCluster, ABD_REGISTER};
+pub use abd::{AbdCluster, FaultyAbdCluster, ABD_REGISTER, FAULTY_REGISTER, MW_REGISTER};
 pub use adversary::{
     DeliveryAdversary, DeliveryView, NewestFirstAdversary, OldestFirstAdversary,
     ReplyWithholdingAdversary, ScriptedAdversary, StarveDestinationAdversary, UniformAdversary,
@@ -186,7 +186,6 @@ pub use faults::{
     hunt_with_faults, hunt_with_faults_from_scratch, FaultDecision, FaultInjector, FaultLog,
     FaultPlan, FaultScenario, LinkFaults, LinkOverride, Partition, RetryPolicy, SimNet,
 };
-pub use faulty::FaultyAbdCluster;
 pub use fuzz::{
     fuzz, fuzz_faulty_rediscovery, fuzz_mw_rediscovery, fuzz_strong_distinctions,
     record_clean_corpus, FuzzConfig, FuzzReport, FuzzTarget, LinearizabilityTarget,
@@ -195,4 +194,3 @@ pub use fuzz::{
 pub use minimize::{
     minimize_schedule, minimize_schedule_by, minimize_schedule_with_model, MinimizeReport,
 };
-pub use mw::{MwAbdCluster, MW_REGISTER};

@@ -260,7 +260,7 @@ mod tests {
         let not_linearizable =
             |h: &rlt_spec::History<i64>| matches!(checker.check(h).outcome(), Ok(false));
         let plain = minimize_schedule(fresh, &schedule, not_linearizable, 7);
-        let model = ClusterModel::single_writer(5, ProcessId(0)).without_write_backs();
+        let model = fresh().model();
         let cached = minimize_schedule_with_model(fresh, &schedule, not_linearizable, 7, &model);
         assert_eq!(
             plain.schedule, cached.schedule,

@@ -411,21 +411,16 @@ impl CheckService {
     /// cluster shape the analyzer may assume; `None` assumes nothing
     /// ([`rlt_mp::ClusterModel::permissive`]).
     pub fn analyze_text(&self, model: Option<&str>, body: &str) -> Result<String, ServiceError> {
-        use rlt_mp::ClusterModel;
-        use rlt_spec::ProcessId;
         let model = match model {
-            None => ClusterModel::permissive(),
-            Some("abd") => ClusterModel::single_writer(5, ProcessId(0)),
-            Some("faulty-abd") => {
-                ClusterModel::single_writer(5, ProcessId(0)).without_write_backs()
-            }
-            Some("mw-abd") => ClusterModel::multi_writer(5),
-            Some("faulty-mw-abd") => ClusterModel::multi_writer(5).without_write_backs(),
-            Some(other) => {
-                return Err(ServiceError::NotFound(format!(
-                    "no such cluster model `{other}`"
-                )))
-            }
+            None => rlt_mp::ClusterModel::permissive(),
+            Some(name) => match rlt_mp::AbdCluster::named(name) {
+                Some(cluster) => cluster.model(),
+                None => {
+                    return Err(ServiceError::NotFound(format!(
+                        "no such cluster model `{name}`"
+                    )))
+                }
+            },
         };
         let out =
             rlt_mp::analyze_text(body, &model).map_err(|e| ServiceError::Parse(e.to_string()))?;

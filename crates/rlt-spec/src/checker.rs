@@ -447,8 +447,8 @@ impl<V: RegisterValue> Checker<V> {
     /// Because the check never leaves the calling thread's pool, this method needs
     /// no `Send + Sync` on `V` — use it for value types that are not thread-safe
     /// (the bound on [`Checker::check`] exists only for the `Fixed` hand-off). The
-    /// deprecated free-function shims and the [`crate::swmr::SwmrCanonical`]
-    /// fallback delegate here for exactly that reason.
+    /// [`crate::swmr::SwmrCanonical`] fallback delegates here for exactly that
+    /// reason.
     pub fn check_local(&self, history: &History<V>) -> Verdict<V> {
         self.check_local_sketched(history).0
     }

@@ -45,9 +45,6 @@
 //! let first = checker.linearizations(&history).next();
 //! assert!(matches!(first, Some(Ok(_))));
 //! ```
-//!
-//! The pre-`Checker` free functions (`check_linearizable` and friends) survive as
-//! deprecated shims in [`linearizability`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -75,14 +72,7 @@ pub use engine::{
 pub use history::{History, HistoryBuilder};
 pub use ids::{OpId, ProcessId, RegisterId, Time};
 pub use incremental::{IncrementalChecker, IncrementalStats, IncrementalVerdict};
-#[allow(deprecated)]
-pub use linearizability::{
-    check_linearizable, check_linearizable_batch, check_linearizable_report,
-    enumerate_linearizations, try_enumerate_linearizations,
-};
-pub use linearizability::{
-    LinearizabilityReport, DEFAULT_ENUMERATION_WORK_LIMIT, DEFAULT_STATE_LIMIT,
-};
+pub use linearizability::{DEFAULT_ENUMERATION_WORK_LIMIT, DEFAULT_STATE_LIMIT};
 pub use op::{OpKind, Operation};
 pub use sequential::{is_legal_register_sequence, SeqHistory};
 pub use strategy::{

@@ -1,168 +1,20 @@
-//! Legacy free-function checking API, kept as thin deprecated shims.
+//! Default budgets of the linearizability checker.
 //!
-//! The checking surface now lives on [`crate::Checker`]: one builder-configured
+//! The checking surface lives on [`crate::Checker`]: one builder-configured
 //! session object with [`check`](crate::Checker::check) /
 //! [`check_many`](crate::Checker::check_many) /
-//! [`linearizations`](crate::Checker::linearizations) replacing the function soup that
-//! grew here (`check_linearizable`, `check_linearizable_report`,
-//! `check_linearizable_batch`, `enumerate_linearizations` and its `try_` variant, each
-//! with its own ad-hoc limit parameter). Every function below still works — each one
-//! builds a default [`Checker`] with the matching knob and delegates — but new code
-//! should hold a `Checker` and reuse it: the session keeps its search scratch warm
-//! across calls, which these per-call shims cannot.
-//!
-//! This module still owns the default budget constants ([`DEFAULT_STATE_LIMIT`],
-//! [`DEFAULT_ENUMERATION_WORK_LIMIT`]) and the [`LinearizabilityReport`] type the
-//! report shim returns.
+//! [`linearizations`](crate::Checker::linearizations). This module owns the
+//! default budget constants the builder starts from.
 
-use crate::checker::Checker;
 pub use crate::engine::EnumerationLimitExceeded;
-use crate::history::History;
-use crate::sequential::SeqHistory;
-use crate::value::RegisterValue;
 
-/// Statistics and outcome of a linearizability check, as returned by the deprecated
-/// [`check_linearizable_report`] shim. New code reads the same information from
-/// [`crate::Verdict`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinearizabilityReport<V> {
-    /// A witness linearization if one exists.
-    pub witness: Option<SeqHistory<V>>,
-    /// Number of search states explored.
-    pub states_explored: u64,
-    /// Number of states pruned by memoization.
-    pub states_memoized: u64,
-    /// `true` if the search gave up because it hit the state-exploration cap; in that
-    /// case a missing witness does **not** prove the history non-linearizable.
-    pub limit_hit: bool,
-}
-
-impl<V> LinearizabilityReport<V> {
-    /// Returns `true` if the history was found to be linearizable.
-    #[must_use]
-    pub fn is_linearizable(&self) -> bool {
-        self.witness.is_some()
-    }
-}
-
-/// Default cap on the number of search states explored by a [`Checker`] check.
+/// Default cap on the number of search states explored by a [`crate::Checker`] check.
 pub const DEFAULT_STATE_LIMIT: u64 = 20_000_000;
 
-/// Default cap on search nodes visited by a [`Checker`] enumeration (eager or
+/// Default cap on search nodes visited by a [`crate::Checker`] enumeration (eager or
 /// streaming) before it declares the input adversarial and fails with
 /// [`EnumerationLimitExceeded`].
 pub const DEFAULT_ENUMERATION_WORK_LIMIT: u64 = 20_000_000;
-
-fn verdict_to_report<V: RegisterValue>(
-    verdict: crate::checker::Verdict<V>,
-) -> LinearizabilityReport<V> {
-    let limit_hit = !verdict.is_conclusive();
-    let stats = verdict.stats();
-    LinearizabilityReport {
-        witness: verdict.into_witness(),
-        states_explored: stats.states_explored,
-        states_memoized: stats.states_memoized,
-        limit_hit,
-    }
-}
-
-/// Checks whether `history` is linearizable with respect to the register type with
-/// initial value `init`, returning a witness linearization if so.
-#[deprecated(since = "0.2.0", note = "build a `Checker` and call `check`")]
-#[must_use]
-pub fn check_linearizable<V: RegisterValue>(
-    history: &History<V>,
-    init: &V,
-) -> Option<SeqHistory<V>> {
-    Checker::new(init.clone())
-        .check_local(history)
-        .into_witness()
-}
-
-/// Like [`check_linearizable`] but returns search statistics and allows customizing
-/// the state-exploration cap.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `Checker` with `state_budget` and call `check`"
-)]
-#[must_use]
-pub fn check_linearizable_report<V: RegisterValue>(
-    history: &History<V>,
-    init: &V,
-    state_limit: u64,
-) -> LinearizabilityReport<V> {
-    let checker = Checker::builder(init.clone())
-        .state_budget(state_limit)
-        .build();
-    verdict_to_report(checker.check_local(history))
-}
-
-/// Checks a whole slice of histories against the same initial value, fanning the
-/// checks across the current rayon pool.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `Checker` with `state_budget` and call `check_many`"
-)]
-#[must_use]
-pub fn check_linearizable_batch<V: RegisterValue + Send + Sync>(
-    histories: &[History<V>],
-    init: &V,
-    state_limit: u64,
-) -> Vec<LinearizabilityReport<V>> {
-    let checker = Checker::builder(init.clone())
-        .state_budget(state_limit)
-        .build();
-    checker
-        .check_many(histories)
-        .into_iter()
-        .map(verdict_to_report)
-        .collect()
-}
-
-/// Enumerates **all** linearizations of `history` (up to the given limit on how many
-/// to return).
-///
-/// # Panics
-///
-/// Panics if the search visits more than [`DEFAULT_ENUMERATION_WORK_LIMIT`] nodes —
-/// adversarially concurrent histories fail loudly instead of hanging. New code should
-/// use the streaming [`Checker::linearizations`] iterator (which surfaces the cap as
-/// an item) or [`Checker::enumerate`].
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `Checker` and call `linearizations` (streaming) or `enumerate`"
-)]
-#[must_use]
-pub fn enumerate_linearizations<V: RegisterValue>(
-    history: &History<V>,
-    init: &V,
-    max_results: usize,
-) -> Vec<SeqHistory<V>> {
-    Checker::new(init.clone())
-        .enumerate(history, max_results)
-        .unwrap_or_else(|e| {
-            panic!("{e}; configure the cap via CheckerBuilder::enumeration_work_cap")
-        })
-}
-
-/// Like [`enumerate_linearizations`] but with an explicit work cap: at most
-/// `work_limit` search nodes are visited before the enumeration gives up with
-/// [`EnumerationLimitExceeded`].
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `Checker` with `enumeration_work_cap` and call `linearizations` or `enumerate`"
-)]
-pub fn try_enumerate_linearizations<V: RegisterValue>(
-    history: &History<V>,
-    init: &V,
-    max_results: usize,
-    work_limit: u64,
-) -> Result<Vec<SeqHistory<V>>, EnumerationLimitExceeded> {
-    Checker::builder(init.clone())
-        .enumeration_work_cap(work_limit)
-        .build()
-        .enumerate(history, max_results)
-}
 
 #[cfg(test)]
 mod tests {
@@ -405,39 +257,5 @@ mod tests {
         let h = b.build();
         let witness = checker().check(&h).into_witness().expect("linearizable");
         assert!(witness.is_linearization_of(&h, &0));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_agree_with_the_checker() {
-        use super::{
-            check_linearizable, check_linearizable_batch, check_linearizable_report,
-            enumerate_linearizations, try_enumerate_linearizations,
-        };
-        let mut b = HistoryBuilder::new();
-        let w0 = b.invoke_write(ProcessId(0), R, 1i64);
-        let w1 = b.invoke_write(ProcessId(1), R, 2i64);
-        b.respond_write(w0);
-        b.respond_write(w1);
-        b.read(ProcessId(2), R, 2i64);
-        let h = b.build();
-        let c = checker();
-        assert_eq!(check_linearizable(&h, &0), c.check(&h).into_witness());
-        let report = check_linearizable_report(&h, &0, DEFAULT_STATE_LIMIT);
-        let verdict = c.check(&h);
-        assert_eq!(report.witness, verdict.clone().into_witness());
-        assert_eq!(report.states_explored, verdict.stats().states_explored);
-        assert_eq!(report.limit_hit, !verdict.is_conclusive());
-        let batch = check_linearizable_batch(std::slice::from_ref(&h), &0, DEFAULT_STATE_LIMIT);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0], report);
-        assert_eq!(
-            enumerate_linearizations(&h, &0, 10),
-            c.enumerate(&h, 10).unwrap()
-        );
-        assert_eq!(
-            try_enumerate_linearizations(&h, &0, 10, 1_000_000).unwrap(),
-            c.enumerate(&h, 10).unwrap()
-        );
     }
 }

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use rlt_core::mp::analyze::{analyze, canonicalize, scrub, ClusterModel};
 use rlt_core::mp::fuzz::{mutate_schedule, record_clean_corpus};
 use rlt_core::mp::{
-    AbdCluster, ClientEvent, FaultyAbdCluster, MessageCluster, MwAbdCluster, Schedule, ScheduleStep,
+    AbdCluster, ClientEvent, FaultyAbdCluster, MessageCluster, Schedule, ScheduleStep,
 };
 use rlt_core::spec::ProcessId;
 
@@ -113,7 +113,7 @@ proptest! {
     #[test]
     fn dead_steps_never_fire_on_the_mw_cluster(seed in 0u64..1 << 32, rounds in 1usize..6) {
         assert_sound(
-            || MwAbdCluster::new(5),
+            || AbdCluster::multi_writer(5),
             &ClusterModel::multi_writer(5),
             true,
             seed,
@@ -126,7 +126,7 @@ proptest! {
         // The model-free analyzer must stay sound even with no protocol
         // knowledge at all (it just proves less dead).
         assert_sound(
-            || MwAbdCluster::new(5).without_write_back(),
+            || AbdCluster::multi_writer(5).without_write_back(),
             &ClusterModel::permissive(),
             true,
             seed,
@@ -138,7 +138,7 @@ proptest! {
 #[test]
 fn clean_recordings_fire_every_step() {
     let sw = record_clean_corpus(|| AbdCluster::new(5, ProcessId(0)), 4, 60, 31, false);
-    let mw = record_clean_corpus(|| MwAbdCluster::new(5), 4, 60, 32, true);
+    let mw = record_clean_corpus(|| AbdCluster::multi_writer(5), 4, 60, 32, true);
     let sw_model = ClusterModel::single_writer(5, ProcessId(0));
     let mw_model = ClusterModel::multi_writer(5);
     for (schedule, model, make_trace) in sw
@@ -150,10 +150,13 @@ fn clean_recordings_fire_every_step() {
                 s.replay_trace_on(&mut AbdCluster::new(5, ProcessId(0))),
             )
         })
-        .chain(
-            mw.iter()
-                .map(|s| (s, &mw_model, s.replay_trace_on(&mut MwAbdCluster::new(5)))),
-        )
+        .chain(mw.iter().map(|s| {
+            (
+                s,
+                &mw_model,
+                s.replay_trace_on(&mut AbdCluster::multi_writer(5)),
+            )
+        }))
     {
         let analysis = analyze(schedule, model);
         assert!(analysis.is_clean(), "{:?}", analysis.diagnostics);
