@@ -2,7 +2,8 @@
 //!
 //! * The general-purpose linearizability checker (backtracking with memoization) vs
 //!   history length (E10), through a reused [`Checker`] session.
-//! * The fork-join engine across thread-pool widths, single checks and batches (E11).
+//! * `check_many` batches across thread-pool widths (E11).
+//! * The arena-backed memo table on the large-key workload (E12).
 //! * Reused-session vs fresh-per-call checking on the small-history corpus, where
 //!   allocation is a visible fraction of check time (the `checker_reuse` group).
 //! * Algorithm 3 (the on-line write strong-linearization function) vs trace length — it
@@ -10,9 +11,7 @@
 //!   prefixes are feasible.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rlt_bench::tracked::{
-    DISTINCT_VALUE_BURST, DISTINCT_VALUE_OPS, MEMO_ARENA_SPLIT_THRESHOLD, WORKLOAD_SEED,
-};
+use rlt_bench::tracked::{DISTINCT_VALUE_BURST, DISTINCT_VALUE_OPS, WORKLOAD_SEED};
 use rlt_bench::{
     distinct_value_workload, incremental_sweep, lamport_workload, multi_register_workload,
     small_history_corpus, stream_checker, vector_workload,
@@ -96,16 +95,13 @@ fn engine_vs_reference(c: &mut Criterion) {
 }
 
 fn parallel_engine_scaling(c: &mut Criterion) {
-    // Experiment E11: the fork-join engine across pool widths on the multi-register
-    // composition workload, single checks and 16-history batches, through
-    // `ThreadPolicy::Fixed` checkers. Results are bit-identical across widths (pinned
-    // by the rlt-spec `parallel` suite); only wall time may move. On a single-core
-    // host expect flat-to-slightly-worse single-check numbers at width > 1 (pool
-    // overhead with no extra hardware) and batch numbers dominated by the per-history
-    // check cost.
+    // Experiment E11: 16-history `check_many` batches of the multi-register
+    // composition workload across pool widths, through `ThreadPolicy::Fixed`
+    // checkers. Each check runs on one thread; the batch fans whole histories across
+    // the pool. Results are bit-identical across widths (pinned by the rlt-spec
+    // `parallel` suite); only wall time may move.
     let mut group = c.benchmark_group("parallel_engine_multi_register_3x");
     group.sample_size(20);
-    let history = multi_register_workload(3, 80, 7);
     let batch: Vec<History<i64>> = (0..16)
         .map(|s| multi_register_workload(3, 80, 7 + s))
         .collect();
@@ -113,13 +109,6 @@ fn parallel_engine_scaling(c: &mut Criterion) {
         let checker = Checker::builder(0i64)
             .threads(ThreadPolicy::Fixed(threads))
             .build();
-        group.bench_with_input(
-            BenchmarkId::new("single_check_threads", threads),
-            &history,
-            |b, h| {
-                b.iter(|| black_box(checker.check(h).is_linearizable()));
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("batch16_threads", threads),
             &batch,
@@ -133,14 +122,12 @@ fn parallel_engine_scaling(c: &mut Criterion) {
 
 fn checker_reuse(c: &mut Criterion) {
     // Scratch-arena reuse on the small-history corpus: one reused session vs a fresh
-    // checker (cold arenas) per call. Sequential policy on both sides so the diff is
-    // allocation, not pool scheduling. Verdicts are identical either way.
+    // checker (cold arenas) per call, so the diff is allocation. Verdicts are
+    // identical either way.
     let mut group = c.benchmark_group("checker_reuse");
     group.sample_size(20);
     let corpus = small_history_corpus(256, 14, 2, 42);
-    let reused = Checker::builder(0i64)
-        .threads(ThreadPolicy::Sequential)
-        .build();
+    let reused = Checker::new(0i64);
     group.bench_function("reused_checker", |b| {
         b.iter(|| {
             black_box(
@@ -158,7 +145,6 @@ fn checker_reuse(c: &mut Criterion) {
                     .iter()
                     .filter(|h| {
                         Checker::builder(0i64)
-                            .threads(ThreadPolicy::Sequential)
                             .scratch_reuse(false)
                             .build()
                             .check(h)
@@ -174,31 +160,14 @@ fn checker_reuse(c: &mut Criterion) {
 fn memo_arena_large_keys(c: &mut Criterion) {
     // Experiment E12: the arena-backed memo table on the many-distinct-value
     // large-key workload (112 ops => two-word taken bitsets, so every memo key takes
-    // the skip-compacted multi-word path), and the within-register subtree split
-    // across pool widths. State counters are bit-identical at every width — pinned
-    // by the rlt-spec `parallel` suite — so the spread is pure scheduling.
+    // the skip-compacted multi-word path).
     let mut group = c.benchmark_group("memo_arena_distinct_values");
     group.sample_size(20);
     let history = distinct_value_workload(DISTINCT_VALUE_OPS, DISTINCT_VALUE_BURST, WORKLOAD_SEED);
-    let unsplit = Checker::builder(0i64)
-        .threads(ThreadPolicy::Sequential)
-        .build();
-    group.bench_function("sequential_unsplit", |b| {
-        b.iter(|| black_box(unsplit.check(&history).is_linearizable()));
+    let checker = Checker::new(0i64);
+    group.bench_function("engine", |b| {
+        b.iter(|| black_box(checker.check(&history).is_linearizable()));
     });
-    for &threads in &[1usize, 2, 4] {
-        let split = Checker::builder(0i64)
-            .threads(ThreadPolicy::Fixed(threads))
-            .split_threshold(MEMO_ARENA_SPLIT_THRESHOLD)
-            .build();
-        group.bench_with_input(
-            BenchmarkId::new("split_threads", threads),
-            &history,
-            |b, h| {
-                b.iter(|| black_box(split.check(h).is_linearizable()));
-            },
-        );
-    }
     group.finish();
 }
 

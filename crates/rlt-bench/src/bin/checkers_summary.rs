@@ -3,21 +3,19 @@
 //! Emits three JSON artifacts so every experiment has a tracked perf trajectory
 //! across PRs (see `EXPERIMENTS.md`):
 //!
-//! * `BENCH_checkers.json` — experiments E10 (checker scaling), E11 (parallel
-//!   engine scaling), E12 (memo arena + within-register sharding), and E15
-//!   (incremental prefix-reuse sessions vs recheck-from-scratch on growing
-//!   streams, amortized per event): the
+//! * `BENCH_checkers.json` — experiments E10 (checker scaling), E11 (batch
+//!   scaling), E12 (memo arena), and E15 (incremental prefix-reuse sessions vs
+//!   recheck-from-scratch on growing streams, amortized per event): the
 //!   engine-backed [`Checker`] session vs the pre-engine reference checker on the
-//!   `lamport_history` and `multi_register_3x` workloads, the fork-join engine
-//!   across thread-pool widths (single checks and 16-history `check_many` batches
-//!   through `ThreadPolicy::Fixed` checkers), the `checker_reused` /
-//!   `checker_fresh` scratch-reuse pair on the small-history corpus, and the
-//!   `memo_arena` rows (large-key many-distinct-value workload with the subtree
-//!   split engaged). Every row carries a `threads` field plus the memo-table
-//!   counters (`memo_probes` / `memo_hits` / `memo_arena_hwm`); `threads: 1` rows
-//!   are the sequential engine, directly comparable with earlier PRs' rows, and the
-//!   deterministic state counters are cross-checked in CI by the `state_drift_guard`
-//!   bin.
+//!   `lamport_history` and `multi_register_3x` workloads, 16-history `check_many`
+//!   batches across thread-pool widths (through `ThreadPolicy::Fixed` checkers),
+//!   the `checker_reused` / `checker_fresh` scratch-reuse pair on the small-history
+//!   corpus, and the `memo_arena` row (large-key many-distinct-value workload).
+//!   Every row carries a `threads` field plus the memo-table counters
+//!   (`memo_probes` / `memo_hits` / `memo_arena_hwm`); every check runs on one
+//!   thread, so only the `engine_batch` rows have `threads` above 1, and the
+//!   deterministic state counters are cross-checked in CI by the
+//!   `state_drift_guard` bin.
 //! * `BENCH_game.json` — experiment E2: cost of 10-round Figure 1/2 games per
 //!   register mode and process count, plus full termination experiments.
 //! * `BENCH_abd.json` — experiment E3 (ABD write+read round-trip cost as the cluster
@@ -33,8 +31,8 @@
 
 use rlt_bench::tracked::{
     BATCH_SIZE, DISTINCT_VALUE_BURST, DISTINCT_VALUE_OPS, INCREMENTAL_MULTI_DECISIONS,
-    MEMO_ARENA_SPLIT_THRESHOLD, MULTI_REGISTERS, REUSE_CORPUS, REUSE_MAX_OPS, REUSE_REGISTERS,
-    REUSE_SEED, WORKLOAD_PROCESSES, WORKLOAD_SEED,
+    MULTI_REGISTERS, REUSE_CORPUS, REUSE_MAX_OPS, REUSE_REGISTERS, REUSE_SEED, WORKLOAD_PROCESSES,
+    WORKLOAD_SEED,
 };
 use rlt_bench::{
     best_mean_time, distinct_value_workload, incremental_resweep, incremental_sweep,
@@ -61,7 +59,7 @@ const INCREMENTAL_STREAM_SIZES: &[usize] = &[80, 160, 320];
 /// Sizes the reference checker participates in (its historical bench ceiling).
 const REFERENCE_CEILING: usize = 80;
 
-/// Pool widths measured by the E11 parallel rows.
+/// Pool widths measured by the E11 batch rows.
 const THREAD_COUNTS: &[usize] = &[1, 2, 4];
 
 // Workload geometry (sizes, seeds, thresholds) lives in `rlt_bench::tracked`,
@@ -116,58 +114,6 @@ fn measure_engine(workload: &str, history: &History<i64>) -> Row {
     }
 }
 
-/// One full check through a `ThreadPolicy::Fixed` checker of the given width (the
-/// per-register sub-searches fork-join across the checker's pool).
-fn measure_engine_parallel(workload: &str, history: &History<i64>, threads: usize) -> Row {
-    let checker = Checker::builder(0i64)
-        .threads(ThreadPolicy::Fixed(threads))
-        .build();
-    let probe = checker.check(history);
-    let (mean_wall_nanos, iterations, linearizable) =
-        mean_time(|| checker.check(history).is_linearizable());
-    Row {
-        checker: "engine_parallel",
-        workload: workload.to_string(),
-        ops: history.len(),
-        threads,
-        linearizable,
-        states_explored: probe.stats().states_explored,
-        states_memoized: probe.stats().states_memoized,
-        memo: probe.stats().memo,
-        mean_wall_nanos,
-        iterations,
-        limit_hit: !probe.is_conclusive(),
-    }
-}
-
-/// The `memo_arena` rows: the arena-backed memo table on the many-distinct-value
-/// large-key workload, with the within-register subtree split engaged
-/// ([`MEMO_ARENA_SPLIT_THRESHOLD`] <= burst size). The state counters are identical
-/// at every width (the split replay is bit-identical to the sequential shard sweep);
-/// on a single-CPU host widths > 1 price speculation overhead only, like E11.
-fn measure_memo_arena(workload: &str, history: &History<i64>, threads: usize) -> Row {
-    let checker = Checker::builder(0i64)
-        .threads(ThreadPolicy::Fixed(threads))
-        .split_threshold(MEMO_ARENA_SPLIT_THRESHOLD)
-        .build();
-    let probe = checker.check(history);
-    let (mean_wall_nanos, iterations, linearizable) =
-        mean_time(|| checker.check(history).is_linearizable());
-    Row {
-        checker: "memo_arena",
-        workload: workload.to_string(),
-        ops: history.len(),
-        threads,
-        linearizable,
-        states_explored: probe.stats().states_explored,
-        states_memoized: probe.stats().states_memoized,
-        memo: probe.stats().memo,
-        mean_wall_nanos,
-        iterations,
-        limit_hit: !probe.is_conclusive(),
-    }
-}
-
 /// A 16-history `check_many` batch through a `ThreadPolicy::Fixed` checker;
 /// `mean_wall_nanos` is per *history* so the row is directly comparable with the
 /// single-check rows.
@@ -198,12 +144,10 @@ fn measure_engine_batch(workload: &str, histories: &[History<i64>], threads: usi
 }
 
 /// Scratch-arena reuse on the small-history corpus: one reused session vs a fresh
-/// cold-arena checker per call (`reuse = false`). Sequential policy on both sides so
-/// the diff is allocation, not pool scheduling; `mean_wall_nanos` is per history.
+/// cold-arena checker per call (`reuse = false`), so the diff is allocation;
+/// `mean_wall_nanos` is per history.
 fn measure_checker_reuse(workload: &str, histories: &[History<i64>], reuse: bool) -> Row {
-    let session = Checker::builder(0i64)
-        .threads(ThreadPolicy::Sequential)
-        .build();
+    let session = Checker::new(0i64);
     let probe: Vec<_> = histories.iter().map(|h| session.check(h)).collect();
     // `filter(..).count()`, not `all(..)`: every history must actually be checked (a
     // short-circuiting combinator would stop at the first violation and measure
@@ -219,7 +163,6 @@ fn measure_checker_reuse(workload: &str, histories: &[History<i64>], reuse: bool
                 .iter()
                 .filter(|h| {
                     Checker::builder(0i64)
-                        .threads(ThreadPolicy::Sequential)
                         .scratch_reuse(false)
                         .build()
                         .check(h)
@@ -363,14 +306,7 @@ fn checker_rows() -> Vec<Row> {
             log_row(&row);
             rows.push(row);
         }
-        // E11: pool widths > 1 on the same workload, single check and batch.
-        for &threads in THREAD_COUNTS {
-            if threads > 1 {
-                let row = measure_engine_parallel(&name, &history, threads);
-                log_row(&row);
-                rows.push(row);
-            }
-        }
+        // E11: 16-history batches of the same workload across pool widths.
         let batch: Vec<History<i64>> = (0..BATCH_SIZE)
             .map(|s| multi_register_workload(MULTI_REGISTERS, decisions, WORKLOAD_SEED + s))
             .collect();
@@ -389,11 +325,13 @@ fn checker_rows() -> Vec<Row> {
     }
     let history = distinct_value_workload(DISTINCT_VALUE_OPS, DISTINCT_VALUE_BURST, WORKLOAD_SEED);
     let name = format!("distinct_value_register/{DISTINCT_VALUE_OPS}");
-    for &threads in THREAD_COUNTS {
-        let row = measure_memo_arena(&name, &history, threads);
-        log_row(&row);
-        rows.push(row);
-    }
+    // E12: the arena-backed memo table on two-word taken bitsets.
+    let row = Row {
+        checker: "memo_arena",
+        ..measure_engine(&name, &history)
+    };
+    log_row(&row);
+    rows.push(row);
     // E15: incremental sessions vs recheck-from-scratch on growing streams.
     for &decisions in INCREMENTAL_STREAM_SIZES {
         let history = lamport_workload(WORKLOAD_PROCESSES, decisions, WORKLOAD_SEED);

@@ -12,23 +12,23 @@
 //! This bin recomputes the counters of every tracked deterministic row — the
 //! workload geometry comes from [`rlt_bench::tracked`], the same constants
 //! `checkers_summary` measures with — and diffs them against the tracked JSON,
-//! failing loudly on any mismatch. Thread policy cannot matter (the engine is
-//! bit-identical across widths), so CI runs the guard under more than one
-//! `RLT_THREADS` to double as a determinism check.
+//! failing loudly on any mismatch. Solo checks run on the calling thread; the
+//! `engine_batch` rows are recomputed through [`Checker::check_many`], whose fan-out
+//! follows the ambient pool, so CI runs the guard under more than one
+//! `RLT_THREADS` to double as a determinism check of the batch path.
 //!
 //! Usage: `cargo run --release -p rlt-bench --bin state_drift_guard \
 //!     [BENCH_checkers.json]`
 
 use rlt_bench::tracked::{
     BATCH_SIZE, DISTINCT_VALUE_BURST, DISTINCT_VALUE_OPS, INCREMENTAL_MULTI_DECISIONS,
-    MEMO_ARENA_SPLIT_THRESHOLD, MULTI_REGISTERS, REUSE_MAX_OPS, REUSE_REGISTERS, REUSE_SEED,
-    WORKLOAD_PROCESSES, WORKLOAD_SEED,
+    MULTI_REGISTERS, REUSE_MAX_OPS, REUSE_REGISTERS, REUSE_SEED, WORKLOAD_PROCESSES, WORKLOAD_SEED,
 };
 use rlt_bench::{
     distinct_value_workload, incremental_sweep, invocation_ordered, lamport_workload,
     multi_register_workload, small_history_corpus, stream_checker,
 };
-use rlt_spec::{Checker, History, ThreadPolicy};
+use rlt_spec::{Checker, History, ThreadPolicy, Verdict};
 use std::collections::HashMap;
 
 /// Extracts the string value of `"key": "..."` from one JSON row line.
@@ -53,19 +53,20 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 
 /// Recomputation runs under [`ThreadPolicy::Auto`] deliberately: the counters are
 /// defined to be identical at any pool width, so running the guard under different
-/// `RLT_THREADS` (as CI does) exercises the parallel replay paths too.
+/// `RLT_THREADS` (as CI does) sends the `check_many` batches through the fork-join
+/// pool too.
 fn ambient_checker() -> Checker<i64> {
     Checker::builder(0i64).threads(ThreadPolicy::Auto).build()
 }
 
 fn count_one(checker: &Checker<i64>, history: &History<i64>) -> (u64, u64) {
-    let stats = checker.check(history).stats();
-    (stats.states_explored, stats.states_memoized)
+    count_sum([checker.check(history)])
 }
 
-fn count_sum(checker: &Checker<i64>, histories: &[History<i64>]) -> (u64, u64) {
-    histories.iter().fold((0, 0), |(e, m), h| {
-        let stats = checker.check(h).stats();
+/// Sums the (explored, memoized) counters over a set of verdicts.
+fn count_sum(verdicts: impl IntoIterator<Item = Verdict<i64>>) -> (u64, u64) {
+    verdicts.into_iter().fold((0, 0), |(e, m), v| {
+        let stats = v.stats();
         (e + stats.states_explored, m + stats.states_memoized)
     })
 }
@@ -84,7 +85,8 @@ fn count_stream(kind: &str, history: &History<i64>) -> (u64, u64) {
         let stats = session.stats();
         (stats.incremental_states, stats.memo_entries_reused)
     } else {
-        count_sum(&stream_checker(), &prefixes)
+        let checker = stream_checker();
+        count_sum(prefixes.iter().map(|p| checker.check(p)))
     }
 }
 
@@ -92,28 +94,28 @@ fn recompute(checker: &str, workload: &str) -> Option<(u64, u64)> {
     let size: usize = workload.rsplit('/').next()?.parse().ok()?;
     let series = workload.split('/').next()?;
     match (checker, series) {
-        ("engine" | "engine_parallel", "lamport_history") => Some(count_one(
+        ("engine", "lamport_history") => Some(count_one(
             &ambient_checker(),
             &lamport_workload(WORKLOAD_PROCESSES, size, WORKLOAD_SEED),
         )),
-        ("engine" | "engine_parallel", _)
-            if series == format!("multi_register_{MULTI_REGISTERS}x") =>
-        {
-            Some(count_one(
-                &ambient_checker(),
-                &multi_register_workload(MULTI_REGISTERS, size, WORKLOAD_SEED),
-            ))
-        }
+        ("engine", _) if series == format!("multi_register_{MULTI_REGISTERS}x") => Some(count_one(
+            &ambient_checker(),
+            &multi_register_workload(MULTI_REGISTERS, size, WORKLOAD_SEED),
+        )),
         ("engine_batch", _) => {
             let batch: Vec<History<i64>> = (0..BATCH_SIZE)
                 .map(|s| multi_register_workload(MULTI_REGISTERS, size, WORKLOAD_SEED + s))
                 .collect();
-            Some(count_sum(&ambient_checker(), &batch))
+            Some(count_sum(ambient_checker().check_many(&batch)))
         }
-        ("checker_reused" | "checker_fresh", "small_history_corpus") => Some(count_sum(
-            &ambient_checker(),
-            &small_history_corpus(size, REUSE_MAX_OPS, REUSE_REGISTERS, REUSE_SEED),
-        )),
+        ("checker_reused" | "checker_fresh", "small_history_corpus") => {
+            let checker = ambient_checker();
+            Some(count_sum(
+                small_history_corpus(size, REUSE_MAX_OPS, REUSE_REGISTERS, REUSE_SEED)
+                    .iter()
+                    .map(|h| checker.check(h)),
+            ))
+        }
         // E15 streams: the workload is the full prefix family of the named history.
         ("incremental" | "recheck_scratch", "lamport_stream") => Some(count_stream(
             checker,
@@ -136,13 +138,9 @@ fn recompute(checker: &str, workload: &str) -> Option<(u64, u64)> {
             ))
         }
         ("memo_arena", "distinct_value_register") => {
-            let checker = Checker::builder(0i64)
-                .threads(ThreadPolicy::Auto)
-                .split_threshold(MEMO_ARENA_SPLIT_THRESHOLD)
-                .build();
             assert_eq!(size, DISTINCT_VALUE_OPS, "tracked memo_arena workload size");
             Some(count_one(
-                &checker,
+                &ambient_checker(),
                 &distinct_value_workload(DISTINCT_VALUE_OPS, DISTINCT_VALUE_BURST, WORKLOAD_SEED),
             ))
         }
@@ -171,11 +169,10 @@ fn main() {
             field_u64(line, "states_explored").expect("row has states_explored"),
             field_u64(line, "states_memoized").expect("row has states_memoized"),
         );
-        // engine and engine_parallel rows share one recomputation (thread policy is
-        // unobservable); key the cache by the recompute class, not the row label.
-        let class = if checker == "engine_parallel" {
-            "engine"
-        } else if checker == "checker_fresh" {
+        // checker_reused and checker_fresh rows share one recomputation (scratch
+        // reuse is unobservable); key the cache by the recompute class, not the row
+        // label.
+        let class = if checker == "checker_fresh" {
             "checker_reused"
         } else {
             checker

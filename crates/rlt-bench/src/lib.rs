@@ -92,12 +92,8 @@ pub mod tracked {
     /// multi-word path.
     pub const DISTINCT_VALUE_OPS: usize = 112;
     /// Concurrent writes per burst of the `memo_arena` workload — also its root DFS
-    /// frontier, so the split threshold below shards the search.
+    /// frontier.
     pub const DISTINCT_VALUE_BURST: usize = 8;
-    /// Split threshold of the `memo_arena` rows: at or below the burst size, so the
-    /// within-register subtree split engages (the threshold is part of the
-    /// canonical search semantics, so the guard must recompute with it).
-    pub const MEMO_ARENA_SPLIT_THRESHOLD: u32 = 8;
     /// Decisions per register of the E15 `multi_register_3x_stream` incremental
     /// rows (the single-register stream sizes ride in the row's workload name).
     pub const INCREMENTAL_MULTI_DECISIONS: usize = 40;
@@ -218,7 +214,7 @@ pub fn multi_register_workload(k: usize, decisions: usize, seed: u64) -> History
 }
 
 /// A linearizable single-register history that actually exercises the engine's
-/// *large-key* memo path and its within-register sharding: `ops` completed
+/// *large-key* memo path: `ops` completed
 /// operations (well past the 64 that fit a one-word taken bitset) in bursts of
 /// `burst` mutually concurrent writes — every write carrying a globally **distinct**
 /// value — each burst followed by a read that pins a seeded-random burst member as
@@ -226,10 +222,9 @@ pub fn multi_register_workload(k: usize, decisions: usize, seed: u64) -> History
 ///
 /// The read makes the witness search genuinely permute each burst (backtracking and
 /// memo hits over multi-word keys), the distinct values keep the interning table at
-/// one id per write, and the first burst *is* the root DFS frontier, so a split
-/// threshold at or below `burst` shards the search. Linearizable by construction:
-/// order each burst with the read's value last. Used by the `memo_arena` rows of
-/// `BENCH_checkers.json` and the drift guard.
+/// one id per write, and the first burst *is* the root DFS frontier. Linearizable
+/// by construction: order each burst with the read's value last. Used by the
+/// `memo_arena` row of `BENCH_checkers.json` and the drift guard.
 #[must_use]
 pub fn distinct_value_workload(ops: usize, burst: usize, seed: u64) -> History<i64> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -329,10 +324,7 @@ mod tests {
     fn distinct_value_workload_is_linearizable_with_large_keys() {
         let h = distinct_value_workload(112, 12, 7);
         assert_eq!(h.len(), 112, "keys must span more than one taken word");
-        let verdict = rlt_spec::Checker::builder(0i64)
-            .threads(rlt_spec::ThreadPolicy::Sequential)
-            .build()
-            .check(&h);
+        let verdict = rlt_spec::Checker::new(0i64).check(&h);
         assert!(verdict.is_linearizable());
         assert!(
             verdict.stats().memo.arena_high_water > 0,

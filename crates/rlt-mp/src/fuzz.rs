@@ -43,7 +43,7 @@ use crate::{AbdCluster, FaultyAbdCluster};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlt_sim::Budget;
-use rlt_spec::{Checker, ExtensionFamily, ProcessId, StateSketch, ThreadPolicy};
+use rlt_spec::{Checker, ExtensionFamily, ProcessId, StateSketch};
 use std::collections::BTreeSet;
 
 /// SplitMix64 finalizer: the module's one-stop deterministic hash/seed mixer.
@@ -160,14 +160,10 @@ pub trait FuzzTarget: Sync {
     }
 }
 
-/// A per-check sequential checker: fuzz histories are small, so fork-join
-/// overhead would dominate, and per-task construction keeps the fuzzer free of
-/// shared mutable state.
+/// A per-task checker without witnesses: per-task construction keeps the fuzzer
+/// free of shared mutable state.
 fn seq_checker() -> Checker<i64> {
-    Checker::builder(0i64)
-        .threads(ThreadPolicy::Sequential)
-        .witness(false)
-        .build()
+    Checker::builder(0i64).witness(false).build()
 }
 
 /// The plain-linearizability target: a trophy is a replay whose final history

@@ -1,12 +1,12 @@
 //! Application configuration: every knob the service layer and the HTTP front
 //! end read, in one place.
 
-use rlt_spec::{ThreadPolicy, DEFAULT_ENUMERATION_WORK_LIMIT, DEFAULT_STATE_LIMIT};
+use rlt_spec::{DEFAULT_ENUMERATION_WORK_LIMIT, DEFAULT_STATE_LIMIT};
 
 /// Configuration for a checking service instance.
 ///
-/// The checking knobs (`state_budget`, `enumeration_work_cap`, `threads`,
-/// `witness`) configure the warm [`Checker`]/[`IncrementalChecker`] sessions the
+/// The checking knobs (`state_budget`, `enumeration_work_cap`, `witness`)
+/// configure the warm [`Checker`]/[`IncrementalChecker`] sessions the
 /// service pools, so every verdict the service produces is bit-identical to a
 /// direct library call under the same knobs. The service knobs (`max_ops`,
 /// `aggregate_state_budget`, ...) bound what the front end accepts.
@@ -25,8 +25,6 @@ pub struct AppConfig {
     pub state_budget: u64,
     /// Enumeration work cap for `/linearizations`.
     pub enumeration_work_cap: u64,
-    /// Thread policy for the pooled checkers.
-    pub threads: ThreadPolicy,
     /// Record witness linearizations in verdicts.
     pub witness: bool,
     /// Histories with more operations than this are shed with `429` before any
@@ -54,7 +52,6 @@ impl Default for AppConfig {
             workers: 4,
             state_budget: DEFAULT_STATE_LIMIT,
             enumeration_work_cap: DEFAULT_ENUMERATION_WORK_LIMIT,
-            threads: ThreadPolicy::Auto,
             witness: true,
             max_ops: 4096,
             max_body: 1 << 20,

@@ -11,7 +11,7 @@
 //! direct consumer would make ([`Checker::check`] / [`IncrementalChecker`]
 //! verdicts under the [`AppConfig`] knobs), so server responses are
 //! bit-identical to library results — the differential pin in
-//! `tests/server_http.rs` holds this at every thread policy.
+//! `tests/server_http.rs` holds this.
 
 use crate::config::AppConfig;
 use crate::metrics::Metrics;
@@ -150,7 +150,6 @@ impl CheckService {
         Checker::builder(Value::Init)
             .state_budget(self.config.state_budget)
             .enumeration_work_cap(self.config.enumeration_work_cap)
-            .threads(self.config.threads)
             .witness(self.config.witness)
             .build()
     }
@@ -450,18 +449,6 @@ impl CheckService {
     /// `POST /sessions`: creates a monitoring session, optionally seeded with an
     /// initial wire-text history. Returns `(session id, ops applied)`.
     pub fn create_session(&self, initial: &str) -> Result<(u64, usize), ServiceError> {
-        {
-            let sessions = self.sessions.lock();
-            if sessions.len() >= self.config.max_sessions {
-                self.metrics
-                    .rejected_backpressure
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(ServiceError::Backpressure(format!(
-                    "session limit reached ({})",
-                    self.config.max_sessions
-                )));
-            }
-        }
         let mut entry = SessionEntry {
             target: Vec::new(),
             times: BTreeSet::new(),
@@ -473,8 +460,21 @@ impl CheckService {
         } else {
             self.apply_events(&mut entry, initial)?
         };
+        // The limit is checked under the lock that inserts, so concurrent creates
+        // can never both pass it.
+        let mut sessions = self.sessions.lock();
+        if sessions.len() >= self.config.max_sessions {
+            self.metrics
+                .rejected_backpressure
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(ServiceError::Backpressure(format!(
+                "session limit reached ({})",
+                self.config.max_sessions
+            )));
+        }
         let id = self.next_session.fetch_add(1, Ordering::SeqCst);
-        self.sessions.lock().insert(id, entry);
+        sessions.insert(id, entry);
+        drop(sessions);
         self.metrics
             .sessions_created
             .fetch_add(1, Ordering::Relaxed);
@@ -652,6 +652,53 @@ impl CheckService {
                 self.sessions_live(),
                 self.in_flight_cost(),
             )
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    /// A serial 200-op history: parsing and syncing it keeps `create_session` busy
+    /// long enough for a concurrent create to interleave with it.
+    fn seed_history() -> String {
+        (0..200u64)
+            .map(|i| format!("op{i} p0 R0 write {i} @ t{}..t{}\n", 2 * i + 1, 2 * i + 2))
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_creates_never_exceed_max_sessions() {
+        let seed = seed_history();
+        for trial in 0..20 {
+            let service = CheckService::new(AppConfig {
+                max_sessions: 1,
+                ..AppConfig::default()
+            });
+            let barrier = Barrier::new(2);
+            let created = std::thread::scope(|s| {
+                let creators: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            service.create_session(&seed).is_ok()
+                        })
+                    })
+                    .collect();
+                creators
+                    .into_iter()
+                    .map(|c| c.join().expect("creator thread"))
+                    .filter(|&ok| ok)
+                    .count()
+            });
+            assert!(created <= 1, "trial {trial}: {created} creates succeeded");
+            assert!(
+                service.sessions_live() <= 1,
+                "trial {trial}: {} live sessions",
+                service.sessions_live()
+            );
         }
     }
 }

@@ -23,13 +23,12 @@
 //! [`SearchScratch`](crate::engine::SearchScratch) arenas that are reused across
 //! [`Checker::check`] calls and across the histories of a [`Checker::check_many`]
 //! batch, so small-history workloads stop paying per-call allocation, and (under
-//! [`ThreadPolicy::Fixed`]) it owns the thread pool it fans out on. Enumeration is
+//! [`ThreadPolicy::Fixed`]) it owns the thread pool its batches fan out on. Enumeration is
 //! exposed as the *streaming* [`Checker::linearizations`] iterator, which runs the
 //! underlying search exactly as far as the consumer pulls.
 
 use crate::engine::{
     Engine, EnumerationLimitExceeded, Linearizations, MemoStats, ScratchPool, StateSketch,
-    DEFAULT_SPLIT_THRESHOLD,
 };
 use crate::history::History;
 use crate::incremental::IncrementalChecker;
@@ -40,20 +39,22 @@ use crate::value::RegisterValue;
 use std::fmt;
 use std::sync::OnceLock;
 
-/// How a [`Checker`] distributes its search work over threads.
+/// How a [`Checker::check_many`] batch spreads its histories over threads.
+///
+/// The policy governs only batches: every other call, [`Checker::check`] included,
+/// runs its search on the calling thread under any policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ThreadPolicy {
-    /// Use whatever rayon pool is current at the call site (the global pool, or the
-    /// pool of an enclosing `install`). This is the default and composes with callers
-    /// that already manage pools.
+    /// Fan the batch across whatever rayon pool is current at the call site (the
+    /// global pool, or the pool of an enclosing `install`). This is the default and
+    /// composes with callers that already manage pools.
     #[default]
     Auto,
-    /// Pin every search to the calling thread. Useful for latency-sensitive small
-    /// checks (no fork-join overhead) and as the definitional baseline the parallel
-    /// paths are diffed against.
+    /// Check the batch's histories one after another on the calling thread: the
+    /// definitional baseline the parallel batches are diffed against.
     Sequential,
-    /// Fan out on a dedicated pool of exactly `n` logical threads, built lazily on
-    /// first use and owned by the checker.
+    /// Fan the batch out on a dedicated pool of exactly `n` logical threads, built
+    /// lazily on first use and owned by the checker.
     Fixed(usize),
 }
 
@@ -185,7 +186,6 @@ pub struct CheckerBuilder<V> {
     threads: ThreadPolicy,
     witness: bool,
     scratch_reuse: bool,
-    split_threshold: u32,
 }
 
 impl<V: RegisterValue> CheckerBuilder<V> {
@@ -207,9 +207,10 @@ impl<V: RegisterValue> CheckerBuilder<V> {
         self
     }
 
-    /// Sets the thread policy. Default: [`ThreadPolicy::Auto`]. Thread policy is
-    /// unobservable in results — verdicts, witnesses, and statistics are bit-identical
-    /// across policies and pool widths; only wall-clock time moves.
+    /// Sets the thread policy of [`Checker::check_many`] batches. Default:
+    /// [`ThreadPolicy::Auto`]. Thread policy is unobservable in results — verdicts,
+    /// witnesses, and statistics are bit-identical across policies and pool widths;
+    /// only wall-clock time moves.
     #[must_use]
     pub fn threads(mut self, policy: ThreadPolicy) -> Self {
         self.threads = policy;
@@ -235,23 +236,6 @@ impl<V: RegisterValue> CheckerBuilder<V> {
         self
     }
 
-    /// Root-frontier size at which a single register's witness search is split into
-    /// shards and (under a multi-thread policy) fanned across the pool — the
-    /// within-register counterpart of per-register composition. Default:
-    /// [`DEFAULT_SPLIT_THRESHOLD`], which is above the concurrency of typical
-    /// histories; lower it for workloads with wide open concurrency in one register.
-    /// The threshold is part of the canonical search semantics: it can change the
-    /// statistics (a sharded sweep may explore more states than the plain DFS, so
-    /// under a tight [`CheckerBuilder::state_budget`] a conclusive check can become
-    /// inconclusive), but a conclusive verdict and its witness are
-    /// threshold-independent — and at any fixed value results remain bit-identical
-    /// across thread policies and pool widths.
-    #[must_use]
-    pub fn split_threshold(mut self, frontier_ops: u32) -> Self {
-        self.split_threshold = frontier_ops;
-        self
-    }
-
     /// Finishes the builder as an [`IncrementalChecker`] session: append operations
     /// (and completions) as they happen and ask for a verdict after any prefix,
     /// paying amortized sublinear per-op cost instead of a full re-check. Verdicts
@@ -261,12 +245,7 @@ impl<V: RegisterValue> CheckerBuilder<V> {
     /// reuse/invalidation rule and a live-monitor example.
     #[must_use]
     pub fn build_incremental(self) -> IncrementalChecker<V> {
-        IncrementalChecker::from_config(
-            self.init,
-            self.state_budget,
-            self.witness,
-            self.split_threshold,
-        )
+        IncrementalChecker::from_config(self.init, self.state_budget, self.witness)
     }
 
     /// Finishes the builder.
@@ -279,7 +258,6 @@ impl<V: RegisterValue> CheckerBuilder<V> {
             threads: self.threads,
             witness: self.witness,
             scratch_reuse: self.scratch_reuse,
-            split_threshold: self.split_threshold,
             scratch: ScratchPool::new(),
             pool: OnceLock::new(),
         }
@@ -306,7 +284,6 @@ pub struct Checker<V> {
     threads: ThreadPolicy,
     witness: bool,
     scratch_reuse: bool,
-    split_threshold: u32,
     scratch: ScratchPool,
     pool: OnceLock<rayon::ThreadPool>,
 }
@@ -329,7 +306,6 @@ impl<V: RegisterValue> Checker<V> {
             threads: ThreadPolicy::Auto,
             witness: true,
             scratch_reuse: true,
-            split_threshold: DEFAULT_SPLIT_THRESHOLD,
         }
     }
 
@@ -347,31 +323,22 @@ impl<V: RegisterValue> Checker<V> {
     }
 
     /// Starts a fresh [`IncrementalChecker`] session with this checker's
-    /// configuration (initial value, state budget, witness recording, split
-    /// threshold). The session's verdicts are bit-identical to [`Checker::check`]
-    /// on the same complete history at every thread policy. See
-    /// [`crate::incremental`] for the reuse/invalidation rule and a live-monitor
-    /// example.
+    /// configuration (initial value, state budget, witness recording). The
+    /// session's verdicts are bit-identical to [`Checker::check`] on the same
+    /// complete history at every thread policy. See [`crate::incremental`] for the
+    /// reuse/invalidation rule and a live-monitor example.
     #[must_use]
     pub fn incremental(&self) -> IncrementalChecker<V> {
-        IncrementalChecker::from_config(
-            self.init.clone(),
-            self.state_budget,
-            self.witness,
-            self.split_threshold,
-        )
+        IncrementalChecker::from_config(self.init.clone(), self.state_budget, self.witness)
     }
 
     /// Checks whether `history` is linearizable.
     ///
-    /// The verdict is deterministic and bit-identical across thread policies and pool
-    /// widths (the engine replays the sequential budget accounting over the parallel
-    /// results; see [`Engine::check`]).
+    /// The search runs on the calling thread under every [`ThreadPolicy`] (see
+    /// [`Engine::check`]), so the verdict is deterministic and the value type needs
+    /// no thread-safety bounds.
     #[must_use]
-    pub fn check(&self, history: &History<V>) -> Verdict<V>
-    where
-        V: Send + Sync,
-    {
+    pub fn check(&self, history: &History<V>) -> Verdict<V> {
         self.check_sketched(history).0
     }
 
@@ -381,92 +348,15 @@ impl<V: RegisterValue> Checker<V> {
     /// verdict is the *same* object [`Checker::check`] would return — callers that
     /// also hold a direct `check` result can compare them bit-for-bit.
     #[must_use]
-    pub fn check_sketched(&self, history: &History<V>) -> (Verdict<V>, StateSketch)
-    where
-        V: Send + Sync,
-    {
-        match self.threads {
-            ThreadPolicy::Fixed(n) => self
-                .fixed_pool(n)
-                .install(|| self.check_local_sketched(history)),
-            _ => self.check_local_sketched(history),
-        }
-    }
-
-    /// Checks a whole batch of histories; results come back in input order and every
-    /// entry is bit-identical to the corresponding solo [`Checker::check`] — batching
-    /// changes wall-clock time, never outcomes.
-    ///
-    /// Under [`ThreadPolicy::Auto`] the batch fans across the current rayon pool;
-    /// under [`ThreadPolicy::Fixed`] across the checker's own pool. Per-worker
-    /// scratch arenas come from the session pool, so the batch's allocations are
-    /// amortized across its histories.
-    #[must_use]
-    pub fn check_many(&self, histories: &[History<V>]) -> Vec<Verdict<V>>
-    where
-        V: Send + Sync,
-    {
-        match self.threads {
-            ThreadPolicy::Sequential => histories.iter().map(|h| self.check_local(h)).collect(),
-            ThreadPolicy::Auto => rayon::par_map(histories, |h| self.check_local(h)),
-            ThreadPolicy::Fixed(n) => self
-                .fixed_pool(n)
-                .install(|| rayon::par_map(histories, |h| self.check_local(h))),
-        }
-    }
-
-    /// Streams the linearizations of `history` lazily: the returned
-    /// [`Linearizations`] iterator runs the underlying search exactly as far as it is
-    /// pulled, in the same emission order as [`Checker::enumerate`], bounded by the
-    /// session's enumeration work cap.
-    #[must_use]
-    pub fn linearizations<'s>(&'s self, history: &'s History<V>) -> Linearizations<'s, V> {
-        Linearizations::new(history, &self.init, self.enumeration_work_cap)
-    }
-
-    /// Eagerly enumerates the linearizations of `history`, up to `max_results`, as
-    /// materialized sequential histories. Equivalent to draining
-    /// [`Checker::linearizations`] and materializing every order, but in one call.
-    pub fn enumerate(
-        &self,
-        history: &History<V>,
-        max_results: usize,
-    ) -> Result<Vec<SeqHistory<V>>, EnumerationLimitExceeded> {
-        let engine = Engine::new(history, &self.init);
-        let orders = engine.enumerate(max_results, self.enumeration_work_cap)?;
-        Ok(orders
-            .iter()
-            .map(|order| order_to_seq(history, engine.ops(), order))
-            .collect())
-    }
-
-    /// [`Checker::check`] without the hop onto a [`ThreadPolicy::Fixed`] session
-    /// pool: the search runs on the calling thread's current rayon pool (`Auto`) or
-    /// strictly sequentially (`Sequential`), with identical results.
-    ///
-    /// Because the check never leaves the calling thread's pool, this method needs
-    /// no `Send + Sync` on `V` — use it for value types that are not thread-safe
-    /// (the bound on [`Checker::check`] exists only for the `Fixed` hand-off). The
-    /// [`crate::swmr::SwmrCanonical`] fallback delegates here for exactly that
-    /// reason.
-    pub fn check_local(&self, history: &History<V>) -> Verdict<V> {
-        self.check_local_sketched(history).0
-    }
-
-    /// [`Checker::check_local`] plus the check's [`StateSketch`] (see
-    /// [`Checker::check_sketched`]).
-    pub fn check_local_sketched(&self, history: &History<V>) -> (Verdict<V>, StateSketch) {
+    pub fn check_sketched(&self, history: &History<V>) -> (Verdict<V>, StateSketch) {
         let fresh = ScratchPool::new();
         let scratch = if self.scratch_reuse {
             &self.scratch
         } else {
             &fresh
         };
-        let engine = Engine::new(history, &self.init).with_split_threshold(self.split_threshold);
-        let outcome = match self.threads {
-            ThreadPolicy::Sequential => engine.check_sequential_with(self.state_budget, scratch),
-            _ => engine.check_with(self.state_budget, scratch),
-        };
+        let engine = Engine::new(history, &self.init);
+        let outcome = engine.check_with(self.state_budget, scratch);
         let decision = if outcome.order.is_some() {
             Some(true)
         } else if outcome.limit_hit {
@@ -494,6 +384,53 @@ impl<V: RegisterValue> Checker<V> {
             ),
             outcome.sketch,
         )
+    }
+
+    /// Checks a whole batch of histories; results come back in input order and every
+    /// entry is bit-identical to the corresponding solo [`Checker::check`] — batching
+    /// changes wall-clock time, never outcomes.
+    ///
+    /// Under [`ThreadPolicy::Auto`] the batch fans across the current rayon pool;
+    /// under [`ThreadPolicy::Fixed`] across the checker's own pool. Per-worker
+    /// scratch arenas come from the session pool, so the batch's allocations are
+    /// amortized across its histories.
+    #[must_use]
+    pub fn check_many(&self, histories: &[History<V>]) -> Vec<Verdict<V>>
+    where
+        V: Send + Sync,
+    {
+        match self.threads {
+            ThreadPolicy::Sequential => histories.iter().map(|h| self.check(h)).collect(),
+            ThreadPolicy::Auto => rayon::par_map(histories, |h| self.check(h)),
+            ThreadPolicy::Fixed(n) => self
+                .fixed_pool(n)
+                .install(|| rayon::par_map(histories, |h| self.check(h))),
+        }
+    }
+
+    /// Streams the linearizations of `history` lazily: the returned
+    /// [`Linearizations`] iterator runs the underlying search exactly as far as it is
+    /// pulled, in the same emission order as [`Checker::enumerate`], bounded by the
+    /// session's enumeration work cap.
+    #[must_use]
+    pub fn linearizations<'s>(&'s self, history: &'s History<V>) -> Linearizations<'s, V> {
+        Linearizations::new(history, &self.init, self.enumeration_work_cap)
+    }
+
+    /// Eagerly enumerates the linearizations of `history`, up to `max_results`, as
+    /// materialized sequential histories. Equivalent to draining
+    /// [`Checker::linearizations`] and materializing every order, but in one call.
+    pub fn enumerate(
+        &self,
+        history: &History<V>,
+        max_results: usize,
+    ) -> Result<Vec<SeqHistory<V>>, EnumerationLimitExceeded> {
+        let engine = Engine::new(history, &self.init);
+        let orders = engine.enumerate(max_results, self.enumeration_work_cap)?;
+        Ok(orders
+            .iter()
+            .map(|order| order_to_seq(history, engine.ops(), order))
+            .collect())
     }
 
     fn fixed_pool(&self, threads: usize) -> &rayon::ThreadPool {
@@ -668,30 +605,6 @@ mod tests {
         assert_eq!(warm.check(&h).stats(), first.stats());
         let cold = Checker::builder(0i64).scratch_reuse(false).build();
         assert_eq!(cold.check(&h).stats(), first.stats());
-    }
-
-    #[test]
-    fn split_threshold_changes_stats_never_verdicts() {
-        let mut b = HistoryBuilder::new();
-        let ids: Vec<_> = (0..6)
-            .map(|i| b.invoke_write(ProcessId(i), R, i as i64 + 1))
-            .collect();
-        for id in ids {
-            b.respond_write(id);
-        }
-        b.read(ProcessId(7), R, 3i64);
-        let h = b.build();
-        let default = Checker::new(0i64).check(&h);
-        let split = Checker::builder(0i64).split_threshold(2).build().check(&h);
-        assert_eq!(split.outcome(), default.outcome());
-        assert_eq!(
-            split.witness().map(SeqHistory::op_ids),
-            default.witness().map(SeqHistory::op_ids),
-            "sharding must find the same first witness as the plain DFS"
-        );
-        // The sharded sweep re-explores the root per shard and drops cross-shard
-        // memo sharing, so its statistics legitimately differ.
-        assert!(split.stats().states_explored >= default.stats().states_explored);
     }
 
     #[test]

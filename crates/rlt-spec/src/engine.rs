@@ -24,21 +24,12 @@
 //!    union of the witness orders with the real-time relation. This turns one
 //!    exponential joint search into several much smaller ones.
 //!
-//! Two parallel/lazy layers sit on top (this is where the `vendor/rayon` fork-join
-//! pool comes in):
+//! A check is one sequential search on the calling thread: the registers are searched
+//! in ascending order under one shared state budget, reusing one scratch arena. The
+//! only fork-join fan-out sits a level up, across whole histories, in
+//! [`crate::Checker::check_many`]. One lazy layer sits on top:
 //!
-//! 5. **Parallel per-register search** — the per-register sub-searches are independent,
-//!    so [`Engine::check`] fans them across the current rayon pool and then *replays*
-//!    the sequential shared-budget accounting over the per-search statistics. The
-//!    replay makes the parallel path bit-identical to [`Engine::check_sequential`]:
-//!    same verdict, same witness, same statistics, at any thread count. When the
-//!    replay detects that the sequential pass would have exhausted its budget (whose
-//!    truncation point depends on the shared-budget interleaving), it reruns
-//!    sequentially rather than guessing — limit-hit searches are the rare adversarial
-//!    case, and determinism there matters more than speed. [`Engine::check_many`]
-//!    fans whole histories (build + check) across the pool the same way, which is the
-//!    shape the differential suites and adversary sweeps actually run.
-//! 6. **Per-register enumeration with a lazy interleaving product** —
+//! 5. **Per-register enumeration with a lazy interleaving product** —
 //!    [`Engine::enumerate`] on a multi-register history first enumerates each
 //!    register's linearizations separately, folds them into per-register prefix
 //!    tries, and then walks the *product* of the tries lazily, interleaving under the
@@ -79,24 +70,6 @@
 //! size is a deterministic function of the subproblem (never of warm capacity), so
 //! the reported [`MemoStats`] — slot probes, hits, arena high-water — are
 //! bit-identical whether the scratch is cold or reused.
-//!
-//! # Within-register sharding
-//!
-//! Per-register composition (4.) parallelizes *across* registers; one hot register
-//! still searches alone. When a register's root DFS frontier (its Wing–Gong
-//! candidates at the empty configuration) reaches the engine's
-//! [split threshold](Engine::with_split_threshold), the search is partitioned into a
-//! fixed number of shards — contiguous ranges of the root candidate scan, each a
-//! complete DFS over "linearizations starting in my range" with its own memo table.
-//! The *canonical* ([`Engine::check_sequential`]) semantics runs the shards in
-//! ascending range order under the shared state budget, stopping at the first
-//! witness; the parallel path runs them speculatively fork-join, each with a private
-//! full budget, then **replays** the sequential budget accounting over the per-shard
-//! statistics in shard order — exactly the scheme the per-register fan-out uses — so
-//! verdict, witness, and every statistic (including [`MemoStats`]) are bit-identical
-//! to `check_sequential` at any thread count, with a sequential rerun whenever the
-//! replay detects the shared budget would have run dry. Shard geometry depends only
-//! on the subproblem and the threshold, never on the pool width.
 
 use crate::history::History;
 use crate::ids::{OpId, RegisterId, Time};
@@ -413,8 +386,7 @@ impl MemoStats {
 /// request or merging per-register sketches in any order gives the same sketch.
 ///
 /// Like every other search statistic, the per-check sketch is deterministic —
-/// bit-identical across thread policies, pool widths, and scratch reuse (the
-/// parallel determinism suite compares it as part of [`CheckOutcome`] equality).
+/// bit-identical across thread policies, pool widths, and scratch reuse.
 /// With 64 registers the estimate's standard error is ~13%: a metrics sketch, not
 /// an exact count. Configurations are hashed per register subproblem, so two
 /// structurally identical registers contribute the same fingerprints — the sketch
@@ -876,10 +848,11 @@ impl SearchScratch {
 
 /// A shared pool of [`SearchScratch`] arenas.
 ///
-/// [`Engine::check_with`] and friends pop an arena per worker (fork-join sub-searches
-/// each take their own) and park it back afterwards, so a long-lived owner — a
-/// [`crate::Checker`] — amortizes search allocations across calls and across the
-/// histories of a batch. Any arena fits any search; the pool is just a free list.
+/// [`Engine::check_with`] pops one arena per check (each worker of a
+/// [`crate::Checker::check_many`] batch takes its own) and parks it back afterwards,
+/// so a long-lived owner — a [`crate::Checker`] — amortizes search allocations across
+/// calls and across the histories of a batch. Any arena fits any search; the pool is
+/// just a free list.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     arenas: std::sync::Mutex<Vec<SearchScratch>>,
@@ -913,11 +886,10 @@ impl ScratchPool {
     }
 }
 
-/// The process-wide fallback pool behind [`Engine::check`] /
-/// [`Engine::check_sequential`]. Callers that don't hold a [`crate::Checker`] (shims,
-/// one-off checks, doctests) used to pay a cold arena per call; parking the arenas in
-/// one shared static keeps them warm instead. Scratch reuse is invisible to results,
-/// so this is purely a perf fix.
+/// The process-wide fallback pool behind [`Engine::check`]. Callers that don't hold a
+/// [`crate::Checker`] (one-off checks, doctests) used to pay a cold arena per call;
+/// parking the arenas in one shared static keeps them warm instead. Scratch reuse is
+/// invisible to results, so this is purely a perf fix.
 pub(crate) fn default_scratch_pool() -> &'static ScratchPool {
     static POOL: OnceLock<ScratchPool> = OnceLock::new();
     POOL.get_or_init(ScratchPool::new)
@@ -929,25 +901,18 @@ pub(crate) fn default_scratch_pool() -> &'static ScratchPool {
 
 /// A frame of the explicit DFS stack. The frame owns the op that was applied to enter
 /// it (`creator`, `NO_OP` for the root) and lazily scans candidates from `scan` up to
-/// `end`. Only a root frame carries a real bound (a sharded search's root is
-/// restricted to its shard's candidate range); [`drive_search`] creates every child
-/// frame with the [`UNBOUNDED`] sentinel, clamped to the *current* op count at scan
-/// time. That keeps a frozen stack valid when the incremental session grows the
-/// subproblem under it: [`resume_witness`] only has to extend the root's bound
-/// instead of rewriting every frame.
+/// the subproblem's *current* op count. Frames carry no bound of their own, so a
+/// frozen stack stays valid when the incremental session grows the subproblem under
+/// it: [`resume_witness`] re-enters it without rewriting any frame.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     creator: u32,
     /// Value of the creator's slot before the creator was applied (writes only).
     restore: u32,
     scan: u32,
-    end: u32,
 }
 
 const NO_OP: u32 = u32::MAX;
-
-/// [`Frame::end`] sentinel: scan to the subproblem's current op count.
-const UNBOUNDED: u32 = u32::MAX;
 
 /// Statistics of one sub-search.
 #[derive(Debug, Default, Clone, Copy)]
@@ -960,8 +925,8 @@ pub(crate) struct SearchStats {
 }
 
 impl SearchStats {
-    /// Folds another sub-search's statistics in (the sequential accounting the
-    /// parallel replays reproduce); `limit_hit` is handled by the callers.
+    /// Folds another sub-search's statistics in (the shared-budget accounting the
+    /// incremental session replays); `limit_hit` is handled by the callers.
     pub(crate) fn absorb(&mut self, other: &SearchStats) {
         self.states_explored += other.states_explored;
         self.states_memoized += other.states_memoized;
@@ -974,26 +939,12 @@ impl SearchStats {
 /// `(taken, state)` keys. `budget` is shared across sub-searches so the global
 /// state-limit semantics match the original joint checker. All working buffers live
 /// in `scratch`, reset on entry — reuse across searches is invisible to results.
-fn search_witness(
-    sub: &SubProblem,
-    budget: &mut u64,
-    stats: &mut SearchStats,
-    scratch: &mut SearchScratch,
-) -> Option<Vec<u32>> {
-    search_witness_range(sub, 0..sub.ops.len() as u32, budget, stats, scratch)
-}
-
-/// [`search_witness`] with the **root** candidate scan restricted to
-/// `root.start..root.end` — the building block of within-register sharding: shards
-/// are contiguous root ranges, and the full search is the `0..n` range. Frames below
-/// the root always scan every op.
 ///
 /// The apply/undo frame bookkeeping here is mirrored in [`OrderWalk`] (which differs
 /// only in success handling and the absence of memoization); a fix to either driver
 /// almost certainly belongs in both.
-fn search_witness_range(
+pub(crate) fn search_witness(
     sub: &SubProblem,
-    root: std::ops::Range<u32>,
     budget: &mut u64,
     stats: &mut SearchStats,
     scratch: &mut SearchScratch,
@@ -1022,8 +973,7 @@ fn search_witness_range(
     stack.push(Frame {
         creator: NO_OP,
         restore: 0,
-        scan: root.start,
-        end: (root.end as usize).min(n) as u32,
+        scan: 0,
     });
     let witness = drive_search(sub, budget, stats, taken, vals, order, stack, memo, 0, true);
     scratch.memo.drain_into(stats);
@@ -1042,7 +992,7 @@ pub(crate) fn memo_size_class(n: usize) -> usize {
 /// The core DFS loop over an already-prepared configuration: `taken` / `vals` /
 /// `order` / `stack` describe the current node (with `taken_completed` completed ops
 /// taken), and `entering` says whether that node still owes its entry bookkeeping
-/// (state accounting, budget, success test, memo insert). [`search_witness_range`]
+/// (state accounting, budget, success test, memo insert). [`search_witness`]
 /// starts it from the empty configuration; [`resume_witness`] re-enters it at a
 /// frozen search's success configuration. Memo counters stay in `memo`; the caller
 /// drains or assigns them.
@@ -1080,13 +1030,12 @@ fn drive_search(
             if !memo.insert(taken, vals) {
                 stats.states_memoized += 1;
                 stats.memo.hits += 1;
-                frame.scan = frame.end; // force an immediate pop
+                frame.scan = n as u32; // force an immediate pop
             }
         }
-        let scan_end = (frame.end as usize).min(n);
         let mut advanced = false;
         let mut i = frame.scan as usize;
-        while i < scan_end {
+        while i < n {
             if sub.is_candidate(i, taken, vals) {
                 frame.scan = (i + 1) as u32;
                 let op = sub.ops[i];
@@ -1103,7 +1052,6 @@ fn drive_search(
                     creator: i as u32,
                     restore,
                     scan: 0,
-                    end: UNBOUNDED,
                 });
                 entering = true;
                 advanced = true;
@@ -1131,9 +1079,9 @@ fn drive_search(
     witness
 }
 
-/// Re-enters [`drive_search`] at the success configuration a previous **plain**
-/// (unsharded) witness search over a prefix of `sub` left frozen in `scratch`,
-/// instead of re-deriving the whole DFS trajectory from the empty configuration.
+/// Re-enters [`drive_search`] at the success configuration a previous witness search
+/// over a prefix of `sub` left frozen in `scratch`, instead of re-deriving the whole
+/// DFS trajectory from the empty configuration.
 ///
 /// Correctness (the incremental session's invalidation rule — see
 /// [`crate::incremental`]): when every op added since the freeze sits at the end of
@@ -1149,8 +1097,8 @@ fn drive_search(
 /// the insert, and no earlier configuration shares its taken set — so re-running its
 /// entry bookkeeping, memo insert included, is exactly what the from-scratch search
 /// does on arrival.) The caller must additionally ensure the grown subproblem keeps
-/// the frozen taken-word count and [`memo_size_class`] and stays unsharded,
-/// otherwise the frozen table's geometry no longer matches a from-scratch run.
+/// the frozen taken-word count and [`memo_size_class`], otherwise the frozen table's
+/// geometry no longer matches a from-scratch run.
 ///
 /// On entry `stats` must hold the frozen search's final statistics and `budget` its
 /// remaining private budget; both are rewound by one state here so the re-entered
@@ -1184,11 +1132,6 @@ pub(crate) fn resume_witness(
             .count(),
         "caller-maintained taken_completed diverged from the frozen order"
     );
-    // The frozen root scanned up to the old op count; the appended suffix extends
-    // its candidate range. (The frozen root always spanned the full old range:
-    // resumption is gated on the subproblem being unsharded.) Child frames carry
-    // the [`UNBOUNDED`] sentinel and need no fixup.
-    stack[0].end = n as u32;
     // Rewind one state: re-entering the frozen configuration re-runs entry
     // bookkeeping the frozen search already accounted for.
     stats.states_explored -= 1;
@@ -1214,101 +1157,6 @@ pub(crate) fn resume_witness(
     // continuation — exactly the fresh-insert set of a from-scratch search.
     stats.sketch = scratch.memo.hll;
     witness
-}
-
-// ---------------------------------------------------------------------------
-// Within-register sharding
-// ---------------------------------------------------------------------------
-
-/// Default root-frontier size at which a single register's witness search is split
-/// into shards (see the module docs). The default is deliberately above the op count
-/// of the differential corpora and the tracked small-history workloads, so their
-/// search statistics are untouched; lower it per session via
-/// [`crate::CheckerBuilder::split_threshold`] (or [`Engine::with_split_threshold`])
-/// for histories with genuinely wide open concurrency.
-pub const DEFAULT_SPLIT_THRESHOLD: u32 = 24;
-
-/// Number of shards a split search is partitioned into. Fixed: shard geometry must
-/// depend only on the subproblem and the threshold — never on the pool width — or
-/// results would differ across thread counts.
-const SPLIT_SHARDS: usize = 8;
-
-/// Computes the shard ranges of `sub`'s root candidate scan, or `None` when the root
-/// frontier is below `threshold` (or too small to split at all). The frontier is the
-/// set of Wing–Gong candidates at the empty configuration: real-time-minimal ops
-/// whose effect is consistent with the initial register state. Candidates are
-/// chunked into [`SPLIT_SHARDS`] contiguous groups; each range spans from its
-/// group's first candidate (the first range from op 0) to the next group's first,
-/// so the ranges tile `0..n` and each shard's root scan sees exactly its group.
-pub(crate) fn shard_ranges(sub: &SubProblem, threshold: u32) -> Option<Vec<std::ops::Range<u32>>> {
-    let n = sub.ops.len();
-    let threshold = (threshold as usize).max(2);
-    if n < threshold {
-        return None; // the frontier is at most n ops — skip the scan entirely
-    }
-    // Local ops are in invocation order, so predecessor sets are monotone along the
-    // list: the first op with a nonzero preds row ends the real-time-minimal prefix,
-    // and everything after it is non-minimal too. The frontier scan therefore costs
-    // O(frontier), not O(n) — the common "too narrow to split" outcome on long
-    // sequential-ish histories rejects after a handful of ops, allocation-free.
-    let minimal_prefix = (0..n)
-        .take_while(|&i| {
-            sub.preds[i * sub.words..(i + 1) * sub.words]
-                .iter()
-                .all(|&w| w == 0)
-        })
-        .count();
-    let is_root_candidate = |i: &usize| {
-        let op = &sub.ops[*i];
-        op.is_write || op.value == sub.init_id
-    };
-    let count = (0..minimal_prefix).filter(is_root_candidate).count();
-    if count < threshold {
-        return None;
-    }
-    let candidates: Vec<u32> = (0..minimal_prefix)
-        .filter(is_root_candidate)
-        .map(|i| i as u32)
-        .collect();
-    let chunk = candidates
-        .len()
-        .div_ceil(SPLIT_SHARDS.min(candidates.len()));
-    let mut ranges: Vec<std::ops::Range<u32>> = Vec::new();
-    let mut lo = 0u32;
-    for group in candidates.chunks(chunk).skip(1) {
-        ranges.push(lo..group[0]);
-        lo = group[0];
-    }
-    ranges.push(lo..n as u32);
-    Some(ranges)
-}
-
-/// The canonical witness search of one register's subproblem: a plain DFS below the
-/// split threshold, the sharded sweep — shards in ascending range order, each with a
-/// fresh memo table, sharing `budget`, stopping at the first witness — above it.
-/// This *is* the sequential semantics; the parallel paths replay it.
-pub(crate) fn search_register(
-    sub: &SubProblem,
-    split_threshold: u32,
-    budget: &mut u64,
-    stats: &mut SearchStats,
-    scratch: &mut SearchScratch,
-) -> Option<Vec<u32>> {
-    match shard_ranges(sub, split_threshold) {
-        None => search_witness(sub, budget, stats, scratch),
-        Some(ranges) => {
-            for range in ranges {
-                let witness = search_witness_range(sub, range, budget, stats, scratch);
-                if witness.is_some() {
-                    return witness;
-                }
-                if stats.limit_hit {
-                    return None;
-                }
-            }
-            None
-        }
-    }
 }
 
 /// The k-way witness merge behind [`Engine::check`]'s multi-register tail, as a free
@@ -1409,7 +1257,6 @@ impl OrderWalk {
                 creator: NO_OP,
                 restore: 0,
                 scan: 0,
-                end: n as u32,
             }],
             entering: true,
             nodes: 0,
@@ -1454,7 +1301,6 @@ impl OrderWalk {
                         creator: i as u32,
                         restore,
                         scan: 0,
-                        end: n as u32,
                     });
                     self.entering = true;
                     advanced = true;
@@ -1728,6 +1574,12 @@ impl std::fmt::Display for EnumerationLimitExceeded {
 
 impl std::error::Error for EnumerationLimitExceeded {}
 
+/// The root-frontier size at which the engine used to split one register's search
+/// into shards. Nothing reads it any more; kept only because the frozen benchmark
+/// under `perfbench/` passes it to [`Engine::with_split_threshold`], and it goes with
+/// the next change to that benchmark.
+pub const DEFAULT_SPLIT_THRESHOLD: u32 = 24;
+
 /// A prepared linearizability search over one history: values interned, precedence
 /// precomputed, operations partitioned per register.
 ///
@@ -1743,8 +1595,6 @@ pub struct Engine<'a, V> {
     /// The registers appearing in the history, ascending.
     registers: Vec<RegisterId>,
     values: ValueInterner<'a, V>,
-    /// Root-frontier size at which a single register's search is sharded.
-    split_threshold: u32,
     /// Per-register subproblems, built lazily (`OnceLock` rather than `OnceCell` so
     /// a prepared engine can be shared across pool threads).
     per_register: OnceLock<Vec<SubProblem>>,
@@ -1791,23 +1641,16 @@ impl<'a, V: RegisterValue> Engine<'a, V> {
             members,
             registers,
             values,
-            split_threshold: DEFAULT_SPLIT_THRESHOLD,
             per_register: OnceLock::new(),
             joint: OnceLock::new(),
         }
     }
 
-    /// Sets the root-frontier size at which a single register's witness search is
-    /// split into shards (default [`DEFAULT_SPLIT_THRESHOLD`]). The threshold is part
-    /// of the *canonical* search semantics: changing it may change which states are
-    /// explored (and therefore the statistics — a sharded sweep can explore more
-    /// states than the plain DFS, so a tight state budget that sufficed unsharded
-    /// may run dry sharded, turning a conclusive check inconclusive), but a
-    /// *conclusive* verdict and its witness are threshold-independent, and at a
-    /// fixed threshold results stay bit-identical across thread counts.
+    /// Returns the engine unchanged: a check is one sequential search, so there is no
+    /// root-frontier split left to configure. Kept only because the frozen benchmark
+    /// under `perfbench/` names it; it goes with the next change to that benchmark.
     #[must_use]
-    pub fn with_split_threshold(mut self, threshold: u32) -> Self {
-        self.split_threshold = threshold;
+    pub fn with_split_threshold(self, _threshold: u32) -> Self {
         self
     }
 
@@ -1858,162 +1701,26 @@ impl<'a, V: RegisterValue> Engine<'a, V> {
     ///
     /// `state_limit` bounds the total number of search nodes across all sub-searches
     /// (the same budget the original joint search applied to its single search tree).
-    ///
-    /// When the current rayon pool is wider than one thread and the history spans
-    /// several registers, the sub-searches run fork-join in parallel; the outcome —
-    /// verdict, witness, and statistics — is bit-identical to
-    /// [`Engine::check_sequential`] at any thread count (see the module docs for how
-    /// the budget replay guarantees this).
+    /// The search runs on the calling thread: registers in ascending order, one after
+    /// another, sharing the budget and one scratch arena.
     #[must_use]
     pub fn check(&self, state_limit: u64) -> CheckOutcome {
         self.check_with(state_limit, default_scratch_pool())
     }
 
-    /// [`Engine::check`] with caller-provided scratch arenas: every sub-search pops an
-    /// arena from `scratch` (fork-join workers each take their own) and parks it back,
-    /// so a long-lived pool amortizes search allocations across checks. Results are
-    /// bit-identical to [`Engine::check`] — scratch is reset on every use.
+    /// [`Engine::check`] with caller-provided scratch arenas: the check pops one arena
+    /// from `scratch`, reuses it across the history's per-register sub-searches, and
+    /// parks it back, so a long-lived pool amortizes search allocations across checks.
+    /// Results are bit-identical to [`Engine::check`] — scratch is reset on every use.
     #[must_use]
     pub fn check_with(&self, state_limit: u64, scratch: &ScratchPool) -> CheckOutcome {
-        let per_register = self.per_register();
-        if rayon::current_num_threads() <= 1 {
-            return self.check_sequential_with(state_limit, scratch);
-        }
-        if per_register.len() <= 1 {
-            // One register: the only parallelism available is *within* its search —
-            // speculative subtree splitting over the root candidate shards.
-            let Some(ranges) = per_register
-                .first()
-                .and_then(|sub| shard_ranges(sub, self.split_threshold))
-            else {
-                return self.check_sequential_with(state_limit, scratch);
-            };
-            return self.check_sharded_single(&per_register[0], &ranges, state_limit, scratch);
-        }
-        // Fork-join: every sub-search runs with a private budget of the full limit.
-        // (Copy the threshold out: capturing `self` would demand `V: Sync`.)
-        let split_threshold = self.split_threshold;
-        let results: Vec<(Option<Vec<u32>>, SearchStats)> = rayon::par_map(per_register, |sub| {
-            let mut budget = state_limit;
-            let mut stats = SearchStats::default();
-            let mut arena = scratch.acquire();
-            let order = search_register(sub, split_threshold, &mut budget, &mut stats, &mut arena);
-            scratch.release(arena);
-            (order, stats)
-        });
-        // Replay the sequential shared-budget accounting in register order. A
-        // completed sub-search explores the same nodes whether its budget was the
-        // full limit or the sequential remainder, as long as the remainder covered
-        // it — so whenever the running total stays within the limit, the replayed
-        // verdict, witness, and statistics are exactly the sequential ones. The
-        // moment the sequential pass *would* have run dry (its truncation point
-        // depends on the shared budget), rerun sequentially instead of guessing.
-        let mut consumed = 0u64;
-        let mut stats = SearchStats::default();
-        let mut sub_orders: Vec<Vec<u32>> = Vec::with_capacity(results.len());
-        for (order, sub_stats) in results {
-            if sub_stats.limit_hit || consumed + sub_stats.states_explored > state_limit {
-                return self.check_sequential_with(state_limit, scratch);
-            }
-            consumed += sub_stats.states_explored;
-            stats.absorb(&sub_stats);
-            match order {
-                Some(order) => sub_orders.push(order),
-                // First failing register: the sequential pass stops here too, with
-                // exactly these statistics.
-                None => {
-                    return CheckOutcome {
-                        order: None,
-                        states_explored: stats.states_explored,
-                        states_memoized: stats.states_memoized,
-                        memo: stats.memo,
-                        sketch: stats.sketch,
-                        limit_hit: false,
-                    }
-                }
-            }
-        }
-        let mut budget = state_limit - consumed;
-        let mut arena = scratch.acquire();
-        let outcome = self.finish_check(&sub_orders, &mut budget, &mut stats, &mut arena);
-        scratch.release(arena);
-        outcome
-    }
-
-    /// Speculative subtree splitting of a single register's search: every shard runs
-    /// fork-join with a private full budget, then the sequential shard-order
-    /// accounting is replayed — consume each shard's nodes in range order, stop at
-    /// the first witness — so the outcome is bit-identical to
-    /// [`Engine::check_sequential`] at any pool width. Shards past the sequential
-    /// stopping point are wasted speculation (that is the trade), and a replay that
-    /// detects the shared budget would have run dry mid-shard reruns sequentially.
-    fn check_sharded_single(
-        &self,
-        sub: &SubProblem,
-        ranges: &[std::ops::Range<u32>],
-        state_limit: u64,
-        scratch: &ScratchPool,
-    ) -> CheckOutcome {
-        let results: Vec<(Option<Vec<u32>>, SearchStats)> = rayon::par_map(ranges, |range| {
-            let mut budget = state_limit;
-            let mut stats = SearchStats::default();
-            let mut arena = scratch.acquire();
-            let order =
-                search_witness_range(sub, range.clone(), &mut budget, &mut stats, &mut arena);
-            scratch.release(arena);
-            (order, stats)
-        });
-        let mut consumed = 0u64;
-        let mut stats = SearchStats::default();
-        for (order, sub_stats) in results {
-            if sub_stats.limit_hit || consumed + sub_stats.states_explored > state_limit {
-                return self.check_sequential_with(state_limit, scratch);
-            }
-            consumed += sub_stats.states_explored;
-            stats.absorb(&sub_stats);
-            if let Some(order) = order {
-                let mut budget = state_limit - consumed;
-                let mut arena = scratch.acquire();
-                let outcome = self.finish_check(&[order], &mut budget, &mut stats, &mut arena);
-                scratch.release(arena);
-                return outcome;
-            }
-        }
-        CheckOutcome {
-            order: None,
-            states_explored: stats.states_explored,
-            states_memoized: stats.states_memoized,
-            memo: stats.memo,
-            sketch: stats.sketch,
-            limit_hit: false,
-        }
-    }
-
-    /// [`Engine::check`] pinned to the calling thread: per-register sub-searches run
-    /// one after another sharing one budget. The parallel path is defined to be
-    /// bit-identical to this one; the determinism suites diff the two.
-    #[must_use]
-    pub fn check_sequential(&self, state_limit: u64) -> CheckOutcome {
-        self.check_sequential_with(state_limit, default_scratch_pool())
-    }
-
-    /// [`Engine::check_sequential`] with caller-provided scratch arenas (one arena is
-    /// reused across all of the history's per-register sub-searches).
-    #[must_use]
-    pub fn check_sequential_with(&self, state_limit: u64, scratch: &ScratchPool) -> CheckOutcome {
         let mut budget = state_limit;
         let mut stats = SearchStats::default();
         let per_register = self.per_register();
         let mut sub_orders: Vec<Vec<u32>> = Vec::with_capacity(per_register.len());
         let mut arena = scratch.acquire();
         for sub in per_register {
-            match search_register(
-                sub,
-                self.split_threshold,
-                &mut budget,
-                &mut stats,
-                &mut arena,
-            ) {
+            match search_witness(sub, &mut budget, &mut stats, &mut arena) {
                 Some(order) => sub_orders.push(order),
                 None => {
                     scratch.release(arena);
@@ -2033,10 +1740,9 @@ impl<'a, V: RegisterValue> Engine<'a, V> {
         outcome
     }
 
-    /// Shared tail of [`Engine::check_with`] and [`Engine::check_sequential_with`]
-    /// once every register has produced a witness: maps the local witness orders to
-    /// global op indices, merges them, and falls back to the joint search on the
-    /// remaining budget if the merge ever fails.
+    /// Tail of [`Engine::check_with`] once every register has produced a witness: maps
+    /// the local witness orders to global op indices, merges them, and falls back to the
+    /// joint search on the remaining budget if the merge ever fails.
     fn finish_check(
         &self,
         sub_orders: &[Vec<u32>],
@@ -2082,24 +1788,6 @@ impl<'a, V: RegisterValue> Engine<'a, V> {
             sketch: stats.sketch,
             limit_hit: stats.limit_hit,
         }
-    }
-
-    /// Checks a batch of histories, fanning them across the current rayon pool (one
-    /// engine build + check per history). Results are in input order, and every entry
-    /// is bit-identical to `Engine::new(history, init).check(state_limit)` — batching
-    /// changes wall-clock time, never outcomes.
-    ///
-    /// This is the shape the differential suites, property tests, and adversary
-    /// sweeps run: many independent small histories, where per-history parallelism
-    /// cannot amortize the engine build but cross-history parallelism can.
-    #[must_use]
-    pub fn check_many(items: &[(&History<V>, &V)], state_limit: u64) -> Vec<CheckOutcome>
-    where
-        V: Sync,
-    {
-        rayon::par_map(items, |(history, init)| {
-            Engine::new(history, init).check(state_limit)
-        })
     }
 
     /// Merges per-register witness orders into one global order respecting both every
@@ -2513,60 +2201,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_check_is_bit_identical_to_sequential() {
-        // A multi-register history with real concurrency; run the parallel path on
-        // pools of width 2 and 4 and diff the entire outcome against the sequential
-        // path — orders, statistics, flags, everything.
-        let mut b = HistoryBuilder::new();
-        for i in 0..3u64 {
-            let w = b.invoke_write(ProcessId(i as usize), R0, i as i64 + 1);
-            let _ = w;
-            b.write(ProcessId(i as usize), R1, i as i64 + 10);
-        }
-        b.read(ProcessId(7), R0, 2i64);
-        b.read(ProcessId(8), R1, 12i64);
-        let h = b.build();
-        let engine = Engine::new(&h, &0);
-        for limit in [1u64, 3, 10, 1_000_000] {
-            let sequential = engine.check_sequential(limit);
-            for threads in [2usize, 4] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let parallel = pool.install(|| engine.check(limit));
-                assert_eq!(parallel, sequential, "threads={threads} limit={limit}");
-            }
-        }
-    }
-
-    #[test]
-    fn check_many_matches_individual_checks() {
-        let histories: Vec<_> = (0..6)
-            .map(|seed| {
-                let mut b = HistoryBuilder::new();
-                b.write(ProcessId(0), R0, seed);
-                b.write(ProcessId(0), R1, seed + 1);
-                b.read(ProcessId(1), R0, if seed % 2 == 0 { seed } else { 99 });
-                b.build()
-            })
-            .collect();
-        let init = 0i64;
-        let items: Vec<_> = histories.iter().map(|h| (h, &init)).collect();
-        for threads in [1usize, 2, 4] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let batch = pool.install(|| Engine::check_many(&items, 1_000_000));
-            for (i, h) in histories.iter().enumerate() {
-                let solo = Engine::new(h, &init).check_sequential(1_000_000);
-                assert_eq!(batch[i], solo, "threads={threads} history={i}");
-            }
-        }
-    }
-
-    #[test]
     fn multi_register_enumeration_interleaves_lazily() {
         // Two registers, each with two concurrent completed writes: 2 orders per
         // register, interleaved 4-over-2 ways each => 2 * 2 * C(4,2) = 24 orders.
@@ -2760,13 +2394,7 @@ mod tests {
                 for sub in engine.per_register() {
                     let mut budget = u64::MAX;
                     let mut stats = SearchStats::default();
-                    let _ = search_register(
-                        sub,
-                        DEFAULT_SPLIT_THRESHOLD,
-                        &mut budget,
-                        &mut stats,
-                        scratch,
-                    );
+                    let _ = search_witness(sub, &mut budget, &mut stats, scratch);
                 }
             }
         };
@@ -2778,64 +2406,6 @@ mod tests {
             scratch.memo.reallocations, warm,
             "a warm arena re-allocated during the second pass"
         );
-    }
-
-    #[test]
-    fn sharded_search_is_bit_identical_across_pool_widths() {
-        // Six mutually concurrent completed writes plus a read pinning one of them:
-        // a single-register search with a six-op root frontier. At threshold 2 the
-        // canonical semantics shards it; the speculative parallel path must replay to
-        // the exact sequential outcome (stats and memo counters included) at any
-        // width, and sharding must not change the verdict or witness of the default
-        // (unsharded) search.
-        let mut b = HistoryBuilder::new();
-        let ids: Vec<_> = (0..6)
-            .map(|i| b.invoke_write(ProcessId(i), R0, i as i64 + 1))
-            .collect();
-        for id in ids {
-            b.respond_write(id);
-        }
-        b.read(ProcessId(7), R0, 4i64);
-        let h = b.build();
-        let sharded = Engine::new(&h, &0).with_split_threshold(2);
-        let unsharded = Engine::new(&h, &0);
-        for limit in [1u64, 5, 40, 1_000_000] {
-            let sequential = sharded.check_sequential(limit);
-            for threads in [2usize, 4] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let parallel = pool.install(|| sharded.check(limit));
-                assert_eq!(parallel, sequential, "threads={threads} limit={limit}");
-            }
-        }
-        let sharded_outcome = sharded.check_sequential(1_000_000);
-        let unsharded_outcome = unsharded.check_sequential(1_000_000);
-        assert_eq!(sharded_outcome.order, unsharded_outcome.order);
-        assert!(sharded_outcome.order.is_some());
-    }
-
-    #[test]
-    fn shard_ranges_tile_the_scan_and_ignore_narrow_frontiers() {
-        let mut b = HistoryBuilder::new();
-        let ids: Vec<_> = (0..6)
-            .map(|i| b.invoke_write(ProcessId(i), R0, i as i64 + 1))
-            .collect();
-        for id in ids {
-            b.respond_write(id);
-        }
-        let h = b.build();
-        let engine = Engine::new(&h, &0);
-        let sub = &engine.per_register()[0];
-        assert!(shard_ranges(sub, DEFAULT_SPLIT_THRESHOLD).is_none());
-        let ranges = shard_ranges(sub, 2).expect("six-op frontier splits at threshold 2");
-        assert!(ranges.len() >= 2);
-        assert_eq!(ranges[0].start, 0);
-        assert_eq!(ranges.last().unwrap().end, sub.ops.len() as u32);
-        for pair in ranges.windows(2) {
-            assert_eq!(pair[0].end, pair[1].start, "ranges must tile the scan");
-        }
     }
 
     #[test]

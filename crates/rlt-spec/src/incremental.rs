@@ -47,18 +47,16 @@
 //!   assignment, the whole session mirror is rebuilt.
 //! * **Geometry guards**: a frozen search is only resumed (or a frozen failure
 //!   reused) while the register's taken-bitset word count and
-//!   [`memo_size_class`](crate::engine) are unchanged and the grown subproblem still
-//!   has no shard split — otherwise the frozen memo table's layout no longer matches
-//!   what a from-scratch search would build, and the register is re-searched.
+//!   [`memo_size_class`](crate::engine) are unchanged — otherwise the frozen memo
+//!   table's layout no longer matches what a from-scratch search would build, and the
+//!   register is re-searched.
 //! * **Out-of-order events** (an append whose invocation, or a completion whose
 //!   response, is not after every event already recorded) are accepted but expensive:
 //!   the history is revalidated and the session mirror fully rebuilt.
 //!
 //! Per-register searches run with private full budgets; verdict time replays the
-//! engine's shared-budget accounting in register order and falls back to one full
-//! sequential re-check the moment the replay detects the shared budget would have
-//! run dry — the same replay that makes the parallel checker bit-identical to the
-//! sequential one.
+//! batch engine's shared-budget accounting in register order and falls back to one
+//! full re-check the moment the replay detects the shared budget would have run dry.
 //!
 //! # Live-monitor example
 //!
@@ -94,9 +92,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::checker::{order_to_seq, CheckStats, Verdict};
 use crate::engine::{
-    memo_size_class, merge_witness_orders, resume_witness, search_register, shard_ranges,
-    words_for, Engine, LocalOp, ScratchPool, SearchScratch, SearchStats, StateSketch, SubProblem,
-    WORD_BITS,
+    memo_size_class, merge_witness_orders, resume_witness, search_witness, words_for, Engine,
+    LocalOp, ScratchPool, SearchScratch, SearchStats, StateSketch, SubProblem, WORD_BITS,
 };
 use crate::history::History;
 use crate::ids::{OpId, RegisterId};
@@ -314,9 +311,9 @@ struct RegisterSession {
     members: Vec<u32>,
     sub: SubProblem,
     scratch: SearchScratch,
+    /// The last completed search. While it succeeded, `scratch` holds its live
+    /// frozen stack: every successful search is resumable.
     cached: Option<RegCache>,
-    /// `scratch` holds the live frozen stack of `cached`'s successful plain search.
-    resumable: bool,
     /// Geometry at the search that produced `cached`: taken-bitset words and memo
     /// size class (the frozen table's layout), plus the op/completed counts used to
     /// detect "nothing changed".
@@ -327,7 +324,7 @@ struct RegisterSession {
     /// Number of completed ops in the frozen order. Maintained across pending-write
     /// completions (a flip of an op the frozen search took increments it) so
     /// [`resume_witness`] re-enters in O(1) instead of recounting the order.
-    /// Meaningful only while `resumable` holds a successful frozen search.
+    /// Meaningful only while `cached` holds a successful search.
     frozen_taken_completed: usize,
     /// Local bitset of completed member ops — the preds row of a safely appended op.
     completed_mask: Vec<u64>,
@@ -351,7 +348,6 @@ impl RegisterSession {
             },
             scratch: SearchScratch::default(),
             cached: None,
-            resumable: false,
             freeze_words: 0,
             freeze_memo_class: 0,
             freeze_len: 0,
@@ -364,12 +360,17 @@ impl RegisterSession {
     }
 
     /// An empty session wrapping an existing arena (possibly warm from the pool);
-    /// `resumable: false` means the arena's frozen state is ignored until the first
-    /// fresh search reinitializes it.
+    /// with nothing cached, the arena's frozen state is ignored until the first fresh
+    /// search reinitializes it.
     fn with_scratch(scratch: SearchScratch) -> Self {
         let mut sess = Self::empty();
         sess.scratch = scratch;
         sess
+    }
+
+    /// Whether `scratch` holds the live frozen stack of a cached successful search.
+    fn resumable(&self) -> bool {
+        self.cached.as_ref().is_some_and(|c| c.order.is_some())
     }
 
     /// Recomputes the derived fields (`completed_mask`, `max_inv`, `max_resp`) from
@@ -407,7 +408,6 @@ pub struct IncrementalChecker<V> {
     init: V,
     state_budget: u64,
     witness: bool,
-    split_threshold: u32,
     history: History<V>,
     /// Largest event tick recorded so far (0 when empty).
     max_time: u64,
@@ -435,18 +435,12 @@ pub struct IncrementalChecker<V> {
 }
 
 impl<V: RegisterValue> IncrementalChecker<V> {
-    pub(crate) fn from_config(
-        init: V,
-        state_budget: u64,
-        witness: bool,
-        split_threshold: u32,
-    ) -> Self {
+    pub(crate) fn from_config(init: V, state_budget: u64, witness: bool) -> Self {
         let values = OwnedInterner::new(&init);
         IncrementalChecker {
             init,
             state_budget,
             witness,
-            split_threshold,
             history: History::new(),
             max_time: 0,
             filtered: Vec::new(),
@@ -730,7 +724,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
                 .expect("pending write is a member");
             sess.sub.ops[local].completed = true;
             sess.sub.completed += 1;
-            if sess.resumable && sess.scratch.frozen_taken(local) {
+            if sess.resumable() && sess.scratch.frozen_taken(local) {
                 // The frozen search had taken this write while pending; its flip
                 // raises the completed count of the frozen order.
                 sess.frozen_taken_completed += 1;
@@ -870,7 +864,6 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         sess.sub = SubProblem::new(&all, &sess.members, |_| 0, |v| values.get(v), 0, 1);
         sess.rederive(history, filtered);
         sess.cached = None;
-        sess.resumable = false;
     }
 
     /// Rebuilds the whole mirror — filtered list, interner, registers, subproblems —
@@ -932,7 +925,6 @@ impl<V: RegisterValue> IncrementalChecker<V> {
     /// private-budget search of its current subproblem, reusing or resuming the
     /// frozen search whenever the invalidation rule allows.
     fn ensure_register(&mut self, k: usize) {
-        let threshold = self.split_threshold;
         let limit = self.state_budget;
         let Self { regs, stats, .. } = self;
         let sess = &mut regs[k];
@@ -942,89 +934,64 @@ impl<V: RegisterValue> IncrementalChecker<V> {
                 stats.registers_reused += 1;
                 return;
             }
-            let compatible = words_for(n) == sess.freeze_words
-                && memo_size_class(n) == sess.freeze_memo_class
-                && shard_ranges(&sess.sub, threshold).is_none();
-            if compatible {
-                if cache.order.is_some() && sess.resumable {
-                    if sess.frozen_taken_completed == sess.sub.completed {
-                        // Every completed op is already taken in the frozen order:
-                        // only pending writes were appended and/or pending writes
-                        // the frozen search had taken completed in place. Neither
-                        // changes candidacy or memo keys, so a from-scratch search
-                        // replays the frozen trajectory verbatim and its success
-                        // test now passes at the very same configuration —
-                        // order, counters, and frozen stack are all unchanged.
-                        sess.freeze_len = n;
-                        sess.freeze_completed = sess.sub.completed;
-                        stats.registers_reused += 1;
-                        return;
-                    }
-                    let cache = sess.cached.take().expect("checked above");
-                    let frozen_states = cache.stats.states_explored;
-                    let mut search_stats = cache.stats;
-                    let mut budget = limit - frozen_states;
-                    let reused = sess.scratch.memo_entries();
-                    let order = resume_witness(
-                        &sess.sub,
-                        sess.frozen_taken_completed,
-                        &mut budget,
-                        &mut search_stats,
-                        &mut sess.scratch,
-                    );
-                    stats.registers_resumed += 1;
-                    stats.memo_entries_reused += reused;
-                    stats.memo_entries_rebuilt +=
-                        sess.scratch.memo_entries().saturating_sub(reused);
-                    stats.incremental_states +=
-                        search_stats.states_explored.saturating_sub(frozen_states);
-                    if search_stats.limit_hit {
-                        sess.resumable = false;
-                    } else {
-                        sess.resumable = order.is_some();
-                        sess.freeze_len = n;
-                        sess.freeze_completed = sess.sub.completed;
-                        // A successful search freezes at an all-completed-taken
-                        // configuration, so the frozen order's completed count is
-                        // exactly the subproblem's.
-                        sess.frozen_taken_completed = sess.sub.completed;
-                        sess.cached = Some(RegCache {
-                            order,
-                            stats: search_stats,
-                        });
-                    }
-                    return;
-                }
-                if cache.order.is_none() {
+            if words_for(n) == sess.freeze_words && memo_size_class(n) == sess.freeze_memo_class {
+                if cache.order.is_none() || sess.frozen_taken_completed == sess.sub.completed {
                     // A completed exhaustive failure never reached an all-completed
                     // configuration, so safely appended ops never unlock: the
                     // from-scratch trajectory — counters included — is unchanged.
+                    // Likewise a success whose frozen order already takes every
+                    // completed op: only pending writes were appended and/or pending
+                    // writes the frozen search had taken completed in place. Neither
+                    // changes candidacy or memo keys, so a from-scratch search
+                    // replays the frozen trajectory verbatim and its success test
+                    // now passes at the very same configuration — order, counters,
+                    // and frozen stack are all unchanged.
                     sess.freeze_len = n;
                     sess.freeze_completed = sess.sub.completed;
                     stats.registers_reused += 1;
                     return;
                 }
-                // A cached success without a resumable stack (sharded search):
-                // fall through to the full re-search.
+                let cache = sess.cached.take().expect("checked above");
+                let frozen_states = cache.stats.states_explored;
+                let mut search_stats = cache.stats;
+                let mut budget = limit - frozen_states;
+                let reused = sess.scratch.memo_entries();
+                let order = resume_witness(
+                    &sess.sub,
+                    sess.frozen_taken_completed,
+                    &mut budget,
+                    &mut search_stats,
+                    &mut sess.scratch,
+                );
+                stats.registers_resumed += 1;
+                stats.memo_entries_reused += reused;
+                stats.memo_entries_rebuilt += sess.scratch.memo_entries().saturating_sub(reused);
+                stats.incremental_states +=
+                    search_stats.states_explored.saturating_sub(frozen_states);
+                if !search_stats.limit_hit {
+                    sess.freeze_len = n;
+                    sess.freeze_completed = sess.sub.completed;
+                    // A successful search freezes at an all-completed-taken
+                    // configuration, so the frozen order's completed count is
+                    // exactly the subproblem's.
+                    sess.frozen_taken_completed = sess.sub.completed;
+                    sess.cached = Some(RegCache {
+                        order,
+                        stats: search_stats,
+                    });
+                }
+                return;
             }
         }
         let mut search_stats = SearchStats::default();
         let mut budget = limit;
-        let order = search_register(
-            &sess.sub,
-            threshold,
-            &mut budget,
-            &mut search_stats,
-            &mut sess.scratch,
-        );
+        let order = search_witness(&sess.sub, &mut budget, &mut search_stats, &mut sess.scratch);
         stats.registers_researched += 1;
         stats.incremental_states += search_stats.states_explored;
         stats.memo_entries_rebuilt += sess.scratch.memo_entries();
         if search_stats.limit_hit {
             sess.cached = None;
-            sess.resumable = false;
         } else {
-            sess.resumable = order.is_some() && shard_ranges(&sess.sub, threshold).is_none();
             sess.freeze_len = n;
             sess.freeze_completed = sess.sub.completed;
             sess.frozen_taken_completed = sess.sub.completed;
@@ -1092,10 +1059,9 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         for k in 0..self.regs.len() {
             self.ensure_register(k);
         }
-        // Replay the engine's sequential shared-budget accounting in register
-        // order — the same replay that makes the parallel checker bit-identical to
-        // the sequential one. The moment it detects the shared budget would have
-        // run dry, run one full sequential re-check instead of guessing.
+        // Replay the batch engine's shared-budget accounting in register order over
+        // the cached private-budget searches. The moment it detects the shared
+        // budget would have run dry, run one full re-check instead of guessing.
         let mut consumed = 0u64;
         let mut stats = SearchStats::default();
         let mut failed = false;
@@ -1193,14 +1159,13 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         }
     }
 
-    /// One full sequential re-check of the accumulated history — definitionally
-    /// bit-identical to the batch checker at every thread policy. The escape hatch
-    /// for budget-replay misses and limit-hit register searches.
+    /// One full re-check of the accumulated history through the batch engine —
+    /// definitionally bit-identical to `Checker::check`. The escape hatch for
+    /// budget-replay misses and limit-hit register searches.
     fn full_fallback(&mut self) -> IncrementalVerdict<V> {
         self.stats.full_fallbacks += 1;
-        let engine =
-            Engine::new(&self.history, &self.init).with_split_threshold(self.split_threshold);
-        let outcome = engine.check_sequential_with(self.state_budget, &self.pool);
+        let engine = Engine::new(&self.history, &self.init);
+        let outcome = engine.check_with(self.state_budget, &self.pool);
         self.stats.incremental_states += outcome.states_explored;
         let decision = if outcome.order.is_some() {
             Some(true)
@@ -1358,16 +1323,6 @@ mod tests {
             // exercising resume and mid-list read completions hard.
             let history = random_history(seed, 14, 1, 2);
             assert_equiv_at_every_prefix(&history, || Checker::builder(0i64));
-        }
-
-        #[test]
-        fn incremental_matches_batch_sharded_split(seed in 0u64..1_000_000) {
-            // A tiny split threshold forces the sharded per-register path in the
-            // batch engine; incremental must reproduce its counters too.
-            let history = random_history(seed, 12, 2, 3);
-            assert_equiv_at_every_prefix(&history, || {
-                Checker::builder(0i64).split_threshold(4)
-            });
         }
 
         #[test]

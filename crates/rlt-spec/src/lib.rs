@@ -10,11 +10,12 @@
 //!   [`sequential`].
 //! * The [`Checker`] session: a builder-configured linearizability checker (Definition
 //!   2) backed by the high-throughput search core in [`engine`] (value interning,
-//!   precedence bitsets, iterative DFS, per-register composition, fork-join
-//!   parallelism with bit-identical results at any thread width). A `Checker` is
-//!   reusable: it keeps search scratch warm across [`Checker::check`] calls and across
-//!   the histories of a [`Checker::check_many`] batch, and streams enumerations
-//!   lazily through the [`Linearizations`] iterator.
+//!   precedence bitsets, iterative DFS, per-register composition). Each check is one
+//!   search on the calling thread; [`Checker::check_many`] fans whole histories
+//!   across a fork-join pool with bit-identical results at any thread width. A
+//!   `Checker` is reusable: it keeps search scratch warm across [`Checker::check`]
+//!   calls and across the histories of a batch, and streams enumerations lazily
+//!   through the [`Linearizations`] iterator.
 //! * Prefix-property checkers for strong linearizability (Definition 3) and write
 //!   strong-linearizability (Definition 4) over linearization *strategies*
 //!   ([`strategy`]) and existential checks over explicit history families ([`strong`]),

@@ -70,7 +70,7 @@ impl<V> fmt::Display for FamilyReport<V> {
     }
 }
 
-impl<V: RegisterValue + Send + Sync> ExtensionFamily<V> {
+impl<V: RegisterValue> ExtensionFamily<V> {
     /// Creates a family after validating that every extension indeed has `base` as a
     /// prefix.
     ///
@@ -290,7 +290,7 @@ impl Mode {
 /// Convenience wrapper around [`ExtensionFamily::check_write_strong`]: returns `true`
 /// iff the family admits a write strong-linearization.
 #[must_use]
-pub fn admits_write_strong_linearization<V: RegisterValue + Send + Sync>(
+pub fn admits_write_strong_linearization<V: RegisterValue>(
     base: History<V>,
     extensions: Vec<History<V>>,
     init: V,

@@ -168,11 +168,8 @@ impl<V: RegisterValue> LinearizationStrategy<V> for SwmrCanonical<V> {
         } else {
             // Fall back to the general checker (any linearization will do for property
             // L); its write order still agrees with invocation order because writes of a
-            // SWMR register are totally ordered in real time. `check_local` rather than
-            // `check` keeps this strategy impl free of `Send + Sync` bounds.
-            Checker::new(self.init.clone())
-                .check_local(h)
-                .into_witness()
+            // SWMR register are totally ordered in real time.
+            Checker::new(self.init.clone()).check(h).into_witness()
         }
     }
 }

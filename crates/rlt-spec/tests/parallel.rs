@@ -1,20 +1,23 @@
-//! Parallel-determinism suite: the fork-join engine pinned to the sequential path,
-//! through the [`Checker`] session API.
+//! Parallel-determinism suite: `check_many` batches pinned to solo checks, through
+//! the [`Checker`] session API.
 //!
-//! The checker's contract is that thread policy is *unobservable* in results:
-//! verdicts, witnesses, statistics, enumeration output, and family reports must be
-//! bit-identical across [`ThreadPolicy::Sequential`], [`ThreadPolicy::Auto`] on pools
+//! Every check runs on the calling thread; the one place the checker forks is
+//! [`Checker::check_many`], which fans whole histories across a pool. The contract is
+//! that thread policy is *unobservable* in results: every batch entry — verdict,
+//! witness, and statistics — is bit-identical to a solo [`Checker::check`] of the
+//! same history under [`ThreadPolicy::Sequential`], [`ThreadPolicy::Auto`] on pools
 //! of any width, and [`ThreadPolicy::Fixed`] at any width. These tests diff the
-//! parallel paths against the sequential policy on the same seeded corpus the
-//! engine-vs-reference differential suite uses, plus dedicated corpora for the
-//! small-budget replay path and the multi-register enumeration product.
+//! batches against solo checks on the seeded corpus the engine-vs-reference
+//! differential suite uses, plus a tiny-budget corpus whose checks run dry
+//! mid-search, and pin that enumeration and family reports ignore pool width.
 
 mod common;
 
 use common::random_history;
 use rlt_spec::reference::reference_enumerate_linearizations;
 use rlt_spec::{
-    Checker, Engine, ExtensionFamily, HistoryBuilder, OpId, ProcessId, RegisterId, ThreadPolicy,
+    Checker, Engine, ExtensionFamily, History, HistoryBuilder, OpId, ProcessId, RegisterId,
+    ThreadPolicy,
 };
 
 fn pool(threads: usize) -> rayon::ThreadPool {
@@ -24,72 +27,73 @@ fn pool(threads: usize) -> rayon::ThreadPool {
         .expect("build pool")
 }
 
-fn checker(policy: ThreadPolicy) -> Checker<i64> {
+fn checker(policy: ThreadPolicy, budget: u64) -> Checker<i64> {
     Checker::builder(0i64)
-        .state_budget(u64::MAX)
+        .state_budget(budget)
         .threads(policy)
         .build()
 }
 
-#[test]
-fn verdicts_are_bit_identical_across_thread_policies() {
-    // The full 3,000-history differential corpus: every verdict field must match the
-    // sequential checker exactly, under Fixed(2), Fixed(4), and Auto inside a pool.
-    let histories: Vec<_> = (1..=3usize)
-        .flat_map(|registers| {
-            (0..1_000u64)
-                .map(move |seed| random_history(seed * 3 + registers as u64, 10, registers))
-        })
-        .collect();
-    let sequential_checker = checker(ThreadPolicy::Sequential);
-    let sequential: Vec<_> = histories
-        .iter()
-        .map(|h| sequential_checker.check(h))
-        .collect();
+/// Runs `histories` through `check_many` at state budget `budget` under every
+/// thread policy — `Sequential`, `Fixed(2)`, `Fixed(4)` and `Auto` inside 2- and
+/// 4-wide pools — and diffs each batch entry against a solo [`Checker::check`] of
+/// the same history.
+fn assert_batches_match_solo(histories: &[History<i64>], budget: u64) {
+    let solo_checker = checker(ThreadPolicy::Sequential, budget);
+    let solo: Vec<_> = histories.iter().map(|h| solo_checker.check(h)).collect();
+    let mut batches: Vec<_> = [
+        ThreadPolicy::Sequential,
+        ThreadPolicy::Fixed(2),
+        ThreadPolicy::Fixed(4),
+    ]
+    .into_iter()
+    .map(|policy| {
+        (
+            format!("{policy:?}"),
+            checker(policy, budget).check_many(histories),
+        )
+    })
+    .collect();
     for threads in [2usize, 4] {
-        let fixed = checker(ThreadPolicy::Fixed(threads));
-        let auto = checker(ThreadPolicy::Auto);
-        let installed = pool(threads);
-        for (i, h) in histories.iter().enumerate() {
+        let auto = checker(ThreadPolicy::Auto, budget);
+        batches.push((
+            format!("Auto in a {threads}-wide pool"),
+            pool(threads).install(|| auto.check_many(histories)),
+        ));
+    }
+    for (label, batch) in batches {
+        assert_eq!(batch.len(), solo.len(), "{label}: batch length");
+        for (i, (got, want)) in batch.iter().zip(&solo).enumerate() {
             assert_eq!(
-                fixed.check(h),
-                sequential[i],
-                "Fixed({threads}) diverged at history {i}: {h}"
-            );
-            assert_eq!(
-                installed.install(|| auto.check(h)),
-                sequential[i],
-                "Auto in a {threads}-wide pool diverged at history {i}: {h}"
+                got, want,
+                "{label}, budget {budget}: history {i} diverged: {}",
+                histories[i]
             );
         }
     }
 }
 
 #[test]
+fn verdicts_are_bit_identical_across_thread_policies() {
+    // The full 3,000-history differential corpus, one batch per policy.
+    let histories: Vec<_> = (1..=3usize)
+        .flat_map(|registers| {
+            (0..1_000u64)
+                .map(move |seed| random_history(seed * 3 + registers as u64, 10, registers))
+        })
+        .collect();
+    assert_batches_match_solo(&histories, u64::MAX);
+}
+
+#[test]
 fn tiny_state_budgets_replay_identically() {
-    // The budget-replay / sequential-fallback path: with budgets this small the
-    // parallel pass frequently detects that the sequential pass would have run dry
-    // mid-search and must reproduce its exact truncated statistics.
-    for threads in [2usize, 4] {
-        for seed in 0..300u64 {
-            let h = random_history(seed + 5_000, 12, 3);
-            for limit in [0u64, 1, 2, 5, 17, 64] {
-                let sequential = Checker::builder(0i64)
-                    .state_budget(limit)
-                    .threads(ThreadPolicy::Sequential)
-                    .build()
-                    .check(&h);
-                let parallel = Checker::builder(0i64)
-                    .state_budget(limit)
-                    .threads(ThreadPolicy::Fixed(threads))
-                    .build()
-                    .check(&h);
-                assert_eq!(
-                    parallel, sequential,
-                    "seed {seed} limit {limit} threads {threads}: {h}"
-                );
-            }
-        }
+    // With budgets this small most checks run dry mid-search: every batch entry must
+    // reproduce the solo check's truncated statistics and inconclusive verdict.
+    let histories: Vec<_> = (0..300u64)
+        .map(|seed| random_history(seed + 5_000, 12, 3))
+        .collect();
+    for budget in [0u64, 1, 2, 5, 17, 64] {
+        assert_batches_match_solo(&histories, budget);
     }
 }
 
@@ -98,7 +102,7 @@ fn batch_verdicts_match_individual_verdicts_at_any_width() {
     let histories: Vec<_> = (0..200u64)
         .map(|seed| random_history(seed * 11 + 1, 10, 3))
         .collect();
-    let solo_checker = checker(ThreadPolicy::Sequential);
+    let solo_checker = checker(ThreadPolicy::Sequential, u64::MAX);
     let solo: Vec<_> = histories.iter().map(|h| solo_checker.check(h)).collect();
     for policy in [
         ThreadPolicy::Sequential,
@@ -106,45 +110,8 @@ fn batch_verdicts_match_individual_verdicts_at_any_width() {
         ThreadPolicy::Fixed(2),
         ThreadPolicy::Fixed(4),
     ] {
-        let batch = checker(policy).check_many(&histories);
+        let batch = checker(policy, u64::MAX).check_many(&histories);
         assert_eq!(batch, solo, "batch diverged under {policy:?}");
-    }
-}
-
-#[test]
-fn within_register_sharding_is_bit_identical_across_thread_counts() {
-    // The within-register subtree split on single-register histories: at a low split
-    // threshold most of this corpus shards, and the speculative parallel path must
-    // replay to the exact sequential outcome — verdict, witness, state counters, and
-    // memo stats — at widths 1, 2, and 4 (width 1 covers the RLT_THREADS=1 CI job's
-    // sequential collapse of the same code path).
-    let histories: Vec<_> = (0..300u64)
-        .map(|seed| random_history(seed * 7 + 11, 12, 1))
-        .collect();
-    for budget in [u64::MAX, 64] {
-        let sequential_checker = Checker::builder(0i64)
-            .state_budget(budget)
-            .threads(ThreadPolicy::Sequential)
-            .split_threshold(2)
-            .build();
-        let sequential: Vec<_> = histories
-            .iter()
-            .map(|h| sequential_checker.check(h))
-            .collect();
-        for threads in [1usize, 2, 4] {
-            let fixed = Checker::builder(0i64)
-                .state_budget(budget)
-                .threads(ThreadPolicy::Fixed(threads))
-                .split_threshold(2)
-                .build();
-            for (i, h) in histories.iter().enumerate() {
-                assert_eq!(
-                    fixed.check(h),
-                    sequential[i],
-                    "split search diverged: threads={threads} budget={budget} history {i}: {h}"
-                );
-            }
-        }
     }
 }
 

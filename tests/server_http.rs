@@ -1,14 +1,14 @@
 //! Integration tests for the HTTP checking service: failure paths (line-numbered
 //! 400s, load-shedding 429s, 404s), graceful shutdown draining, and the
 //! differential pin — every verdict served over HTTP is byte-identical to the
-//! direct library call under every thread policy.
+//! direct library call.
 
 use httpd::Client;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlt_core::server::{serve, AppConfig, ServerHandle};
 use rlt_core::spec::wire::{format_history, parse_history, verdict_to_json};
-use rlt_core::spec::{History, HistoryBuilder, OpId, ProcessId, RegisterId, ThreadPolicy, Value};
+use rlt_core::spec::{History, HistoryBuilder, OpId, ProcessId, RegisterId, Value};
 
 /// A random well-formed `History<Value>` with a pending tail (same shape as the
 /// wire-codec property corpus).
@@ -200,38 +200,19 @@ fn shutdown_drains_in_flight_checks() {
 }
 
 /// The differential pin: the verdict served over HTTP is byte-identical to the
-/// direct `Checker::check` call with the server's own knobs, at every thread
-/// policy — and identical across policies.
+/// direct `Checker::check` call with the server's own knobs.
 #[test]
 fn served_verdicts_match_library_at_every_thread_policy() {
-    let bodies: Vec<String> = (0..12)
-        .map(|seed| format_history(&random_history(seed, 20)))
-        .collect();
-    let mut per_policy: Vec<Vec<String>> = Vec::new();
-    for threads in [
-        ThreadPolicy::Sequential,
-        ThreadPolicy::Auto,
-        ThreadPolicy::Fixed(2),
-    ] {
-        let config = AppConfig {
-            threads,
-            ..AppConfig::default()
-        };
-        let (handle, mut client) = server(config);
-        let direct = handle.service().build_checker();
-        let mut served = Vec::new();
-        for body in &bodies {
-            let resp = client.post("/check", body).expect("POST /check");
-            assert_eq!(resp.status, 200, "{}", resp.body);
-            let expected = verdict_to_json(&direct.check(&parse_history(body).expect("parses")));
-            assert_eq!(resp.body, expected, "policy {threads:?}");
-            served.push(resp.body);
-        }
-        per_policy.push(served);
-        handle.shutdown();
+    let (handle, mut client) = server(AppConfig::default());
+    let direct = handle.service().build_checker();
+    for seed in 0..12 {
+        let body = format_history(&random_history(seed, 20));
+        let resp = client.post("/check", &body).expect("POST /check");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let expected = verdict_to_json(&direct.check(&parse_history(&body).expect("parses")));
+        assert_eq!(resp.body, expected, "seed {seed}");
     }
-    assert_eq!(per_policy[0], per_policy[1], "Sequential vs Auto");
-    assert_eq!(per_policy[0], per_policy[2], "Sequential vs Fixed(2)");
+    handle.shutdown();
 }
 
 /// The monitoring-session pin: after every event chunk, the served verdict is
