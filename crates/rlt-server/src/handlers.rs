@@ -23,21 +23,8 @@
 
 use crate::service::{CheckService, ServiceError};
 use httpd::{Request, Response};
-
-/// JSON-escapes an error message (they can contain backticks and quotes).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use rlt_spec::wire::json_escape;
+use std::sync::atomic::Ordering;
 
 fn error_response(err: &ServiceError) -> Response {
     Response::json(
@@ -66,13 +53,11 @@ fn query_param<'q>(query: Option<&'q str>, name: &str) -> Option<&'q str> {
 /// happens in the service layer.
 #[must_use]
 pub fn route(service: &CheckService, req: &Request) -> Response {
-    let body = match req.body_str() {
-        Some(b) => b,
-        None => {
-            return error_response(&ServiceError::Parse(
-                "request body is not valid UTF-8".to_string(),
-            ))
-        }
+    let Some(body) = req.body_str() else {
+        service.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
+        return error_response(&ServiceError::Parse(
+            "request body is not valid UTF-8".to_string(),
+        ));
     };
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
@@ -108,7 +93,7 @@ pub fn route(service: &CheckService, req: &Request) -> Response {
         },
         ("DELETE", ["sessions", id]) => match parse_id(id) {
             Some(id) => match service.delete_session(id) {
-                Ok(()) => Response::json(204, "{}"),
+                Ok(()) => Response::json(204, ""),
                 Err(e) => error_response(&e),
             },
             None => bad_session_id(service, id),
@@ -128,10 +113,7 @@ pub fn route(service: &CheckService, req: &Request) -> Response {
             Response::json(405, "{\"error\":\"method not allowed\"}")
         }
         _ => {
-            service
-                .metrics
-                .not_found
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            service.metrics.not_found.fetch_add(1, Ordering::Relaxed);
             error_response(&ServiceError::NotFound(format!(
                 "no such resource `{}`",
                 req.path
@@ -145,9 +127,27 @@ fn parse_id(raw: &str) -> Option<u64> {
 }
 
 fn bad_session_id(service: &CheckService, raw: &str) -> Response {
-    service
-        .metrics
-        .not_found
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    service.metrics.not_found.fetch_add(1, Ordering::Relaxed);
     error_response(&ServiceError::NotFound(format!("bad session id `{raw}`")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::AppConfig;
+
+    #[test]
+    fn non_utf8_body_is_a_counted_400() {
+        let service = CheckService::new(AppConfig::default());
+        let req = Request {
+            method: "POST".to_string(),
+            path: "/check".to_string(),
+            query: None,
+            headers: Vec::new(),
+            body: b"\xff".to_vec(),
+        };
+        let resp = route(&service, &req);
+        assert_eq!(resp.status, 400);
+        assert_eq!(service.metrics.parse_errors.load(Ordering::SeqCst), 1);
+    }
 }

@@ -7,6 +7,14 @@
 //! state-budget guard that sheds load, and the instance [`Metrics`]. Handlers
 //! translate HTTP to calls on this type; nothing here knows about HTTP.
 //!
+//! `/check` is cache-first: [`CheckService::check_text`] looks the body up
+//! before parsing it, so a repeated body costs one hash and one compare of its
+//! bytes. Skipping the parse cannot change a response or a counter: only bodies
+//! that parsed and passed `max_ops` are ever cached, and the [`AppConfig`] those
+//! rules read never changes after start-up, so a cached body would parse to the
+//! same history and the same verdict again. A malformed or oversized body is
+//! never cached, so every repeat of it is parsed, rejected and counted.
+//!
 //! Every verdict leaving this layer is produced by the same library calls a
 //! direct consumer would make ([`Checker::check`] / [`IncrementalChecker`]
 //! verdicts under the [`AppConfig`] knobs), so server responses are
@@ -16,7 +24,7 @@
 use crate::config::AppConfig;
 use crate::metrics::Metrics;
 use parking_lot::Mutex;
-use rlt_spec::wire::{format_history, parse_history, verdict_to_json, WireError};
+use rlt_spec::wire::{format_history, json_escape, parse_history, verdict_to_json, WireError};
 use rlt_spec::{Checker, History, IncrementalChecker, OpKind, Operation, StateSketch, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,12 +65,11 @@ impl ServiceError {
     }
 }
 
-/// One interned verdict: the exact body it answered, the response it produced,
-/// and the check's sketch (re-merged into the instance sketch on every hit,
-/// which the idempotent HLL merge makes free of double-count risk).
+/// One interned verdict: the response it produced and the check's sketch
+/// (re-merged into the instance sketch on every hit, which the idempotent HLL
+/// merge makes free of double-count risk). The cache keys it by the body.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    body: String,
     json: String,
     decision: Option<bool>,
     sketch: StateSketch,
@@ -106,19 +113,10 @@ pub struct CheckService {
     checkers: Mutex<Vec<Checker<Value>>>,
     sessions: Mutex<HashMap<u64, SessionEntry>>,
     next_session: AtomicU64,
-    cache: Mutex<HashMap<u64, CacheEntry>>,
+    /// Interned verdicts keyed by the exact request body. The std hasher is
+    /// seeded per process, so clients cannot craft bodies that collide.
+    cache: Mutex<HashMap<Box<str>, CacheEntry>>,
     in_flight_cost: AtomicU64,
-}
-
-/// Multiplicative byte hash for cache keys (FxHash-style); collisions are
-/// resolved by comparing the stored body, so the hash only has to spread.
-fn fx_hash_bytes(bytes: &[u8]) -> u64 {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    let mut h = 0u64;
-    for &b in bytes {
-        h = (h.rotate_left(5) ^ u64::from(b)).wrapping_mul(SEED);
-    }
-    h
 }
 
 impl CheckService {
@@ -235,25 +233,25 @@ impl CheckService {
     }
 
     /// `POST /check`: wire-text history in, verdict JSON out.
+    ///
+    /// Cache first (see the module docs): an interned body is answered before
+    /// it is parsed and counted exactly like a parsed hit; any other body is
+    /// parsed, admitted, counted as a miss, checked, rendered and interned.
     pub fn check_text(&self, body: &str) -> Result<String, ServiceError> {
-        let history = self.parse_body(body)?;
-        self.metrics.check_requests.fetch_add(1, Ordering::Relaxed);
-        // Interned verdicts: a repeated body skips the search entirely.
-        let key = fx_hash_bytes(body.as_bytes());
         if self.config.cache_capacity > 0 {
             let cache = self.cache.lock();
-            if let Some(entry) = cache.get(&key) {
-                if entry.body == body {
-                    let (json, decision, sketch) =
-                        (entry.json.clone(), entry.decision, entry.sketch);
-                    drop(cache);
-                    self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.count_decision(decision);
-                    self.metrics.observe_sketch(&sketch);
-                    return Ok(json);
-                }
+            if let Some(entry) = cache.get(body) {
+                let (json, decision, sketch) = (entry.json.clone(), entry.decision, entry.sketch);
+                drop(cache);
+                self.metrics.check_requests.fetch_add(1, Ordering::Relaxed);
+                self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+                self.metrics.count_decision(decision);
+                self.metrics.observe_sketch(&sketch);
+                return Ok(json);
             }
         }
+        let history = self.parse_body(body)?;
+        self.metrics.check_requests.fetch_add(1, Ordering::Relaxed);
         self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
         let _budget = self.reserve(self.config.state_budget)?;
         let checker = self.acquire_checker();
@@ -269,9 +267,8 @@ impl CheckService {
                 cache.clear();
             }
             cache.insert(
-                key,
+                body.into(),
                 CacheEntry {
-                    body: body.to_string(),
                     json: json.clone(),
                     decision,
                     sketch,
@@ -439,7 +436,7 @@ impl CheckService {
                 diag.line,
                 diag.severity,
                 diag.code,
-                crate::handlers::json_escape(&diag.message)
+                json_escape(&diag.message)
             ));
         }
         json.push_str("]}");

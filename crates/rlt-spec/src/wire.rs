@@ -204,8 +204,11 @@ pub fn parse_history(text: &str) -> Result<History<Value>, WireError> {
     Ok(History::from_operations(ops))
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for embedding between the quotes of a JSON string literal:
+/// short escapes for `"`, `\`, `\n`, `\r` and `\t`, `\u00XX` for every other
+/// control character below U+0020, everything else unchanged.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -1,7 +1,7 @@
 //! Integration tests for the HTTP checking service: failure paths (line-numbered
-//! 400s, load-shedding 429s, 404s), graceful shutdown draining, and the
-//! differential pin — every verdict served over HTTP is byte-identical to the
-//! direct library call.
+//! 400s, load-shedding 429s, 404s), graceful shutdown draining, response
+//! framing, and the differential pin — every verdict served over HTTP, cached or
+//! not, is byte-identical to the direct library call.
 
 use httpd::Client;
 use rand::rngs::StdRng;
@@ -9,6 +9,9 @@ use rand::{Rng, SeedableRng};
 use rlt_core::server::{serve, AppConfig, ServerHandle};
 use rlt_core::spec::wire::{format_history, parse_history, verdict_to_json};
 use rlt_core::spec::{History, HistoryBuilder, OpId, ProcessId, RegisterId, Value};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A random well-formed `History<Value>` with a pending tail (same shape as the
 /// wire-codec property corpus).
@@ -41,6 +44,15 @@ fn random_history(seed: u64, max_ops: usize) -> History<Value> {
         }
     }
     b.build()
+}
+
+/// The session id in a `POST /sessions` response body.
+fn session_id(body: &str) -> u64 {
+    body.trim_start_matches("{\"session\":")
+        .split(',')
+        .next()
+        .and_then(|s| s.parse().ok())
+        .expect("session id")
 }
 
 fn server(config: AppConfig) -> (ServerHandle, Client) {
@@ -154,13 +166,7 @@ fn unknown_sessions_and_routes_get_404_wrong_methods_405() {
     // A deleted session is gone — its id is not reused.
     let created = client.post("/sessions", "").expect("POST /sessions");
     assert_eq!(created.status, 201);
-    let id: u64 = created
-        .body
-        .trim_start_matches("{\"session\":")
-        .split(',')
-        .next()
-        .and_then(|s| s.parse().ok())
-        .expect("session id");
+    let id = session_id(&created.body);
     assert_eq!(
         client
             .delete(&format!("/sessions/{id}"))
@@ -215,6 +221,88 @@ fn served_verdicts_match_library_at_every_thread_policy() {
     handle.shutdown();
 }
 
+/// The interning cache's hit path over HTTP. With room for 4 verdicts, 12
+/// bodies sent in groups of 3, each group 3 times, hit, miss and clear the
+/// cache; every 200 still equals the library's verdict. Malformed and
+/// oversized bodies are never cached: every repeat is rejected and counted.
+#[test]
+fn cached_verdicts_match_library_and_bad_bodies_are_never_cached() {
+    let config = AppConfig {
+        cache_capacity: 4,
+        max_ops: 20,
+        ..AppConfig::default()
+    };
+    let (handle, mut client) = server(config);
+    let metrics = &handle.service().metrics;
+    let count = |counter: &AtomicU64| counter.load(Ordering::SeqCst);
+    let direct = handle.service().build_checker();
+    let bodies: Vec<String> = (0..12)
+        .map(|seed| format_history(&random_history(seed, 20)))
+        .collect();
+    let malformed = "op0 p0 R0 write 1 @ t2..t1\n";
+    let oversized: String = (0..21u64)
+        .map(|i| format!("op{i} p0 R0 write {i} @ t{}..t{}\n", 2 * i + 1, 2 * i + 2))
+        .collect();
+    let rejects = [
+        (malformed, 400, &metrics.parse_errors),
+        (oversized.as_str(), 429, &metrics.rejected_oversize),
+    ];
+    for (g, group) in bodies.chunks(3).enumerate() {
+        for _ in 0..3 {
+            for body in group {
+                let resp = client.post("/check", body).expect("POST /check");
+                assert_eq!(resp.status, 200, "{}", resp.body);
+                let expected =
+                    verdict_to_json(&direct.check(&parse_history(body).expect("parses")));
+                assert_eq!(resp.body, expected, "group {g}");
+            }
+            if g == 1 {
+                for &(body, status, counter) in &rejects {
+                    let before = count(counter);
+                    let resp = client.post("/check", body).expect("POST /check");
+                    assert_eq!(resp.status, status, "{}", resp.body);
+                    assert_eq!(count(counter), before + 1, "every repeat is counted");
+                }
+            }
+        }
+    }
+    let (hits, misses) = (count(&metrics.cache_hits), count(&metrics.cache_misses));
+    assert_eq!(count(&metrics.check_requests), hits + misses);
+    assert!(hits > 0, "repeats hit the cache");
+    assert!(misses > 12, "clear-on-full re-misses: {misses}");
+    assert_eq!(count(&metrics.parse_errors), 3);
+    assert_eq!(count(&metrics.rejected_oversize), 3);
+    handle.shutdown();
+}
+
+/// A `204` ends at its blank line: on a kept-alive connection, the response to
+/// a request pipelined behind `DELETE` starts right after the 204 head.
+#[test]
+fn no_content_reply_has_no_body() {
+    let (handle, mut client) = server(AppConfig::default());
+    let created = client.post("/sessions", "").expect("POST /sessions");
+    let id = session_id(&created.body);
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .write_all(
+            format!(
+                "DELETE /sessions/{id} HTTP/1.1\r\nHost: rlt\r\n\r\n\
+                 GET /health HTTP/1.1\r\nHost: rlt\r\nConnection: close\r\n\r\n"
+            )
+            .as_bytes(),
+        )
+        .expect("write both requests");
+    let mut out = String::new();
+    stream
+        .read_to_string(&mut out)
+        .expect("read both responses");
+    let (head, rest) = out.split_once("\r\n\r\n").expect("a response head");
+    assert!(head.starts_with("HTTP/1.1 204"), "{out}");
+    assert!(!head.contains("Content-Length"), "{out}");
+    assert!(rest.starts_with("HTTP/1.1 200"), "{out}");
+    handle.shutdown();
+}
+
 /// The monitoring-session pin: after every event chunk, the served verdict is
 /// byte-identical to a direct `IncrementalChecker` fed the same prefix, and the
 /// served history echoes the session's operation stream.
@@ -225,13 +313,7 @@ fn session_verdicts_match_direct_incremental_checker() {
     let ops = history.operations();
     let created = client.post("/sessions", "").expect("POST /sessions");
     assert_eq!(created.status, 201);
-    let id: u64 = created
-        .body
-        .trim_start_matches("{\"session\":")
-        .split(',')
-        .next()
-        .and_then(|s| s.parse().ok())
-        .expect("session id");
+    let id = session_id(&created.body);
 
     let mut direct = handle.service().build_checker().incremental();
     for chunk in ops.chunks(5) {
