@@ -53,8 +53,8 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 
 /// Recomputation runs under [`ThreadPolicy::Auto`] deliberately: the counters are
 /// defined to be identical at any pool width, so running the guard under different
-/// `RLT_THREADS` (as CI does) sends the `check_many` batches through the fork-join
-/// pool too.
+/// `RLT_THREADS` (as CI does) spreads the `check_many` batches over scoped threads
+/// too.
 fn ambient_checker() -> Checker<i64> {
     Checker::builder(0i64).threads(ThreadPolicy::Auto).build()
 }

@@ -16,12 +16,14 @@
 //!   counts ([`shape_digests`]).
 //!
 //! Everything is deterministic per seed. Each mutant is a pure function of
-//! `(fuzzer seed, generation, parent, mutant index)`; generations fan out across
-//! the fork-join pool with [`rayon::par_map`] (results come back in task order)
-//! and merge at the generation barrier sequentially, so the corpus, coverage, and
-//! trophy set are bit-identical at any `RLT_THREADS`. Budgets degrade gracefully:
-//! the delivery budget is an [`rlt_sim::Budget`] charged in merge order, and a dry
-//! budget yields a censored [`FuzzReport`] — never a hang.
+//! `(fuzzer seed, generation, parent, mutant index)`, and the whole loop runs on
+//! the calling thread: a generation breeds its mutants, gates them on their triage
+//! keys, replays the survivors, and merges the outcomes, each phase in task order,
+//! so the corpus, coverage, and trophy set are bit-identical at any `RLT_THREADS`.
+//! (Spreading a generation's phases over two threads was measured no faster than
+//! one thread on a 2-CPU host, so the fuzzer never forks.) Budgets degrade
+//! gracefully: the delivery budget is an [`rlt_sim::Budget`] charged in merge
+//! order, and a dry budget yields a censored [`FuzzReport`] — never a hang.
 //!
 //! Every non-linearizable trophy is ddmin-minimized through [`crate::minimize`]
 //! and re-verified by two bit-identical replays before it is reported.
@@ -140,8 +142,8 @@ pub enum TriagePolicy {
 }
 
 /// A fuzzing target: how to build a fresh cluster, judge a replay, and shrink a
-/// trophy. `Sync` because inspections run concurrently across the pool.
-pub trait FuzzTarget: Sync {
+/// trophy. [`fuzz`] calls it only from the thread that runs the fuzzer.
+pub trait FuzzTarget {
     /// Cluster type the schedules replay on.
     type Cluster: MessageCluster;
     /// Display name (report and bench rows).
@@ -199,7 +201,7 @@ impl<F> LinearizabilityTarget<F> {
 impl<C, F> FuzzTarget for LinearizabilityTarget<F>
 where
     C: MessageCluster,
-    F: Fn() -> C + Sync,
+    F: Fn() -> C,
 {
     type Cluster = C;
 
@@ -289,7 +291,7 @@ impl<F> StrongFamilyTarget<F> {
 impl<C, F> StrongFamilyTarget<F>
 where
     C: MessageCluster,
-    F: Fn() -> C + Sync,
+    F: Fn() -> C,
 {
     /// Step index cutting off the last `tail` deliveries, if the schedule has
     /// enough of them to form a non-degenerate family.
@@ -363,7 +365,7 @@ where
 impl<C, F> FuzzTarget for StrongFamilyTarget<F>
 where
     C: MessageCluster,
-    F: Fn() -> C + Sync,
+    F: Fn() -> C,
 {
     type Cluster = C;
 
@@ -1007,15 +1009,16 @@ pub fn fuzz<T: FuzzTarget>(target: &T, seeds: &[Schedule], config: &FuzzConfig) 
 
     // Generation 0: replay the seed corpus itself (triaged like any mutant, so
     // duplicate seed recordings are rejected up front).
-    let seed_keys = rayon::par_map(&seeds.iter().collect::<Vec<_>>(), |s| {
-        triage_key(s, &policy)
-    });
+    let seed_keys: Vec<_> = seeds.iter().map(|s| triage_key(s, &policy)).collect();
     let survivors: Vec<Schedule> = seeds
         .iter()
         .zip(seed_keys)
         .filter_map(|(s, key)| gate(s.clone(), key, &mut report, &mut seen_keys))
         .collect();
-    let seed_outcomes = rayon::par_map(&survivors, |s| run_schedule(target, s.clone()));
+    let seed_outcomes: Vec<_> = survivors
+        .into_iter()
+        .map(|s| run_schedule(target, s))
+        .collect();
     for outcome in seed_outcomes {
         if !absorb(
             outcome,
@@ -1057,29 +1060,33 @@ pub fn fuzz<T: FuzzTarget>(target: &T, seeds: &[Schedule], config: &FuzzConfig) 
                 })
             })
             .collect();
-        // Phase 1 (parallel, pure): breed each mutant and compute its triage
-        // key. Phase 2 (sequential, task order): the gate rejects mutants whose
-        // key matched an earlier schedule — they are never replayed or charged.
-        // Phase 3 (parallel): replay the survivors. Phase 4 (sequential, task
-        // order): absorb, exactly as before.
-        let bred = rayon::par_map(&tasks, |&(pid, donor, task_seed)| {
-            let mut rng = StdRng::seed_from_u64(task_seed);
-            let mutant = mutate_schedule(
-                &corpus[pid].schedule,
-                &corpus[donor].schedule,
-                config.max_steps,
-                &mut rng,
-            );
-            let key = triage_key(&mutant, &policy);
-            (mutant, key)
-        });
+        // Phase 1 (pure): breed each mutant and compute its triage key. Phase 2:
+        // the gate rejects mutants whose key matched an earlier schedule — they
+        // are never replayed or charged. Phase 3: replay the survivors. Phase 4:
+        // absorb. Each phase runs in task order, and breeding reads the corpus as
+        // it stood before the generation's merge.
+        let bred: Vec<_> = tasks
+            .iter()
+            .map(|&(pid, donor, task_seed)| {
+                let mut rng = StdRng::seed_from_u64(task_seed);
+                let mutant = mutate_schedule(
+                    &corpus[pid].schedule,
+                    &corpus[donor].schedule,
+                    config.max_steps,
+                    &mut rng,
+                );
+                let key = triage_key(&mutant, &policy);
+                (mutant, key)
+            })
+            .collect();
         let survivors: Vec<Option<Schedule>> = bred
             .into_iter()
             .map(|(mutant, key)| gate(mutant, key, &mut report, &mut seen_keys))
             .collect();
-        let outcomes = rayon::par_map(&survivors, |slot| {
-            slot.as_ref().map(|s| run_schedule(target, s.clone()))
-        });
+        let outcomes: Vec<_> = survivors
+            .into_iter()
+            .map(|slot| slot.map(|s| run_schedule(target, s)))
+            .collect();
         for (ti, outcome) in outcomes.into_iter().enumerate() {
             let Some(outcome) = outcome else { continue };
             let parent = tasks[ti].0;

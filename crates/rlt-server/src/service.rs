@@ -444,7 +444,8 @@ impl CheckService {
     }
 
     /// `POST /sessions`: creates a monitoring session, optionally seeded with an
-    /// initial wire-text history. Returns `(session id, ops applied)`.
+    /// initial wire-text history. Returns `(session id, ops applied)`. The seed's
+    /// events count towards `session_events` only once the session exists.
     pub fn create_session(&self, initial: &str) -> Result<(u64, usize), ServiceError> {
         let mut entry = SessionEntry {
             target: Vec::new(),
@@ -455,8 +456,11 @@ impl CheckService {
         let applied = if initial.trim().is_empty() {
             0
         } else {
-            self.apply_events(&mut entry, initial)?
+            let (applied, seeded) = self.apply_events(&mut entry, initial);
+            seeded?;
+            applied
         };
+        let ops = entry.target.len();
         // The limit is checked under the lock that inserts, so concurrent creates
         // can never both pass it.
         let mut sessions = self.sessions.lock();
@@ -475,111 +479,137 @@ impl CheckService {
         self.metrics
             .sessions_created
             .fetch_add(1, Ordering::Relaxed);
-        Ok((id, applied))
+        self.metrics
+            .session_events
+            .fetch_add(applied, Ordering::Relaxed);
+        Ok((id, ops))
     }
 
     /// `POST /sessions/{id}/events`: applies wire-text events (new operations
     /// and completions of pending ones) to a session. Returns the session's
-    /// total operation count.
+    /// total operation count. On error the events before the offending one stay
+    /// applied, synced and counted.
     pub fn session_events(&self, id: u64, body: &str) -> Result<usize, ServiceError> {
         let mut sessions = self.sessions.lock();
         let entry = sessions.get_mut(&id).ok_or_else(|| {
             self.metrics.not_found.fetch_add(1, Ordering::Relaxed);
             ServiceError::NotFound(format!("no session {id}"))
         })?;
-        self.apply_events(entry, body)?;
-        Ok(entry.target.len())
+        let (applied, result) = self.apply_events(entry, body);
+        self.metrics
+            .session_events
+            .fetch_add(applied, Ordering::Relaxed);
+        result.map(|()| entry.target.len())
     }
 
     /// Parses one events body and merges it into the session's target list,
     /// validating everything that would otherwise panic the engine (duplicate
     /// ids, reused event times, contradictory completions), then syncs the
     /// incremental session. Events apply in order; on error the already-applied
-    /// prefix stays (the error names the offending op).
-    fn apply_events(&self, entry: &mut SessionEntry, body: &str) -> Result<usize, ServiceError> {
-        let parsed = parse_history(body).map_err(|e| {
-            self.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-            ServiceError::Parse(e.to_string())
-        })?;
+    /// prefix stays (the error names the offending op) and is synced too.
+    /// Returns the number of events applied, for the caller to count, beside
+    /// the outcome.
+    fn apply_events(
+        &self,
+        entry: &mut SessionEntry,
+        body: &str,
+    ) -> (u64, Result<(), ServiceError>) {
+        let parsed = match parse_history(body) {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                self.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
+                return (0, Err(ServiceError::Parse(e.to_string())));
+            }
+        };
         let ops = parsed.operations();
         if entry.target.len() + ops.len() > self.config.max_ops {
             self.metrics
                 .rejected_oversize
                 .fetch_add(1, Ordering::Relaxed);
-            return Err(ServiceError::Oversize(format!(
-                "session would grow to {} operations, limit is {}",
-                entry.target.len() + ops.len(),
-                self.config.max_ops
-            )));
+            return (
+                0,
+                Err(ServiceError::Oversize(format!(
+                    "session would grow to {} operations, limit is {}",
+                    entry.target.len() + ops.len(),
+                    self.config.max_ops
+                ))),
+            );
         }
         let mut applied = 0u64;
-        for op in ops {
-            let parse_err = |m: String| {
-                self.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-                ServiceError::Parse(m)
+        let result = ops.iter().try_for_each(|op| {
+            applied += u64::from(self.merge_event(entry, op)?);
+            Ok(())
+        });
+        entry.inc.sync_with_ops(&entry.target);
+        (applied, result)
+    }
+
+    /// Merges one event into the session's target list. `Ok(false)` is an
+    /// idempotent repeat of an event already recorded.
+    fn merge_event(
+        &self,
+        entry: &mut SessionEntry,
+        op: &Operation<Value>,
+    ) -> Result<bool, ServiceError> {
+        let parse_err = |m: String| {
+            self.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
+            ServiceError::Parse(m)
+        };
+        if let Some(&i) = entry.ids.get(&op.id.0) {
+            let existing = &entry.target[i];
+            if existing == op {
+                return Ok(false);
+            }
+            let Some(resp) = op.responded_at else {
+                return Err(parse_err(format!(
+                    "op{} disagrees with its already-recorded invocation",
+                    op.id.0
+                )));
             };
-            if let Some(&i) = entry.ids.get(&op.id.0) {
-                let existing = &entry.target[i];
-                if existing == op {
-                    continue; // idempotent repeat
-                }
-                let Some(resp) = op.responded_at else {
-                    return Err(parse_err(format!(
-                        "op{} disagrees with its already-recorded invocation",
-                        op.id.0
-                    )));
+            if existing.responded_at.is_some() {
+                return Err(parse_err(format!("op{} is already completed", op.id.0)));
+            }
+            let agrees = existing.process == op.process
+                && existing.register == op.register
+                && existing.invoked_at == op.invoked_at
+                && match (&existing.kind, &op.kind) {
+                    (OpKind::Write(a), OpKind::Write(b)) => a == b,
+                    (OpKind::Read(_), OpKind::Read(_)) => true,
+                    _ => false,
                 };
-                if existing.responded_at.is_some() {
-                    return Err(parse_err(format!("op{} is already completed", op.id.0)));
-                }
-                let agrees = existing.process == op.process
-                    && existing.register == op.register
-                    && existing.invoked_at == op.invoked_at
-                    && match (&existing.kind, &op.kind) {
-                        (OpKind::Write(a), OpKind::Write(b)) => a == b,
-                        (OpKind::Read(_), OpKind::Read(_)) => true,
-                        _ => false,
-                    };
-                if !agrees {
-                    return Err(parse_err(format!(
-                        "completion of op{} contradicts its pending invocation",
-                        op.id.0
-                    )));
-                }
+            if !agrees {
+                return Err(parse_err(format!(
+                    "completion of op{} contradicts its pending invocation",
+                    op.id.0
+                )));
+            }
+            if !entry.times.insert(resp.0) {
+                return Err(parse_err(format!(
+                    "response time t{} of op{} is already used",
+                    resp.0, op.id.0
+                )));
+            }
+            entry.target[i] = op.clone();
+        } else {
+            if !entry.times.insert(op.invoked_at.0) {
+                return Err(parse_err(format!(
+                    "invocation time t{} of op{} is already used",
+                    op.invoked_at.0, op.id.0
+                )));
+            }
+            if let Some(resp) = op.responded_at {
                 if !entry.times.insert(resp.0) {
+                    entry.times.remove(&op.invoked_at.0);
                     return Err(parse_err(format!(
                         "response time t{} of op{} is already used",
                         resp.0, op.id.0
                     )));
                 }
-                entry.target[i] = op.clone();
-                applied += 1;
-            } else {
-                if !entry.times.insert(op.invoked_at.0) {
-                    return Err(parse_err(format!(
-                        "invocation time t{} of op{} is already used",
-                        op.invoked_at.0, op.id.0
-                    )));
-                }
-                if let Some(resp) = op.responded_at {
-                    if !entry.times.insert(resp.0) {
-                        entry.times.remove(&op.invoked_at.0);
-                        return Err(parse_err(format!(
-                            "response time t{} of op{} is already used",
-                            resp.0, op.id.0
-                        )));
-                    }
-                }
-                entry.ids.insert(op.id.0, entry.target.len());
-                entry.target.push(op.clone());
-                applied += 1;
             }
+            entry.ids.insert(op.id.0, entry.target.len());
+            entry.target.push(op.clone());
         }
-        entry.inc.sync_with_ops(&entry.target);
-        self.metrics
-            .session_events
-            .fetch_add(applied, Ordering::Relaxed);
-        Ok(entry.target.len())
+        Ok(true)
     }
 
     /// `GET /sessions/{id}/verdict`: the session's incremental verdict as JSON —
@@ -697,5 +727,48 @@ mod tests {
                 service.sessions_live()
             );
         }
+    }
+
+    fn counted_events(service: &CheckService) -> u64 {
+        service.metrics.session_events.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_rejected_event_leaves_the_applied_prefix_synced_and_counted() {
+        let service = CheckService::new(AppConfig::default());
+        let (id, _) = service
+            .create_session("op0 p0 R0 write 1 @ t1..t2\n")
+            .expect("seeded session");
+        let rejected = service
+            .session_events(
+                id,
+                "op1 p0 R0 write 2 @ t3..t4\nop2 p1 R0 read 2 @ t1..t5\n",
+            )
+            .expect_err("op2 reuses t1");
+        assert_eq!(
+            rejected.message(),
+            "invocation time t1 of op2 is already used"
+        );
+        // op1 is applied, visible and counted as soon as the call returns.
+        assert_eq!(counted_events(&service), 2);
+        let history = service.session_history(id).expect("live session");
+        assert!(history.contains("op1 p0 R0 write 2 @ t3..t4"), "{history}");
+        assert_eq!(service.session_events(id, "").expect("empty body"), 2);
+        assert_eq!(counted_events(&service), 2);
+    }
+
+    #[test]
+    fn a_shed_create_counts_none_of_its_seed_events() {
+        let service = CheckService::new(AppConfig {
+            max_sessions: 1,
+            ..AppConfig::default()
+        });
+        service.create_session("").expect("first session");
+        let shed = service
+            .create_session("op0 p0 R0 write 1 @ t1..t2\nop1 p1 R0 read 1 @ t3..t4\n")
+            .expect_err("session limit reached");
+        assert!(matches!(shed, ServiceError::Backpressure(_)), "{shed:?}");
+        assert_eq!(counted_events(&service), 0);
+        assert_eq!(service.sessions_live(), 1);
     }
 }

@@ -390,10 +390,15 @@ impl<V: RegisterValue> Checker<V> {
     /// entry is bit-identical to the corresponding solo [`Checker::check`] — batching
     /// changes wall-clock time, never outcomes.
     ///
-    /// Under [`ThreadPolicy::Auto`] the batch fans across the current rayon pool;
-    /// under [`ThreadPolicy::Fixed`] across the checker's own pool. Per-worker
-    /// scratch arenas come from the session pool, so the batch's allocations are
-    /// amortized across its histories.
+    /// Under [`ThreadPolicy::Auto`] the batch is spread over as many threads as the
+    /// current rayon pool is wide, under [`ThreadPolicy::Fixed`] over the checker's
+    /// own width: each call spawns that many threads minus one, scoped to the call,
+    /// and the calling thread works alongside them, every thread taking the next
+    /// unchecked history until none is left. The spawns are a fixed cost per call
+    /// (on a 2-vCPU x86-64 host a width-2 `par_map` of trivial items takes about
+    /// 24 µs, against 0.1 µs at width 1), which a batch of heavy histories repays
+    /// and a batch of small ones does not. Per-thread scratch arenas come from the
+    /// session pool, so the batch's allocations are amortized across its histories.
     #[must_use]
     pub fn check_many(&self, histories: &[History<V>]) -> Vec<Verdict<V>>
     where

@@ -26,8 +26,8 @@
 //!
 //! A check is one sequential search on the calling thread: the registers are searched
 //! in ascending order under one shared state budget, reusing one scratch arena. The
-//! only fork-join fan-out sits a level up, across whole histories, in
-//! [`crate::Checker::check_many`]. One lazy layer sits on top:
+//! only parallelism sits a level up: [`crate::Checker::check_many`] spreads whole
+//! histories over scoped threads. One lazy layer sits on top:
 //!
 //! 5. **Per-register enumeration with a lazy interleaving product** —
 //!    [`Engine::enumerate`] on a multi-register history first enumerates each

@@ -11,8 +11,8 @@
 //! * The [`Checker`] session: a builder-configured linearizability checker (Definition
 //!   2) backed by the high-throughput search core in [`engine`] (value interning,
 //!   precedence bitsets, iterative DFS, per-register composition). Each check is one
-//!   search on the calling thread; [`Checker::check_many`] fans whole histories
-//!   across a fork-join pool with bit-identical results at any thread width. A
+//!   search on the calling thread; [`Checker::check_many`] spreads whole histories
+//!   over scoped threads with bit-identical results at any thread width. A
 //!   `Checker` is reusable: it keeps search scratch warm across [`Checker::check`]
 //!   calls and across the histories of a batch, and streams enumerations lazily
 //!   through the [`Linearizations`] iterator.

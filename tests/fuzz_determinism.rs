@@ -1,12 +1,12 @@
 //! Determinism pins for the coverage-guided schedule fuzzer: the mutant stream,
 //! the final corpus, and the trophy set are pure functions of the fuzzer seed,
-//! regardless of how many workers the fork-join pool runs.
+//! regardless of the width of the pool the fuzzer runs under.
 //!
-//! The fuzzer fans mutant replays across `rayon::par_map`, which returns results
-//! in *task* order at any pool width; the generation barrier then merges them
-//! sequentially in that order. These tests hold that contract down: a run inside
-//! a 1-thread pool and the same run inside a 4-thread pool must produce equal
-//! [`FuzzReport`]s, field for field — the `RLT_THREADS=1` vs `=4` guarantee.
+//! The fuzzer runs each generation's phases (breed, gate, replay, merge) on the
+//! calling thread in task order and never forks, so no pool width may reach a
+//! report. These tests hold that contract down: a run inside a 1-thread pool and
+//! the same run inside a 4-thread pool must produce equal [`FuzzReport`]s, field
+//! for field — the `RLT_THREADS=1` vs `=4` guarantee.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,9 +63,9 @@ fn fuzz_reports_are_bit_identical_at_one_and_four_threads() {
 
 #[test]
 fn static_triage_counters_are_identical_across_pool_widths() {
-    // Triage keys are computed in parallel but consumed strictly in task
-    // order, so the rejected/canonicalized tallies — and everything downstream
-    // of the mutants they filter — are pool-width invariant.
+    // Triage keys are computed and consumed strictly in task order, so the
+    // rejected/canonicalized tallies — and everything downstream of the
+    // mutants they filter — are pool-width invariant.
     let config = FuzzConfig {
         generations: 6,
         stop_at_first_trophy: false,
