@@ -771,4 +771,34 @@ mod tests {
         assert_eq!(counted_events(&service), 0);
         assert_eq!(service.sessions_live(), 1);
     }
+
+    #[test]
+    fn a_checked_completed_read_without_a_value_is_a_parse_error() {
+        let service = CheckService::new(AppConfig::default());
+        let checked = service
+            .check_text("op0 p0 R0 read ? @ t1..t2\n")
+            .expect_err("no read value");
+        assert!(matches!(checked, ServiceError::Parse(_)), "{checked:?}");
+        assert_eq!(service.metrics.parse_errors.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_session_completion_without_a_read_value_is_a_parse_error() {
+        let service = CheckService::new(AppConfig::default());
+        let (id, _) = service
+            .create_session("op0 p0 R0 write 1 @ t1..t2\nop1 p1 R0 read ? @ t3..\n")
+            .expect("seeded session");
+        let completed = service
+            .session_events(id, "op1 p1 R0 read ? @ t3..t4\n")
+            .expect_err("completion without a read value");
+        assert!(matches!(completed, ServiceError::Parse(_)), "{completed:?}");
+        assert_eq!(service.metrics.parse_errors.load(Ordering::Relaxed), 1);
+        // The session survives and still takes a well-formed completion.
+        assert_eq!(
+            service
+                .session_events(id, "op1 p1 R0 read 1 @ t3..t4\n")
+                .expect("well-formed completion"),
+            2
+        );
+    }
 }

@@ -3,7 +3,7 @@
 //! This module is the shared search core behind [`crate::linearizability`] and the
 //! extension-family checks of [`crate::strong`]. It replaces the original recursive
 //! checker (which cloned a `(Vec<bool>, Vec<(RegisterId, V)>)` memo key and rescanned
-//! real-time precedence in `O(n²)` at every node) with four cooperating optimizations:
+//! real-time precedence in `O(n²)` at every node) with five cooperating optimizations:
 //!
 //! 1. **Value interning** — every distinct register value in the history (plus the
 //!    initial value) is mapped once to a dense `u32` id, so simulated register state is
@@ -13,23 +13,32 @@
 //!    predecessor bits are covered by the taken set: one mask-and-compare per op
 //!    instead of an `O(n)` rescan of `Operation::precedes`.
 //! 3. **Iterative DFS over packed keys** — the search runs on an explicit frame stack
-//!    (no recursion), and each visited configuration is memoized as a single
-//!    `Box<[u64]>` that packs the taken bitset and the interned register state, hashed
-//!    with a fast multiply-rotate hasher.
+//!    (no recursion), and each visited configuration is memoized as a run of `u64`
+//!    words in the memo table's bump arena (see "The memo arena" below) that packs the
+//!    taken bitset and the interned register state, hashed with a fast multiply-rotate
+//!    hasher.
 //! 4. **Per-register composition** — registers are independent objects, so a
 //!    multi-register history is linearizable iff each per-register subhistory is
 //!    (P-compositionality, Herlihy & Wing). [`Engine::check`] therefore partitions the
 //!    history by [`RegisterId`], searches each subhistory separately, and merges the
-//!    per-register witnesses into one global linearization by topologically sorting the
-//!    union of the witness orders with the real-time relation. This turns one
-//!    exponential joint search into several much smaller ones.
+//!    per-register witnesses into one global linearization with a k-way merge that
+//!    emits, among the register heads no unemitted op precedes, the one invoked
+//!    earliest. This turns one exponential joint search into several much smaller ones.
+//! 5. **Candidate window** — both DFS loops (the witness search and the enumeration
+//!    walk) find a frame's next candidate with one shared `next_candidate`, which
+//!    visits only untaken ops, a `taken` word at a time, so the linearized prefix is
+//!    never rescanned. When the subproblem lists its ops in invocation order its preds
+//!    rows are nested (`row(i) ⊆ row(i+1)`), and the scan stops at the first untaken
+//!    op with an untaken predecessor: every later op has that predecessor too. Both
+//!    cuts skip only non-candidates, so the search visits the same nodes in the same
+//!    order as a full scan; rows that are not nested keep the full untaken scan.
 //!
 //! A check is one sequential search on the calling thread: the registers are searched
 //! in ascending order under one shared state budget, reusing one scratch arena. The
 //! only parallelism sits a level up: [`crate::Checker::check_many`] spreads whole
 //! histories over scoped threads. One lazy layer sits on top:
 //!
-//! 5. **Per-register enumeration with a lazy interleaving product** —
+//! 6. **Per-register enumeration with a lazy interleaving product** —
 //!    [`Engine::enumerate`] on a multi-register history first enumerates each
 //!    register's linearizations separately, folds them into per-register prefix
 //!    tries, and then walks the *product* of the tries lazily, interleaving under the
@@ -253,6 +262,10 @@ pub(crate) struct SubProblem {
     pub(crate) completed: usize,
     /// Interned initial value of every slot.
     pub(crate) init_id: u32,
+    /// `true` when every preds row contains the one before it (`row(i) ⊆ row(i+1)`),
+    /// which holds whenever the ops are listed in invocation order. It lets
+    /// [`next_candidate`] stop at the first untaken op with an untaken predecessor.
+    pub(crate) monotone: bool,
 }
 
 impl SubProblem {
@@ -309,6 +322,7 @@ impl SubProblem {
             preds[i as usize * words..(i as usize + 1) * words].copy_from_slice(&running);
         }
         let completed = local_ops.iter().filter(|o| o.completed).count();
+        let monotone = (1..n).all(|i| row_contains(&preds, words, i, i - 1));
         SubProblem {
             ops: local_ops,
             preds,
@@ -316,6 +330,7 @@ impl SubProblem {
             slots,
             completed,
             init_id,
+            monotone,
         }
     }
 
@@ -325,23 +340,53 @@ impl SubProblem {
         let row = &self.preds[i * self.words..(i + 1) * self.words];
         row.iter().zip(taken.iter()).all(|(p, t)| p & !t == 0)
     }
+}
 
-    /// Returns `true` if local op `i` is a Wing–Gong candidate: untaken, real-time
-    /// minimal among untaken ops, and consistent with the current register state.
-    #[inline]
-    fn is_candidate(&self, i: usize, taken: &[u64], vals: &[u32]) -> bool {
-        let word = i / WORD_BITS;
-        let bit = 1u64 << (i % WORD_BITS);
-        if taken[word] & bit != 0 {
-            return false;
+/// `true` if row `outer` of the flat `words`-stride matrix `preds` contains row
+/// `inner`.
+pub(crate) fn row_contains(preds: &[u64], words: usize, outer: usize, inner: usize) -> bool {
+    let outer = &preds[outer * words..(outer + 1) * words];
+    let inner = &preds[inner * words..(inner + 1) * words];
+    inner.iter().zip(outer).all(|(i, o)| i & !o == 0)
+}
+
+/// The lowest Wing–Gong candidate of `sub` at index `from` or above: an untaken op
+/// whose real-time predecessors are all taken and that is consistent with the register
+/// state (writes always are; a completed read must return its slot's current value).
+///
+/// Only untaken indices are visited, a word of `taken` at a time, so the linearized
+/// prefix costs nothing. When `sub.monotone` holds, the first untaken op with an untaken
+/// predecessor ends the scan: every later row contains that predecessor too. Both cuts
+/// skip only ops that cannot be candidates, so the result equals a full scan's.
+#[inline]
+fn next_candidate(sub: &SubProblem, taken: &[u64], vals: &[u32], from: usize) -> Option<usize> {
+    let n = sub.ops.len();
+    if from >= n {
+        return None;
+    }
+    let mut w = from / WORD_BITS;
+    let mut free = !taken[w] & (u64::MAX << (from % WORD_BITS));
+    loop {
+        while free != 0 {
+            let i = w * WORD_BITS + free.trailing_zeros() as usize;
+            if i >= n {
+                return None;
+            }
+            if sub.preds_satisfied(i, taken) {
+                let op = &sub.ops[i];
+                if op.is_write || vals[op.slot as usize] == op.value {
+                    return Some(i);
+                }
+            } else if sub.monotone {
+                return None;
+            }
+            free &= free - 1;
         }
-        // All predecessors must already be linearized.
-        if !self.preds_satisfied(i, taken) {
-            return false;
+        w += 1;
+        if w * WORD_BITS >= n {
+            return None;
         }
-        let op = &self.ops[i];
-        // Writes are always applicable; completed reads must match the state.
-        op.is_write || vals[op.slot as usize] == op.value
+        free = !taken[w];
     }
 }
 
@@ -940,9 +985,8 @@ impl SearchStats {
 /// state-limit semantics match the original joint checker. All working buffers live
 /// in `scratch`, reset on entry — reuse across searches is invisible to results.
 ///
-/// The apply/undo frame bookkeeping here is mirrored in [`OrderWalk`] (which differs
-/// only in success handling and the absence of memoization); a fix to either driver
-/// almost certainly belongs in both.
+/// [`OrderWalk`] drives the same DFS without memoization and with its own success
+/// handling; both take each frame's next op from [`next_candidate`].
 pub(crate) fn search_witness(
     sub: &SubProblem,
     budget: &mut u64,
@@ -1033,33 +1077,25 @@ fn drive_search(
                 frame.scan = n as u32; // force an immediate pop
             }
         }
-        let mut advanced = false;
-        let mut i = frame.scan as usize;
-        while i < n {
-            if sub.is_candidate(i, taken, vals) {
-                frame.scan = (i + 1) as u32;
-                let op = sub.ops[i];
-                let restore = vals[op.slot as usize];
-                taken[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
-                if op.completed {
-                    taken_completed += 1;
-                }
-                if op.is_write {
-                    vals[op.slot as usize] = op.value;
-                }
-                order.push(i as u32);
-                stack.push(Frame {
-                    creator: i as u32,
-                    restore,
-                    scan: 0,
-                });
-                entering = true;
-                advanced = true;
-                break;
+        if let Some(i) = next_candidate(sub, taken, vals, frame.scan as usize) {
+            frame.scan = (i + 1) as u32;
+            let op = sub.ops[i];
+            let restore = vals[op.slot as usize];
+            taken[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
+            if op.completed {
+                taken_completed += 1;
             }
-            i += 1;
-        }
-        if !advanced {
+            if op.is_write {
+                vals[op.slot as usize] = op.value;
+            }
+            order.push(i as u32);
+            stack.push(Frame {
+                creator: i as u32,
+                restore,
+                scan: 0,
+            });
+            entering = true;
+        } else {
             let done = *stack.last().expect("non-empty stack");
             stack.pop();
             if done.creator != NO_OP {
@@ -1232,7 +1268,7 @@ enum WalkStep {
 /// prefix of the walk it consumed — this is the engine of the lazy
 /// [`Linearizations`] iterator.
 ///
-/// The apply/undo frame bookkeeping mirrors [`search_witness`]; keep the two in sync.
+/// Candidates come from [`next_candidate`], the same scan [`search_witness`] uses.
 #[derive(Debug)]
 struct OrderWalk {
     taken: Vec<u64>,
@@ -1266,7 +1302,6 @@ impl OrderWalk {
     /// Resumes the DFS until the next linearization order is recorded. Visiting more
     /// than `node_cap` nodes in total aborts with [`WalkStep::CapExceeded`].
     fn next_order(&mut self, sub: &SubProblem, node_cap: u64) -> WalkStep {
-        let n = sub.ops.len();
         while let Some(frame) = self.stack.last_mut() {
             if self.entering {
                 self.entering = false;
@@ -1282,33 +1317,25 @@ impl OrderWalk {
                     return WalkStep::Order(self.order.clone());
                 }
             }
-            let mut advanced = false;
-            let mut i = frame.scan as usize;
-            while i < n {
-                if sub.is_candidate(i, &self.taken, &self.vals) {
-                    frame.scan = (i + 1) as u32;
-                    let op = sub.ops[i];
-                    let restore = self.vals[op.slot as usize];
-                    self.taken[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
-                    if op.completed {
-                        self.taken_completed += 1;
-                    }
-                    if op.is_write {
-                        self.vals[op.slot as usize] = op.value;
-                    }
-                    self.order.push(i as u32);
-                    self.stack.push(Frame {
-                        creator: i as u32,
-                        restore,
-                        scan: 0,
-                    });
-                    self.entering = true;
-                    advanced = true;
-                    break;
+            if let Some(i) = next_candidate(sub, &self.taken, &self.vals, frame.scan as usize) {
+                frame.scan = (i + 1) as u32;
+                let op = sub.ops[i];
+                let restore = self.vals[op.slot as usize];
+                self.taken[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
+                if op.completed {
+                    self.taken_completed += 1;
                 }
-                i += 1;
-            }
-            if !advanced {
+                if op.is_write {
+                    self.vals[op.slot as usize] = op.value;
+                }
+                self.order.push(i as u32);
+                self.stack.push(Frame {
+                    creator: i as u32,
+                    restore,
+                    scan: 0,
+                });
+                self.entering = true;
+            } else {
                 let done = *self.stack.last().unwrap();
                 self.stack.pop();
                 if done.creator != NO_OP {

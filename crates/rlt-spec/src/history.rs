@@ -29,7 +29,8 @@ impl<V: Clone> History<V> {
     /// # Panics
     ///
     /// Panics if two operations share an [`OpId`], if any response time precedes its own
-    /// invocation time, or if two events share a time.
+    /// invocation time, if two events share a time, or if a completed read has no
+    /// return value (`OpKind::Read(None)` with a response time).
     #[must_use]
     pub fn from_operations(ops: Vec<Operation<V>>) -> Self {
         let mut ids = BTreeSet::new();
@@ -50,12 +51,21 @@ impl<V: Clone> History<V> {
                     op.invoked_at
                 );
                 assert!(times.insert(r), "duplicate event time {:?}", r);
+                assert!(
+                    !matches!(op.kind, OpKind::Read(None)),
+                    "completed read {:?} has no return value",
+                    op.id
+                );
             }
         }
         History { ops }
     }
 
-    /// All operations, in order of invocation time.
+    /// All operations, in the order they were given. [`History::from_operations`]
+    /// and [`parse_history`](crate::wire::parse_history) keep the caller's order;
+    /// [`HistoryBuilder`] lists each operation at its invocation, so a built history
+    /// is in invocation order. The checkers are correct on any order, and fastest on
+    /// invocation order.
     #[must_use]
     pub fn operations(&self) -> &[Operation<V>] {
         &self.ops

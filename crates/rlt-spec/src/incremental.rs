@@ -92,8 +92,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::checker::{order_to_seq, CheckStats, Verdict};
 use crate::engine::{
-    memo_size_class, merge_witness_orders, resume_witness, search_witness, words_for, Engine,
-    LocalOp, ScratchPool, SearchScratch, SearchStats, StateSketch, SubProblem, WORD_BITS,
+    memo_size_class, merge_witness_orders, resume_witness, row_contains, search_witness, words_for,
+    Engine, LocalOp, ScratchPool, SearchScratch, SearchStats, StateSketch, SubProblem, WORD_BITS,
 };
 use crate::history::History;
 use crate::ids::{OpId, RegisterId};
@@ -345,6 +345,7 @@ impl RegisterSession {
                 slots: 1,
                 completed: 0,
                 init_id: 0,
+                monotone: true,
             },
             scratch: SearchScratch::default(),
             cached: None,
@@ -512,9 +513,15 @@ impl<V: RegisterValue> IncrementalChecker<V> {
     /// # Panics
     ///
     /// Panics on the same malformed inputs [`History::from_operations`] rejects:
-    /// duplicate op ids, duplicate event times, or a response at or before its own
-    /// invocation — and on a completion that contradicts its pending op.
+    /// duplicate op ids, duplicate event times, a response at or before its own
+    /// invocation, or a completed read with no return value — and on a completion
+    /// that contradicts its pending op.
     pub fn append(&mut self, op: Operation<V>) {
+        assert!(
+            op.is_pending() || !matches!(op.kind, OpKind::Read(None)),
+            "completed read {:?} has no return value",
+            op.id
+        );
         self.cached_verdict = None;
         if let Some(pos) = self
             .pending
@@ -839,6 +846,9 @@ impl<V: RegisterValue> IncrementalChecker<V> {
             completed,
         });
         sess.sub.preds.extend_from_slice(&sess.completed_mask);
+        // Rows hold only completed members, so the completed mask contains the row
+        // before it and the rows stay exactly as monotone as they were.
+        debug_assert!(n == 0 || row_contains(&sess.sub.preds, sess.sub.words, n, n - 1));
         if completed {
             sess.sub.completed += 1;
             sess.completed_mask[n / WORD_BITS] |= 1u64 << (n % WORD_BITS);
@@ -1517,6 +1527,86 @@ mod tests {
         let batch = checker.check(&History::from_operations(vec![late, early]));
         assert_eq!(incremental.as_verdict(), &batch);
         assert!(incremental.is_linearizable());
+    }
+
+    /// Every register's incrementally kept `monotone` flag, asserted equal to the
+    /// flag `SubProblem::new` computes over the same members.
+    fn monotone_flags(session: &IncrementalChecker<i64>) -> Vec<bool> {
+        let ops = session.history.operations();
+        let all: Vec<&Operation<i64>> = session.filtered.iter().map(|&i| &ops[i]).collect();
+        session
+            .regs
+            .iter()
+            .zip(&session.registers)
+            .map(|(sess, register)| {
+                let fresh =
+                    SubProblem::new(&all, &sess.members, |_| 0, |v| session.values.get(v), 0, 1);
+                assert_eq!(
+                    sess.sub.monotone,
+                    fresh.monotone,
+                    "{register:?} after {} ops:\n{}",
+                    session.len(),
+                    session.history
+                );
+                sess.sub.monotone
+            })
+            .collect()
+    }
+
+    /// The `monotone` flag stays equal to a fresh build after every event: fast-path
+    /// appends, a pending-write flip, a mid-list read completion (register rebuild)
+    /// and an out-of-order append (full rebuild), which makes register 0's rows
+    /// non-monotone for good.
+    #[test]
+    fn monotone_flag_matches_a_fresh_subproblem_after_every_event() {
+        let op =
+            |id: u64, register: usize, kind: OpKind<i64>, inv: u64, resp: Option<u64>| Operation {
+                id: OpId(id),
+                process: ProcessId(id as usize),
+                register: RegisterId(register),
+                kind,
+                invoked_at: Time(inv),
+                responded_at: resp.map(Time),
+            };
+        let events = [
+            op(0, 0, OpKind::Write(1), 10, Some(20)),
+            op(1, 0, OpKind::Read(None), 30, None),
+            op(2, 0, OpKind::Write(2), 40, None),
+            op(3, 1, OpKind::Write(7), 50, Some(60)),
+            // Pending-write flip.
+            op(2, 0, OpKind::Write(2), 40, Some(70)),
+            op(4, 0, OpKind::Write(3), 80, Some(90)),
+            // The read was invoked before ops 2 and 4: mid-list insert.
+            op(1, 0, OpKind::Read(Some(1)), 30, Some(100)),
+            op(5, 0, OpKind::Read(Some(3)), 110, Some(120)),
+            // Invoked at t25, listed last: its row lacks op 5's predecessors.
+            op(6, 0, OpKind::Write(4), 25, Some(130)),
+            op(7, 0, OpKind::Read(Some(4)), 140, Some(150)),
+        ];
+        let checker = Checker::new(0i64);
+        let mut session = checker.incremental();
+        let mut flags = Vec::new();
+        for event in events {
+            session.append(event);
+            flags.push(monotone_flags(&session));
+        }
+        assert_eq!(session.stats().full_rebuilds, 1);
+        assert_eq!(flags[7], [true, true]);
+        assert_eq!(flags[8], [false, true]);
+        assert_eq!(flags[9], [false, true]);
+        assert_eq!(
+            session.verdict().as_verdict(),
+            &checker.check(session.history())
+        );
+
+        for seed in 0..32u64 {
+            let history = random_history(seed, 14, 2, 3);
+            let mut session = checker.incremental();
+            for prefix in history.all_prefixes() {
+                session.sync_with(&prefix);
+                monotone_flags(&session);
+            }
+        }
     }
 
     /// Coarse sync granularity (jump straight to the final history) must agree

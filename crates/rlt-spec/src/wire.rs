@@ -21,9 +21,10 @@
 //! `[0,3]`, `(5#2)` — none contain whitespace, so the line tokenizes on spaces.
 //!
 //! [`parse_history`] pre-validates everything [`History::from_operations`]
-//! asserts (duplicate ids, duplicate event times, response ≤ invocation) and
-//! reports those as line-numbered [`WireError`]s instead of panicking, so a
-//! service can feed untrusted request bodies straight into it.
+//! asserts (duplicate ids, duplicate event times, response ≤ invocation, a
+//! completed read without a value) and reports those as line-numbered
+//! [`WireError`]s instead of panicking, so a service can feed untrusted request
+//! bodies straight into it.
 
 use crate::checker::Verdict;
 use crate::history::History;
@@ -176,6 +177,11 @@ pub fn parse_history(text: &str) -> Result<History<Value>, WireError> {
                 )))
             }
         };
+        if resp.is_some() && matches!(kind, OpKind::Read(None)) {
+            return Err(err(format!(
+                "completed read `op{id}` has no return value: `?` marks a pending read"
+            )));
+        }
         if !ids.insert(id) {
             return Err(err(format!("duplicate operation id `op{id}`")));
         }
@@ -359,6 +365,11 @@ mod tests {
                 "op0 p0 R0 write 1 @ t1..t2\nop1 p0 R0 write 1 @ t1..t4",
                 2,
                 "duplicate event time",
+            ),
+            (
+                "op0 p0 R0 write 1 @ t1..t2\nop1 p1 R0 read ? @ t3..t4",
+                2,
+                "has no return value",
             ),
         ];
         for (text, line, needle) in cases {
