@@ -1,35 +1,38 @@
-//! The `BENCH_abd.json` writer, shared by the `checkers_summary` and `abd_adversary`
-//! bins so both regenerate the same artifact.
+//! The `BENCH_abd.json` writer behind the `checkers_summary` bin, the file's only
+//! writer. Each row is rendered once, as the JSON object the file holds, and
+//! echoed to stderr as it is written.
 //!
-//! Three experiment families land in the file:
+//! The experiment families in the file:
 //!
 //! * **E3 — ABD cost** (`rows`): write+read round-trip wall time as the cluster grows
 //!   and under minority crashes.
 //! * **E13 — adversarial message schedules** (`adversary_rows` + `minimize`): on the
-//!   faulty (write-back-free) cluster, the number of deliveries until the
-//!   [`rlt_spec::Checker`] first rejects the recorded history, per
-//!   [`rlt_mp::DeliveryAdversary`], median over [`HUNT_SEEDS`] scenario seeds — plus
-//!   one recorded failing schedule shrunk by [`rlt_mp::minimize::minimize_schedule`]
-//!   and replayed. Unlike the E3 wall-clock rows, every E13 number is a
-//!   *deterministic* function of the seeds (the vendored rng is a fixed stream), so
-//!   these rows are comparable across machines.
-//! * **E15 — incremental hunt loop** (`hunt_loop`): wall time of the
-//!   reply-withholding hunt workload monitored after every delivery by one
-//!   [`rlt_spec::IncrementalChecker`] session per hunt vs a from-scratch check per
-//!   delivery, at (asserted) unchanged deliveries-to-counterexample.
+//!   faulty (write-back-free) cluster, the number of deliveries until the hunt
+//!   ([`rlt_mp::hunt_with`], rechecking after every step) first reaches a
+//!   non-linearizable prefix, per [`rlt_mp::DeliveryAdversary`], median over
+//!   [`HUNT_SEEDS`] scenario seeds — plus one recorded failing schedule shrunk by
+//!   [`rlt_mp::minimize::minimize_schedule`] and replayed. Unlike the E3 wall-clock
+//!   rows, every E13 number is a *deterministic* function of the seeds (the vendored
+//!   rng is a fixed stream), so these rows are comparable across machines.
+//! * **E14 — fault injection** (`fault_rows`): the reply-withholding hunt under 10%
+//!   link loss with retries, through the same hunt loop and row builder.
+//! * **E15 — incremental hunt loop** (`hunt_loop`): wall time of the E13
+//!   reply-withholding hunt rechecked by one [`rlt_spec::IncrementalChecker`]
+//!   session per hunt vs a from-scratch check after every step, at (asserted)
+//!   identical deliveries-to-counterexample.
+//! * **E17/E18 — schedule fuzzing and static triage** (`fuzz_rows`).
 
 use crate::mean_time;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rlt_mp::adversary::{hunt_new_old_inversion, HuntReport};
+use rand::SeedableRng;
+use rlt_mp::adversary::hunt_new_old_inversion;
 use rlt_mp::minimize::minimize_schedule;
 use rlt_mp::{
-    hunt_with_faults, AbdCluster, DeliveryAdversary, FaultPlan, FaultScenario, FaultyAbdCluster,
-    MessageCluster, NewestFirstAdversary, OldestFirstAdversary, ReplyWithholdingAdversary,
-    RetryPolicy, ScheduleRun, StarveDestinationAdversary, UniformAdversary,
+    hunt_with, hunt_with_faults, AbdCluster, DeliveryAdversary, FaultPlan, FaultScenario,
+    FaultyAbdCluster, HuntReport, MessageCluster, NewestFirstAdversary, OldestFirstAdversary,
+    ReplyWithholdingAdversary, RetryPolicy, StarveDestinationAdversary, UniformAdversary,
 };
 use rlt_spec::{Checker, ProcessId};
-use std::fmt::Write as _;
 
 /// Scenario seeds per adversary in the E13 hunt rows.
 pub const HUNT_SEEDS: u64 = 50;
@@ -64,13 +67,17 @@ pub const TRACKED_ADVERSARIES: &[&str] = &[
     "reply_withholding",
 ];
 
+fn faulty_cluster() -> FaultyAbdCluster {
+    FaultyAbdCluster::new(HUNT_PROCESSES, ProcessId(0))
+}
+
 /// One E13 hunt: the tracked scenario (continuous writes, one reader at a time) on
 /// the faulty cluster under the named adversary.
 #[must_use]
 pub fn run_hunt(adversary_name: &str, scenario_seed: u64, checker: &Checker<i64>) -> HuntReport {
     let mut adversary = tracked_adversary(adversary_name, scenario_seed);
     hunt_new_old_inversion(
-        FaultyAbdCluster::new(HUNT_PROCESSES, ProcessId(0)),
+        faulty_cluster(),
         &mut *adversary,
         scenario_seed,
         HUNT_CAP,
@@ -78,181 +85,81 @@ pub fn run_hunt(adversary_name: &str, scenario_seed: u64, checker: &Checker<i64>
     )
 }
 
-struct AdversaryRow {
-    adversary: &'static str,
-    found: u64,
-    median_deliveries: u64,
-    min_deliveries: u64,
-    max_deliveries: u64,
-}
-
-fn adversary_rows(checker: &Checker<i64>) -> Vec<AdversaryRow> {
-    TRACKED_ADVERSARIES
-        .iter()
-        .map(|&name| {
-            let mut deliveries: Vec<u64> = Vec::with_capacity(HUNT_SEEDS as usize);
-            let mut found = 0u64;
-            for seed in 0..HUNT_SEEDS {
-                let report = run_hunt(name, seed, checker);
-                found += u64::from(report.violation_at.is_some());
-                deliveries.push(report.violation_at.unwrap_or(HUNT_CAP));
-            }
-            deliveries.sort_unstable();
-            AdversaryRow {
-                adversary: name,
-                found,
-                median_deliveries: deliveries[deliveries.len() / 2],
-                min_deliveries: deliveries[0],
-                max_deliveries: *deliveries.last().expect("HUNT_SEEDS > 0"),
-            }
-        })
-        .collect()
+/// One deliveries-to-counterexample row: `hunt` run on every seed in
+/// `0..HUNT_SEEDS`, a seed that finds nothing counting as [`HUNT_CAP`].
+fn hunt_row(row: &str, hunt: &dyn Fn(u64) -> HuntReport) -> String {
+    let mut deliveries: Vec<u64> = Vec::with_capacity(HUNT_SEEDS as usize);
+    let mut found = 0u64;
+    for seed in 0..HUNT_SEEDS {
+        let report = hunt(seed);
+        found += u64::from(report.violation_at.is_some());
+        deliveries.push(report.violation_at.unwrap_or(HUNT_CAP));
+    }
+    deliveries.sort_unstable();
+    format!(
+        "{{\"adversary\": \"{row}\", \"found\": {found}, \"median_deliveries\": {}, \
+         \"min_deliveries\": {}, \"max_deliveries\": {}}}",
+        deliveries[deliveries.len() / 2],
+        deliveries[0],
+        deliveries[deliveries.len() - 1]
+    )
 }
 
 /// Loss probability of the E14 `faulty_lossy` row.
 pub const LOSSY_DROP_P: f64 = 0.1;
 
-/// The E14 row: the reply-withholding hunt on the faulty cluster, but under 10% link
-/// loss with timeout-driven retries — deliveries-to-counterexample, median over
-/// [`HUNT_SEEDS`] seeds. Deterministic: the fault injector and the workload both run
-/// off fixed seed streams.
-fn faulty_lossy_row(checker: &Checker<i64>) -> AdversaryRow {
-    let scenario = FaultScenario::new(FaultPlan::lossy(LOSSY_DROP_P), 0xe14);
-    let mut deliveries: Vec<u64> = Vec::with_capacity(HUNT_SEEDS as usize);
-    let mut found = 0u64;
-    for seed in 0..HUNT_SEEDS {
-        let mut adversary = ReplyWithholdingAdversary::new();
-        let report = hunt_with_faults(
-            FaultyAbdCluster::new(HUNT_PROCESSES, ProcessId(0))
-                .with_retries(RetryPolicy::default()),
-            &mut adversary,
-            &scenario,
-            seed,
-            HUNT_CAP,
-            checker,
-        );
-        found += u64::from(report.violation_at.is_some());
-        deliveries.push(report.violation_at.unwrap_or(HUNT_CAP));
-    }
-    deliveries.sort_unstable();
-    AdversaryRow {
-        adversary: "faulty_lossy",
-        found,
-        median_deliveries: deliveries[deliveries.len() / 2],
-        min_deliveries: deliveries[0],
-        max_deliveries: *deliveries.last().expect("HUNT_SEEDS > 0"),
-    }
-}
-
 /// Seeds of the hunt-loop speedup measurement (a wall-clock row, so fewer seeds
 /// than the deterministic medians need).
 pub const HUNT_LOOP_SEEDS: u64 = 5;
 
-struct HuntLoopRow {
-    incremental_mean_nanos: u128,
-    scratch_mean_nanos: u128,
-    median_deliveries: u64,
-    medians_match: bool,
-}
-
-/// The E13 reply-withholding hunt workload, re-run at live-monitor granularity:
-/// the same cluster, adversary, and seeded reader schedule as
-/// [`hunt_new_old_inversion`], but `reject` is consulted after **every delivery**
-/// (the regime the incremental session exists for — one verdict per appended
-/// event), halting at the first rejected prefix.
-fn monitored_hunt(seed: u64, reject: &mut dyn FnMut(&FaultyAbdCluster) -> bool) -> Option<u64> {
-    let mut run = ScheduleRun::new(FaultyAbdCluster::new(HUNT_PROCESSES, ProcessId(0)));
-    let mut adversary = tracked_adversary("reply_withholding", seed);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = run.cluster().process_count();
-    let writer = run.cluster().writer();
-    let mut next_value = 7i64;
-    let mut active_reader: Option<ProcessId> = None;
-    while run.deliveries() < HUNT_CAP {
-        if run.cluster().is_idle(writer) && run.start_write(next_value).is_some() {
-            next_value += 1;
-        }
-        if active_reader.is_none() {
-            let r = rng.gen_range(0..n - 1);
-            let p = ProcessId(if r >= writer.0 { r + 1 } else { r });
-            if run.start_read(p).is_some() {
-                active_reader = Some(p);
-            }
-        }
-        if !run.deliver_next(&mut *adversary) {
-            break;
-        }
-        if reject(run.cluster()) {
-            return Some(run.deliveries());
-        }
-        if let Some(p) = active_reader {
-            if run.cluster().is_idle(p) {
-                active_reader = None;
-            }
-        }
-    }
-    None
-}
-
-/// The E15 hunt-loop row: the E13 reply-withholding hunt workload monitored at
-/// per-delivery granularity — one incremental session per hunt (synced zero-copy
-/// from the cluster's operation record, most polls answered by the between-event
-/// verdict cache) vs a from-scratch `Checker::check` of a freshly materialized
-/// history per delivery. Both halt at the same delivery as the coarse E13 hunt
-/// (asserted per seed, which pins the medians to the E13 value); `mean_wall_nanos`
-/// are per hunt, averaged over [`HUNT_LOOP_SEEDS`] seeds.
-fn hunt_loop_row(checker: &Checker<i64>) -> HuntLoopRow {
-    let monitored = |seed: u64| {
-        let mut monitor = checker.incremental();
-        monitored_hunt(seed, &mut |cluster| {
-            monitor.sync_with_ops(cluster.operations());
-            matches!(monitor.verdict_ref().outcome(), Ok(false))
-        })
-    };
+/// The E15 hunt-loop row: the E13 reply-withholding hunt timed with its own
+/// recheck — one incremental session per hunt (synced zero-copy from the
+/// cluster's operation record, most polls answered by the between-event verdict
+/// cache) — vs a from-scratch `Checker::check` of a freshly materialized history
+/// after every step. Both halt at the same delivery (asserted per seed);
+/// `mean_wall_nanos` are per hunt, averaged over [`HUNT_LOOP_SEEDS`] seeds.
+fn hunt_loop_row(checker: &Checker<i64>) -> String {
+    let incremental = |seed: u64| run_hunt("reply_withholding", seed, checker).violation_at;
     let scratch = |seed: u64| {
-        monitored_hunt(seed, &mut |cluster| {
-            matches!(checker.check(&cluster.history()).outcome(), Ok(false))
-        })
+        let mut adversary = ReplyWithholdingAdversary::new();
+        hunt_with(
+            faulty_cluster(),
+            &mut adversary,
+            &FaultScenario::new(FaultPlan::clean(), 0),
+            seed,
+            HUNT_CAP,
+            &mut |cluster| matches!(checker.check(&cluster.history()).outcome(), Ok(false)),
+        )
+        .violation_at
     };
     let mut deliveries: Vec<u64> = Vec::new();
     for seed in 0..HUNT_LOOP_SEEDS {
-        let hunt = run_hunt("reply_withholding", seed, checker);
-        let inc = monitored(seed);
+        let at = incremental(seed);
         assert_eq!(
-            inc,
+            at,
             scratch(seed),
-            "incremental and from-scratch monitoring must be verdict-identical (seed {seed})"
+            "incremental and from-scratch rechecks must be verdict-identical (seed {seed})"
         );
-        assert_eq!(
-            inc, hunt.violation_at,
-            "per-delivery monitoring must halt at the E13 hunt's delivery (seed {seed})"
-        );
-        deliveries.push(inc.unwrap_or(HUNT_CAP));
+        deliveries.push(at.unwrap_or(HUNT_CAP));
     }
     deliveries.sort_unstable();
-    let median_deliveries = deliveries[deliveries.len() / 2];
     let (incremental_sweep_nanos, _, _) =
-        mean_time(|| (0..HUNT_LOOP_SEEDS).all(|seed| monitored(seed).is_some()));
+        mean_time(|| (0..HUNT_LOOP_SEEDS).all(|seed| incremental(seed).is_some()));
     let (scratch_sweep_nanos, _, _) =
         mean_time(|| (0..HUNT_LOOP_SEEDS).all(|seed| scratch(seed).is_some()));
-    HuntLoopRow {
-        incremental_mean_nanos: incremental_sweep_nanos / u128::from(HUNT_LOOP_SEEDS),
-        scratch_mean_nanos: scratch_sweep_nanos / u128::from(HUNT_LOOP_SEEDS),
-        median_deliveries,
-        medians_match: true,
-    }
+    format!(
+        "{{\"adversary\": \"reply_withholding\", \"seeds\": {HUNT_LOOP_SEEDS}, \
+         \"incremental_mean_wall_nanos\": {}, \"scratch_mean_wall_nanos\": {}, \
+         \"median_deliveries\": {}, \"medians_match\": true}}",
+        incremental_sweep_nanos / u128::from(HUNT_LOOP_SEEDS),
+        scratch_sweep_nanos / u128::from(HUNT_LOOP_SEEDS),
+        deliveries[deliveries.len() / 2]
+    )
 }
 
-struct MinimizeRow {
-    scenario_seed: u64,
-    raw_deliveries: usize,
-    min_deliveries: usize,
-    min_steps: usize,
-    replays_tried: u64,
-    replay_deterministic: bool,
-}
-
-fn minimize_row(checker: &Checker<i64>) -> MinimizeRow {
+/// The E13 `minimize` row: the reply-withholding counterexample on seed 0, shrunk
+/// by ddmin and replayed twice (asserted bit-identical and still rejected).
+fn minimize_row(checker: &Checker<i64>) -> String {
     let scenario_seed = 0u64;
     let report = run_hunt("reply_withholding", scenario_seed, checker);
     assert!(
@@ -261,24 +168,28 @@ fn minimize_row(checker: &Checker<i64>) -> MinimizeRow {
     );
     let not_linearizable =
         |h: &rlt_spec::History<i64>| matches!(checker.check(h).outcome(), Ok(false));
-    let fresh = || FaultyAbdCluster::new(HUNT_PROCESSES, ProcessId(0));
-    let minimized = minimize_schedule(fresh, &report.schedule, not_linearizable, scenario_seed);
-    let (mut a, mut b) = (fresh(), fresh());
+    let minimized = minimize_schedule(
+        faulty_cluster,
+        &report.schedule,
+        not_linearizable,
+        scenario_seed,
+    );
+    let (mut a, mut b) = (faulty_cluster(), faulty_cluster());
     minimized.schedule.replay_on(&mut a);
     minimized.schedule.replay_on(&mut b);
-    let replay_deterministic = a.history() == b.history() && not_linearizable(&a.history());
     assert!(
-        replay_deterministic,
+        a.history() == b.history() && not_linearizable(&a.history()),
         "the minimized schedule must replay bit-identically to the same rejected verdict"
     );
-    MinimizeRow {
-        scenario_seed,
-        raw_deliveries: report.schedule.delivery_count(),
-        min_deliveries: minimized.schedule.delivery_count(),
-        min_steps: minimized.schedule.len(),
-        replays_tried: minimized.replays_tried,
-        replay_deterministic,
-    }
+    format!(
+        "{{\"adversary\": \"reply_withholding\", \"scenario_seed\": {scenario_seed}, \
+         \"raw_deliveries\": {}, \"min_deliveries\": {}, \"min_steps\": {}, \
+         \"replays_tried\": {}, \"replay_deterministic\": true}}",
+        report.schedule.delivery_count(),
+        minimized.schedule.delivery_count(),
+        minimized.schedule.len(),
+        minimized.replays_tried
+    )
 }
 
 /// Scenario seeds of the E17 fuzzer rediscovery row.
@@ -292,28 +203,13 @@ pub const FUZZ_FOUND_FLOOR: u64 = 45;
 /// asserts the triaged median never regresses past this.
 pub const E17_MEDIAN_BUDGET: u64 = 5073;
 
-struct FuzzRows {
-    found: u64,
-    median_budget: u64,
-    min_budget: u64,
-    max_budget: u64,
-    max_min_deliveries: usize,
-    all_verified: bool,
-    coverage_units: u64,
-    coverage_budget: u64,
-    coverage_per_1000: u64,
-    statically_rejected: u64,
-    statically_canonicalized: u64,
-    mutants_executed: u64,
-}
-
 /// The E17/E18 rows: coverage-guided rediscovery of the faulty cluster's
 /// new/old inversion from clean recorded schedules only (no targeted
 /// adversary), the coverage yield of a fixed no-early-stop run, and the static
 /// triage tallies (E18: mutants rejected or canonicalized before replay, and
 /// the budget saved against the pre-triage [`E17_MEDIAN_BUDGET`]). All numbers
 /// are deterministic per seed, so these double as CI regression gates.
-fn fuzz_rows() -> FuzzRows {
+fn fuzz_rows() -> Vec<String> {
     use rlt_mp::fuzz::{fuzz_faulty_rediscovery, FuzzConfig};
     let config = FuzzConfig::default();
     let mut budgets: Vec<u64> = Vec::new();
@@ -355,14 +251,14 @@ fn fuzz_rows() -> FuzzRows {
         "a ddmin'd trophy kept {max_min_deliveries} deliveries"
     );
     budgets.sort_unstable();
+    let median_budget = budgets[budgets.len() / 2];
     // E18: static triage must pay for itself — the triaged rediscovery median
     // can only be at or below the pre-triage E17 median, and the triage must
     // actually fire (otherwise the counters are dead weight).
     assert!(
-        budgets[budgets.len() / 2] <= E17_MEDIAN_BUDGET,
-        "triaged rediscovery median {} regressed past the E17 baseline {}",
-        budgets[budgets.len() / 2],
-        E17_MEDIAN_BUDGET
+        median_budget <= E17_MEDIAN_BUDGET,
+        "triaged rediscovery median {median_budget} regressed past the E17 baseline \
+         {E17_MEDIAN_BUDGET}"
     );
     assert!(
         statically_rejected > 0,
@@ -377,278 +273,164 @@ fn fuzz_rows() -> FuzzRows {
         delivery_budget: 60_000,
         ..FuzzConfig::default()
     };
-    let coverage_report = fuzz_faulty_rediscovery(0, &coverage_config);
-    let coverage_per_1000 =
-        coverage_report.coverage_units * 1_000 / coverage_report.budget_used.max(1);
-    FuzzRows {
-        found,
-        median_budget: budgets[budgets.len() / 2],
-        min_budget: budgets[0],
-        max_budget: *budgets.last().expect("FUZZ_SEEDS > 0"),
-        max_min_deliveries,
-        all_verified,
-        coverage_units: coverage_report.coverage_units,
-        coverage_budget: coverage_report.budget_used,
-        coverage_per_1000,
-        statically_rejected,
-        statically_canonicalized,
-        mutants_executed,
+    let coverage = fuzz_faulty_rediscovery(0, &coverage_config);
+    let triaged_total = mutants_executed + statically_rejected;
+    vec![
+        format!(
+            "{{\"row\": \"rediscovery_median\", \"found\": {found}, \
+             \"median_budget\": {median_budget}, \"min_budget\": {}, \"max_budget\": {}, \
+             \"max_min_deliveries\": {max_min_deliveries}, \"all_verified\": {all_verified}}}",
+            budgets[0],
+            budgets[budgets.len() - 1]
+        ),
+        format!(
+            "{{\"row\": \"coverage_per_1000_deliveries\", \"coverage_units\": {}, \
+             \"budget_used\": {}, \"value\": {}}}",
+            coverage.coverage_units,
+            coverage.budget_used,
+            coverage.coverage_units * 1_000 / coverage.budget_used.max(1)
+        ),
+        format!(
+            "{{\"row\": \"static_triage\", \"statically_rejected\": {statically_rejected}, \
+             \"statically_canonicalized\": {statically_canonicalized}, \
+             \"mutants_executed\": {mutants_executed}, \"rejected_per_1000\": {}, \
+             \"median_budget\": {median_budget}, \"e17_median_budget\": {E17_MEDIAN_BUDGET}, \
+             \"budget_saved_percent\": {}}}",
+            statically_rejected * 1_000 / triaged_total.max(1),
+            E17_MEDIAN_BUDGET.saturating_sub(median_budget) * 100 / E17_MEDIAN_BUDGET
+        ),
+    ]
+}
+
+/// Echoes each row to stderr and renders the rows as a JSON array, one object
+/// per line.
+fn array(rows: &[String]) -> String {
+    for row in rows {
+        eprintln!("{row}");
     }
+    format!("[\n    {}\n  ]", rows.join(",\n    "))
+}
+
+/// Echoes a single-object row to stderr and returns it.
+fn echoed(row: String) -> String {
+    eprintln!("{row}");
+    row
+}
+
+/// One E3 cost row: mean wall time of `run` (which returns the history length).
+fn cost_row(
+    bench: &str,
+    processes: usize,
+    crashes: usize,
+    mut run: impl FnMut() -> usize,
+) -> String {
+    let mut history_ops = 0usize;
+    let (mean_wall_nanos, iterations, _) = mean_time(|| {
+        history_ops = run();
+        history_ops > 0
+    });
+    format!(
+        "{{\"bench\": \"{bench}\", \"processes\": {processes}, \"crashes\": {crashes}, \
+         \"mean_wall_nanos\": {mean_wall_nanos}, \"iterations\": {iterations}, \
+         \"history_ops\": {history_ops}}}"
+    )
 }
 
 /// Measures everything and writes the `BENCH_abd.json` artifact to `out_path`.
 pub fn write_abd_json(out_path: &str) {
     // E3: write+read round-trip cost vs cluster size, and under minority crashes.
-    struct AbdRow {
-        bench: &'static str,
-        processes: usize,
-        crashes: usize,
-        mean_wall_nanos: u128,
-        iterations: u64,
-        history_ops: usize,
-    }
-    let mut rows: Vec<AbdRow> = Vec::new();
-    for &n in &[3usize, 5, 9, 15] {
-        let mut history_ops = 0usize;
-        let (mean_wall_nanos, iterations, _) = mean_time(|| {
-            let mut cluster = AbdCluster::new(n, ProcessId(0));
-            let mut rng = StdRng::seed_from_u64(1);
-            cluster.start_write(7);
-            cluster.run_to_quiescence(&mut rng, 1_000_000);
-            cluster.start_read(ProcessId(1));
-            cluster.run_to_quiescence(&mut rng, 1_000_000);
-            history_ops = cluster.history().len();
-            history_ops > 0
-        });
-        rows.push(AbdRow {
-            bench: "abd_write_then_read",
-            processes: n,
-            crashes: 0,
-            mean_wall_nanos,
-            iterations,
-            history_ops,
-        });
-    }
-    for &crashes in &[1usize, 2] {
-        let mut history_ops = 0usize;
-        let (mean_wall_nanos, iterations, _) = mean_time(|| {
+    let write_then_read = |mut cluster: AbdCluster, seed: u64, value: i64| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        cluster.start_write(value);
+        cluster.run_to_quiescence(&mut rng, 1_000_000);
+        cluster.start_read(ProcessId(1));
+        cluster.run_to_quiescence(&mut rng, 1_000_000);
+        cluster.history().len()
+    };
+    let mut cost: Vec<String> = [3usize, 5, 9, 15]
+        .iter()
+        .map(|&n| {
+            cost_row("abd_write_then_read", n, 0, || {
+                write_then_read(AbdCluster::new(n, ProcessId(0)), 1, 7)
+            })
+        })
+        .collect();
+    for crashes in [1usize, 2] {
+        cost.push(cost_row("abd_minority_crashes", 5, crashes, || {
             let mut cluster = AbdCluster::new(5, ProcessId(0));
-            let mut rng = StdRng::seed_from_u64(2);
             for i in 0..crashes {
                 cluster.crash(ProcessId(4 - i));
             }
-            cluster.start_write(1);
-            cluster.run_to_quiescence(&mut rng, 1_000_000);
-            cluster.start_read(ProcessId(1));
-            cluster.run_to_quiescence(&mut rng, 1_000_000);
-            history_ops = cluster.history().len();
-            history_ops > 0
-        });
-        rows.push(AbdRow {
-            bench: "abd_minority_crashes",
-            processes: 5,
-            crashes,
-            mean_wall_nanos,
-            iterations,
-            history_ops,
-        });
+            write_then_read(cluster, 2, 1)
+        }));
     }
 
-    // E13: deliveries-to-counterexample per adversary, plus the minimizer row.
-    // E14: the same hunt under 10% link loss with retries.
+    // E13: deliveries-to-counterexample per adversary.
+    // E14: the reply-withholding hunt under 10% link loss with retries.
     let checker = Checker::new(0i64);
-    let hunts = adversary_rows(&checker);
-    let lossy = faulty_lossy_row(&checker);
-    let hunt_loop = hunt_loop_row(&checker);
-    let minimize = minimize_row(&checker);
-    // E17/E18: the untargeted coverage-guided fuzzer (now statically triaged),
-    // measured against the same inversion the E13 targeted adversaries hunt.
-    let fuzz = fuzz_rows();
-
-    let mut json = String::from("{\n  \"experiment\": \"E3-abd-cost\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        eprintln!(
-            "{:>15} n={} crashes={}: {:.3} ms/iter over {} iters ({} history ops)",
-            r.bench,
-            r.processes,
-            r.crashes,
-            r.mean_wall_nanos as f64 / 1e6,
-            r.iterations,
-            r.history_ops
-        );
-        let _ = writeln!(
-            json,
-            "    {{\"bench\": \"{}\", \"processes\": {}, \"crashes\": {}, \
-             \"mean_wall_nanos\": {}, \"iterations\": {}, \"history_ops\": {}}}{}",
-            r.bench,
-            r.processes,
-            r.crashes,
-            r.mean_wall_nanos,
-            r.iterations,
-            r.history_ops,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"adversary_experiment\": \"E13-abd-adversary-schedules\",\n  \
-         \"adversary_workload\": {{\"cluster\": \"faulty_abd\", \"processes\": {HUNT_PROCESSES}, \
-         \"seeds\": {HUNT_SEEDS}, \"delivery_cap\": {HUNT_CAP}}},\n  \"adversary_rows\": ["
-    );
-    for (i, r) in hunts.iter().enumerate() {
-        eprintln!(
-            "{:>20}: median {:>4} deliveries to counterexample (found {}/{}, min {}, max {})",
-            r.adversary,
-            r.median_deliveries,
-            r.found,
-            HUNT_SEEDS,
-            r.min_deliveries,
-            r.max_deliveries
-        );
-        let _ = writeln!(
-            json,
-            "    {{\"adversary\": \"{}\", \"found\": {}, \"median_deliveries\": {}, \
-             \"min_deliveries\": {}, \"max_deliveries\": {}}}{}",
-            r.adversary,
-            r.found,
-            r.median_deliveries,
-            r.min_deliveries,
-            r.max_deliveries,
-            if i + 1 < hunts.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    eprintln!(
-        "{:>20}: median {:>4} deliveries to counterexample (found {}/{}, min {}, max {})",
-        lossy.adversary,
-        lossy.median_deliveries,
-        lossy.found,
-        HUNT_SEEDS,
-        lossy.min_deliveries,
-        lossy.max_deliveries
-    );
-    let _ = writeln!(
-        json,
-        "  \"fault_experiment\": \"E14-abd-fault-injection\",\n  \
-         \"fault_workload\": {{\"cluster\": \"faulty_abd\", \"processes\": {HUNT_PROCESSES}, \
-         \"drop_p\": {LOSSY_DROP_P}, \"retries\": true, \"seeds\": {HUNT_SEEDS}, \
-         \"delivery_cap\": {HUNT_CAP}}},\n  \
-         \"fault_rows\": [\n    {{\"adversary\": \"{}\", \"found\": {}, \
-         \"median_deliveries\": {}, \"min_deliveries\": {}, \"max_deliveries\": {}}}\n  ],",
-        lossy.adversary,
-        lossy.found,
-        lossy.median_deliveries,
-        lossy.min_deliveries,
-        lossy.max_deliveries
-    );
-    eprintln!(
-        "{:>20}: incremental {:.3} ms/hunt vs from-scratch {:.3} ms/hunt \
-         ({:.2}x, median {} deliveries, medians match: {})",
-        "hunt_loop",
-        hunt_loop.incremental_mean_nanos as f64 / 1e6,
-        hunt_loop.scratch_mean_nanos as f64 / 1e6,
-        hunt_loop.scratch_mean_nanos as f64 / hunt_loop.incremental_mean_nanos.max(1) as f64,
-        hunt_loop.median_deliveries,
-        hunt_loop.medians_match
-    );
-    let _ = writeln!(
-        json,
-        "  \"hunt_loop\": {{\"adversary\": \"reply_withholding\", \"seeds\": {}, \
-         \"incremental_mean_wall_nanos\": {}, \"scratch_mean_wall_nanos\": {}, \
-         \"median_deliveries\": {}, \"medians_match\": {}}},",
-        HUNT_LOOP_SEEDS,
-        hunt_loop.incremental_mean_nanos,
-        hunt_loop.scratch_mean_nanos,
-        hunt_loop.median_deliveries,
-        hunt_loop.medians_match
-    );
-    eprintln!(
-        "{:>20}: {} raw -> {} deliveries ({} steps) after {} replays, deterministic: {}",
-        "minimized",
-        minimize.raw_deliveries,
-        minimize.min_deliveries,
-        minimize.min_steps,
-        minimize.replays_tried,
-        minimize.replay_deterministic
-    );
-    let _ = writeln!(
-        json,
-        "  \"minimize\": {{\"adversary\": \"reply_withholding\", \"scenario_seed\": {}, \
-         \"raw_deliveries\": {}, \"min_deliveries\": {}, \"min_steps\": {}, \
-         \"replays_tried\": {}, \"replay_deterministic\": {}}},",
-        minimize.scenario_seed,
-        minimize.raw_deliveries,
-        minimize.min_deliveries,
-        minimize.min_steps,
-        minimize.replays_tried,
-        minimize.replay_deterministic
-    );
-    eprintln!(
-        "{:>20}: found {}/{} seeds, median {} budget units to trophy (min {}, max {}), \
-         ddmin max {} deliveries, verified: {}",
-        "fuzz_rediscovery",
-        fuzz.found,
-        FUZZ_SEEDS,
-        fuzz.median_budget,
-        fuzz.min_budget,
-        fuzz.max_budget,
-        fuzz.max_min_deliveries,
-        fuzz.all_verified
-    );
-    eprintln!(
-        "{:>20}: {} coverage units over {} budget units = {} per 1000 deliveries",
-        "fuzz_coverage", fuzz.coverage_units, fuzz.coverage_budget, fuzz.coverage_per_1000
-    );
-    let triaged_total = fuzz.mutants_executed + fuzz.statically_rejected;
-    let reject_per_1000 = fuzz.statically_rejected * 1_000 / triaged_total.max(1);
-    let budget_saved_percent =
-        (E17_MEDIAN_BUDGET.saturating_sub(fuzz.median_budget)) * 100 / E17_MEDIAN_BUDGET;
-    eprintln!(
-        "{:>20}: rejected {} / canonicalized {} of {} mutants ({} per 1000), \
-         median {} vs E17 baseline {} (-{}%)",
-        "fuzz_triage",
-        fuzz.statically_rejected,
-        fuzz.statically_canonicalized,
-        triaged_total,
-        reject_per_1000,
-        fuzz.median_budget,
-        E17_MEDIAN_BUDGET,
-        budget_saved_percent
-    );
-    let _ = writeln!(
-        json,
-        "  \"fuzz_experiment\": \"E17-coverage-guided-schedule-fuzzing+E18-static-triage\",\n  \
-         \"fuzz_workload\": {{\"cluster\": \"faulty_abd\", \"processes\": {HUNT_PROCESSES}, \
-         \"seeds\": {FUZZ_SEEDS}, \"corpus\": \"clean recorded schedules only\"}},\n  \
-         \"fuzz_rows\": [\n    \
-         {{\"row\": \"rediscovery_median\", \"found\": {}, \"median_budget\": {}, \
-         \"min_budget\": {}, \"max_budget\": {}, \"max_min_deliveries\": {}, \
-         \"all_verified\": {}}},\n    \
-         {{\"row\": \"coverage_per_1000_deliveries\", \"coverage_units\": {}, \
-         \"budget_used\": {}, \"value\": {}}},\n    \
-         {{\"row\": \"static_triage\", \"statically_rejected\": {}, \
-         \"statically_canonicalized\": {}, \"mutants_executed\": {}, \
-         \"rejected_per_1000\": {}, \"median_budget\": {}, \
-         \"e17_median_budget\": {}, \"budget_saved_percent\": {}}}\n  ]",
-        fuzz.found,
-        fuzz.median_budget,
-        fuzz.min_budget,
-        fuzz.max_budget,
-        fuzz.max_min_deliveries,
-        fuzz.all_verified,
-        fuzz.coverage_units,
-        fuzz.coverage_budget,
-        fuzz.coverage_per_1000,
-        fuzz.statically_rejected,
-        fuzz.statically_canonicalized,
-        fuzz.mutants_executed,
-        reject_per_1000,
-        fuzz.median_budget,
-        E17_MEDIAN_BUDGET,
-        budget_saved_percent
-    );
-    json.push_str("}\n");
-    std::fs::write(out_path, &json).expect("write ABD summary JSON");
+    let hunts: Vec<String> = TRACKED_ADVERSARIES
+        .iter()
+        .map(|&name| hunt_row(name, &|seed| run_hunt(name, seed, &checker)))
+        .collect();
+    let lossy = FaultScenario::new(FaultPlan::lossy(LOSSY_DROP_P), 0xe14);
+    let faults = hunt_row("faulty_lossy", &|seed| {
+        hunt_with_faults(
+            faulty_cluster().with_retries(RetryPolicy::default()),
+            &mut ReplyWithholdingAdversary::new(),
+            &lossy,
+            seed,
+            HUNT_CAP,
+            &checker,
+        )
+    });
+    let fields = [
+        ("experiment", "\"E3-abd-cost\"".to_string()),
+        ("rows", array(&cost)),
+        (
+            "adversary_experiment",
+            "\"E13-abd-adversary-schedules\"".to_string(),
+        ),
+        (
+            "adversary_workload",
+            format!(
+                "{{\"cluster\": \"faulty_abd\", \"processes\": {HUNT_PROCESSES}, \
+                 \"seeds\": {HUNT_SEEDS}, \"delivery_cap\": {HUNT_CAP}}}"
+            ),
+        ),
+        ("adversary_rows", array(&hunts)),
+        (
+            "fault_experiment",
+            "\"E14-abd-fault-injection\"".to_string(),
+        ),
+        (
+            "fault_workload",
+            format!(
+                "{{\"cluster\": \"faulty_abd\", \"processes\": {HUNT_PROCESSES}, \
+                 \"drop_p\": {LOSSY_DROP_P}, \"retries\": true, \"seeds\": {HUNT_SEEDS}, \
+                 \"delivery_cap\": {HUNT_CAP}}}"
+            ),
+        ),
+        ("fault_rows", array(&[faults])),
+        ("hunt_loop", echoed(hunt_loop_row(&checker))),
+        ("minimize", echoed(minimize_row(&checker))),
+        (
+            "fuzz_experiment",
+            "\"E17-coverage-guided-schedule-fuzzing+E18-static-triage\"".to_string(),
+        ),
+        (
+            "fuzz_workload",
+            format!(
+                "{{\"cluster\": \"faulty_abd\", \"processes\": {HUNT_PROCESSES}, \
+                 \"seeds\": {FUZZ_SEEDS}, \"corpus\": \"clean recorded schedules only\"}}"
+            ),
+        ),
+        ("fuzz_rows", array(&fuzz_rows())),
+    ];
+    let body: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| format!("  \"{key}\": {value}"))
+        .collect();
+    std::fs::write(out_path, format!("{{\n{}\n}}\n", body.join(",\n")))
+        .expect("write ABD summary JSON");
     eprintln!("wrote {out_path}");
 }

@@ -18,12 +18,13 @@
 //!   `state_drift_guard` bin.
 //! * `BENCH_game.json` — experiment E2: cost of 10-round Figure 1/2 games per
 //!   register mode and process count, plus full termination experiments.
-//! * `BENCH_abd.json` — experiment E3 (ABD write+read round-trip cost as the cluster
-//!   grows and under minority crashes) and experiment E13 (adversarial message
-//!   schedules: deliveries-to-counterexample per delivery adversary on the faulty
-//!   cluster, plus the minimized failing schedule) — written by the shared
-//!   `rlt_bench::abd_summary` module, also reachable through the focused
-//!   `abd_adversary` bin.
+//! * `BENCH_abd.json` — experiments E3 (ABD write+read round-trip cost as the
+//!   cluster grows and under minority crashes), E13 (adversarial message schedules:
+//!   deliveries-to-counterexample per delivery adversary on the faulty cluster, plus
+//!   the minimized failing schedule), E14 (the same hunt under loss with retries),
+//!   E15 (the hunt timed with incremental vs from-scratch rechecks) and E17/E18
+//!   (schedule fuzzing and static triage) — written by `rlt_bench::abd_summary`;
+//!   this bin is the file's only writer.
 //!
 //! Usage: `cargo run --release -p rlt-bench --bin checkers_summary \
 //!     [checkers.json [game.json [abd.json]]]`

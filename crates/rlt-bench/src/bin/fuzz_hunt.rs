@@ -1,20 +1,16 @@
-//! Experiment E17: coverage-guided schedule fuzzing on the ABD clusters.
+//! Experiment E17: the coverage-guided schedule fuzzer's CI smoke run.
 //!
-//! Two modes:
+//! Runs the faulty-cluster rediscovery hunt on a fixed block of scenario seeds plus
+//! one strong-linearizability hunt on the correct cluster, printing one
+//! deterministic line per run: every number is a pure function of the seeds, so CI
+//! diffs this stdout across pool widths (`RLT_THREADS=1` vs the default) exactly
+//! like `server_load`. Asserts that the inversion is rediscovered from clean
+//! recorded schedules alone, that every ddmin'd trophy is ≤ 25 deliveries and
+//! replays bit-identically, and that the correct cluster raises zero write-strong
+//! refutations (the Section 6 theorem). The E17/E18 rows of `BENCH_abd.json` are
+//! written by `checkers_summary`.
 //!
-//! * `--smoke` — the CI gate. Runs the faulty-cluster rediscovery hunt on a fixed
-//!   block of scenario seeds plus one strong-linearizability hunt on the correct
-//!   cluster, printing one deterministic line per run: every number is a pure
-//!   function of the seeds, so CI diffs this stdout across pool widths
-//!   (`RLT_THREADS=1` vs the default) exactly like `server_load`. Asserts that the
-//!   inversion is rediscovered from clean recorded schedules alone, that every
-//!   ddmin'd trophy is ≤ 25 deliveries and replays bit-identically, and that the
-//!   correct cluster raises zero write-strong refutations (the Section 6 theorem).
-//! * default — regenerates `BENCH_abd.json` (the artifact shared with
-//!   `checkers_summary` and `abd_adversary`), which now carries the E17
-//!   `rediscovery_median` and `coverage_per_1000_deliveries` rows.
-//!
-//! Usage: `cargo run --release -p rlt-bench --bin fuzz_hunt [--smoke | abd.json]`
+//! Usage: `cargo run --release -p rlt-bench --bin fuzz_hunt -- --smoke`
 
 use rlt_mp::fuzz::{fuzz_faulty_rediscovery, fuzz_strong_distinctions, FuzzConfig};
 use rlt_mp::FaultyAbdCluster;
@@ -109,10 +105,11 @@ fn smoke() {
 }
 
 fn main() {
-    let arg = std::env::args().nth(1);
-    match arg.as_deref() {
-        Some("--smoke") => smoke(),
-        Some(path) => rlt_bench::abd_summary::write_abd_json(path),
-        None => rlt_bench::abd_summary::write_abd_json("BENCH_abd.json"),
+    match std::env::args().nth(1).as_deref() {
+        None | Some("--smoke") => smoke(),
+        Some(other) => {
+            eprintln!("usage: fuzz_hunt [--smoke] (got {other:?}); checkers_summary writes BENCH_abd.json");
+            std::process::exit(2);
+        }
     }
 }

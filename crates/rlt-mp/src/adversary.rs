@@ -21,14 +21,14 @@
 //!   (write-back-free) cluster straight into a new/old inversion.
 //! * [`ScriptedAdversary`] — replays a recorded sequence of [`EnvelopeKey`]s.
 //!
-//! [`hunt_new_old_inversion`] is the shared counterexample search the benchmarks and
-//! tests drive: a seeded open workload (continuous writes, one read at a time) under a
-//! chosen adversary, checked for linearizability after every completed read, recording
-//! the whole run as a [`Schedule`] for replay and [`crate::minimize`] shrinking.
+//! [`hunt_new_old_inversion`] is the fault-free entry to the one hunt loop,
+//! [`crate::hunt_with`]: a seeded open workload (continuous writes, one read at a
+//! time) under a chosen adversary, rechecked after every step and halted at the first
+//! non-linearizable prefix, recording the whole run as a [`Schedule`] for replay and
+//! [`crate::minimize`] shrinking.
 
-use crate::delivery::{
-    AbdMessage, Envelope, EnvelopeKey, InflightQueue, MessageCluster, Schedule, ScheduleRun,
-};
+use crate::delivery::{AbdMessage, Envelope, EnvelopeKey, InflightQueue, MessageCluster, Schedule};
+use crate::faults::{hunt_with_faults, FaultPlan, FaultScenario, HuntReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlt_spec::{Checker, ProcessId};
@@ -274,30 +274,11 @@ impl DeliveryAdversary for ScriptedAdversary {
     }
 }
 
-/// Result of [`hunt_new_old_inversion`].
-#[derive(Debug)]
-pub struct HuntReport {
-    /// Delivery count at which the checker first rejected the history (`None` if the
-    /// budget ran out first).
-    pub violation_at: Option<u64>,
-    /// Total deliveries made.
-    pub deliveries: u64,
-    /// The recorded run, replayable with [`Schedule::replay_on`].
-    pub schedule: Schedule,
-    /// The cluster's fault counters at the end of the run (all zero for fault-free
-    /// hunts; see [`crate::FaultLog`]).
-    pub fault_log: crate::FaultLog,
-}
-
-/// Drives `cluster` through a seeded open workload under `adversary`, hunting for a
-/// non-linearizable history: the designated writer writes continuously (a fresh value
-/// whenever it is idle), one randomly chosen reader at a time runs a read, and after
-/// every completed read (from the second one on) the history is checked. Stops at the
-/// first checker rejection or after `max_deliveries`.
-///
-/// The scenario rng only picks reader identities, so the same `scenario_seed` pits
-/// every adversary against the same workload; deterministic adversaries make the whole
-/// hunt a pure function of `(cluster, adversary, scenario_seed)`.
+/// The fault-free hunt: [`hunt_with_faults`] under the clean scenario
+/// `FaultScenario::new(FaultPlan::clean(), 0)`, so only `adversary` shapes the
+/// message schedule. Continuous writes, one reader at a time, the history
+/// rechecked by one incremental session after every delivery; stops at the first
+/// non-linearizable prefix or after `max_deliveries`. See [`crate::hunt_with`].
 pub fn hunt_new_old_inversion<C: MessageCluster>(
     cluster: C,
     adversary: &mut dyn DeliveryAdversary,
@@ -305,98 +286,20 @@ pub fn hunt_new_old_inversion<C: MessageCluster>(
     max_deliveries: u64,
     checker: &Checker<i64>,
 ) -> HuntReport {
-    // One incremental session per hunt: the interner, precedence bitsets, and the
-    // per-register frozen searches persist across the run's rechecks instead of
-    // being re-derived from scratch after every completed read.
-    let mut monitor = checker.incremental();
-    hunt_new_old_inversion_with(
+    hunt_with_faults(
         cluster,
         adversary,
+        &FaultScenario::new(FaultPlan::clean(), 0),
         scenario_seed,
         max_deliveries,
-        &mut |cluster: &C| {
-            monitor.sync_with_ops(cluster.operations());
-            matches!(monitor.verdict_ref().outcome(), Ok(false))
-        },
+        checker,
     )
-}
-
-/// [`hunt_new_old_inversion`] with a from-scratch [`Checker::check`] per recheck
-/// instead of one incremental session per hunt. Verdict-identical (and therefore
-/// hunt-identical: same violation delivery, same schedule); kept as the baseline the
-/// benchmarks measure the incremental hunt loop against.
-pub fn hunt_new_old_inversion_from_scratch<C: MessageCluster>(
-    cluster: C,
-    adversary: &mut dyn DeliveryAdversary,
-    scenario_seed: u64,
-    max_deliveries: u64,
-    checker: &Checker<i64>,
-) -> HuntReport {
-    hunt_new_old_inversion_with(
-        cluster,
-        adversary,
-        scenario_seed,
-        max_deliveries,
-        &mut |cluster: &C| matches!(checker.check(&cluster.history()).outcome(), Ok(false)),
-    )
-}
-
-fn hunt_new_old_inversion_with<C: MessageCluster>(
-    cluster: C,
-    adversary: &mut dyn DeliveryAdversary,
-    scenario_seed: u64,
-    max_deliveries: u64,
-    reject: &mut dyn FnMut(&C) -> bool,
-) -> HuntReport {
-    let mut run = ScheduleRun::new(cluster);
-    let mut rng = StdRng::seed_from_u64(scenario_seed);
-    let n = run.cluster().process_count();
-    let writer = run.cluster().writer();
-    let mut next_value = 7i64;
-    let mut active_reader: Option<ProcessId> = None;
-    let mut completed_reads = 0u64;
-    while run.deliveries() < max_deliveries {
-        if run.cluster().is_idle(writer) && run.start_write(next_value).is_some() {
-            next_value += 1;
-        }
-        if active_reader.is_none() {
-            // A uniform pick among the n - 1 non-writer processes.
-            let r = rng.gen_range(0..n - 1);
-            let p = ProcessId(if r >= writer.0 { r + 1 } else { r });
-            if run.start_read(p).is_some() {
-                active_reader = Some(p);
-            }
-        }
-        if !run.deliver_next(adversary) {
-            break;
-        }
-        if let Some(p) = active_reader {
-            if run.cluster().is_idle(p) {
-                active_reader = None;
-                completed_reads += 1;
-                if completed_reads >= 2 && reject(run.cluster()) {
-                    return HuntReport {
-                        violation_at: Some(run.deliveries()),
-                        deliveries: run.deliveries(),
-                        fault_log: run.cluster().fault_log(),
-                        schedule: run.into_schedule(),
-                    };
-                }
-            }
-        }
-    }
-    HuntReport {
-        violation_at: None,
-        deliveries: run.deliveries(),
-        fault_log: run.cluster().fault_log(),
-        schedule: run.into_schedule(),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AbdCluster, FaultyAbdCluster};
+    use crate::{hunt_with, AbdCluster, FaultyAbdCluster, Partition, RetryPolicy, ScheduleRun};
 
     fn checker() -> Checker<i64> {
         Checker::new(0i64)
@@ -423,33 +326,60 @@ mod tests {
 
     #[test]
     fn incremental_hunt_matches_the_from_scratch_baseline() {
-        // The incremental session inside `hunt_new_old_inversion` must not change
-        // the hunt's outcome: same violation delivery, same recorded schedule.
+        // One incremental session per hunt must not change the hunt's outcome: the
+        // same violation delivery, delivery count, recorded schedule and fault log
+        // as a from-scratch check after every step. Fault-free, then under loss with
+        // retries, a partition window, and a crash with recovery.
         let checker = checker();
-        for seed in 0..5u64 {
-            let mut adv_inc = ReplyWithholdingAdversary::new();
-            let incremental = hunt_new_old_inversion(
-                FaultyAbdCluster::new(5, ProcessId(0)),
-                &mut adv_inc,
-                seed,
-                500,
-                &checker,
-            );
-            let mut adv_scratch = ReplyWithholdingAdversary::new();
-            let scratch = hunt_new_old_inversion_from_scratch(
-                FaultyAbdCluster::new(5, ProcessId(0)),
-                &mut adv_scratch,
-                seed,
-                500,
-                &checker,
-            );
-            assert_eq!(
-                incremental.violation_at, scratch.violation_at,
-                "seed {seed}"
-            );
-            assert_eq!(incremental.deliveries, scratch.deliveries, "seed {seed}");
-            assert_eq!(incremental.schedule, scratch.schedule, "seed {seed}");
+        let cut = Partition::new(1, "writer-side-cut", [ProcessId(0), ProcessId(1)]);
+        let scenarios = [
+            (FaultScenario::new(FaultPlan::clean(), 0), None),
+            (
+                FaultScenario::new(FaultPlan::lossy(0.1), 0xe14),
+                Some(RetryPolicy::default()),
+            ),
+            (
+                FaultScenario::new(FaultPlan::clean(), 0xbeef).with_partition_window(6, 12, cut),
+                Some(RetryPolicy::default()),
+            ),
+            (
+                FaultScenario::new(FaultPlan::clean(), 0xdead)
+                    .with_crash(10, ProcessId(4))
+                    .with_recovery(30, ProcessId(4)),
+                Some(RetryPolicy::default()),
+            ),
+        ];
+        let mut found = 0;
+        for (scenario, retries) in &scenarios {
+            for seed in 0..5u64 {
+                let hunt = |reject: &mut dyn FnMut(&FaultyAbdCluster) -> bool| {
+                    let mut cluster = FaultyAbdCluster::new(5, ProcessId(0));
+                    if let Some(policy) = retries {
+                        cluster = cluster.with_retries(*policy);
+                    }
+                    let mut adversary = ReplyWithholdingAdversary::new();
+                    hunt_with(cluster, &mut adversary, scenario, seed, 300, reject)
+                };
+                let mut monitor = checker.incremental();
+                let incremental = hunt(&mut |cluster| {
+                    monitor.sync_with_ops(cluster.operations());
+                    matches!(monitor.verdict_ref().outcome(), Ok(false))
+                });
+                let scratch = hunt(&mut |cluster| {
+                    matches!(checker.check(&cluster.history()).outcome(), Ok(false))
+                });
+                let at = format!("{scenario:?}, seed {seed}");
+                assert_eq!(incremental.violation_at, scratch.violation_at, "{at}");
+                assert_eq!(incremental.deliveries, scratch.deliveries, "{at}");
+                assert_eq!(incremental.schedule, scratch.schedule, "{at}");
+                assert_eq!(incremental.fault_log, scratch.fault_log, "{at}");
+                found += u64::from(incremental.violation_at.is_some());
+            }
         }
+        assert!(
+            found > 0 && found < 20,
+            "{found} of 20 hunts found a violation"
+        );
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //!   ordering, a response whose request was never delivered, traffic on a
 //!   crashed endpoint or a severed link), `recover` of a live process, `heal`
 //!   of a never-installed partition, duplicate `partition` ids, client events
-//!   for already-crashed or provably-busy incarnations, `advance` with nothing
-//!   to advance to.
+//!   for already-crashed or provably-busy incarnations or for processes outside
+//!   the cluster, `advance` with nothing to advance to.
 //! * **Warnings** ([`Severity::Warn`]) — steps that fire but look like
 //!   recording bugs: partitions that are never healed, crashes of
-//!   already-crashed processes, out-of-range crash targets (which *panic* at
-//!   replay time).
+//!   already-crashed processes.
 //!
 //! Soundness is the contract, pinned by proptests against
 //! [`Schedule::replay_trace_on`]: every step the analyzer calls dead is in fact
@@ -702,9 +701,17 @@ impl Pass<'_> {
                 None
             }
             ClientEvent::Crash(p) => {
-                // `crash` always fires at replay time (never dead); the
-                // redundant-crash / crash-out-of-range *warnings* are issued by
-                // `analyze` before this state update.
+                // An in-range `crash` always fires at replay time; the
+                // redundant-crash *warning* is issued by `analyze` before this
+                // state update.
+                if let Some(n) = self.model.processes {
+                    if p.0 >= n {
+                        return Some((
+                            "out-of-range",
+                            format!("process {} is outside the cluster of size {n}", p.0),
+                        ));
+                    }
+                }
                 self.crashed.insert(p.0);
                 None
             }
@@ -739,19 +746,6 @@ pub fn analyze(schedule: &Schedule, model: &ClusterModel) -> Analysis {
                     "redundant-crash",
                     format!("process {} is already crashed", p.0),
                 );
-            }
-            if let Some(n) = model.processes {
-                if p.0 >= n {
-                    pass.flag(
-                        idx,
-                        Severity::Warn,
-                        "crash-out-of-range",
-                        format!(
-                            "crash of process {} panics at replay time on a cluster of size {n}",
-                            p.0
-                        ),
-                    );
-                }
             }
         }
         pass.step(idx, step);
@@ -1027,12 +1021,13 @@ mod tests {
         let a = analyze(&sched("read 9"), &model);
         assert!(a.is_dead(0));
         assert!(a.diagnostics.iter().any(|d| d.code == "out-of-range"));
-        // Crash warnings: redundant and out-of-range.
+        // A redundant crash still fires (a warning); an out-of-range one is dead.
         let a = analyze(&sched("crash 1\ncrash 1"), &model);
-        assert!(!a.is_dead(1), "crash always fires");
+        assert!(!a.is_dead(1), "an in-range crash always fires");
         assert!(a.diagnostics.iter().any(|d| d.code == "redundant-crash"));
         let a = analyze(&sched("crash 9"), &model);
-        assert!(a.diagnostics.iter().any(|d| d.code == "crash-out-of-range"));
+        assert!(a.is_dead(0));
+        assert!(a.diagnostics.iter().any(|d| d.code == "out-of-range"));
     }
 
     #[test]

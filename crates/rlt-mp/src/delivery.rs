@@ -771,9 +771,13 @@ pub trait MessageCluster {
     }
 
     /// Fail-stops `p`: it takes no further protocol steps and its in-flight traffic is
-    /// dropped.
-    fn crash_process(&mut self, p: ProcessId) {
+    /// dropped. Returns `false` (a no-op) if `p` is out of range.
+    fn crash_process(&mut self, p: ProcessId) -> bool {
+        if p.0 >= self.process_count() {
+            return false;
+        }
         self.net_mut().crash(p);
+        true
     }
 
     /// Number of messages currently in flight.
@@ -852,16 +856,14 @@ pub trait MessageCluster {
     }
 
     /// Applies a [`ClientEvent`], returning `true` if it took effect (start events on a
-    /// busy or crashed process are skipped and return `false`).
+    /// busy or crashed process, and any event naming a process out of range, are
+    /// skipped and return `false`).
     fn apply_event(&mut self, event: ClientEvent) -> bool {
         match event {
             ClientEvent::StartWrite(value) => self.try_start_write(value).is_some(),
             ClientEvent::StartWriteBy(p, value) => self.try_start_write_by(p, value).is_some(),
             ClientEvent::StartRead(p) => self.try_start_read(p).is_some(),
-            ClientEvent::Crash(p) => {
-                self.crash_process(p);
-                true
-            }
+            ClientEvent::Crash(p) => self.crash_process(p),
             ClientEvent::Recover(p) => self.recover_process(p),
         }
     }
@@ -964,12 +966,15 @@ impl<C: MessageCluster> ScheduleRun<C> {
         op
     }
 
-    /// Crashes `p`, recording the event.
-    pub fn crash(&mut self, p: ProcessId) {
-        self.cluster.crash_process(p);
-        self.schedule
-            .steps
-            .push(ScheduleStep::Event(ClientEvent::Crash(p)));
+    /// Crashes `p`, recording the event if it took effect (`p` is in range).
+    pub fn crash(&mut self, p: ProcessId) -> bool {
+        let crashed = self.cluster.crash_process(p);
+        if crashed {
+            self.schedule
+                .steps
+                .push(ScheduleStep::Event(ClientEvent::Crash(p)));
+        }
+        crashed
     }
 
     /// Recovers `p`, recording the event if it took effect.
@@ -1072,29 +1077,11 @@ impl<C: MessageCluster> ScheduleRun<C> {
         true
     }
 
-    /// Asks `adversary` to choose the next delivery and performs it. Returns `false`
-    /// if nothing is in flight or the adversary declines (`None`).
+    /// Asks `adversary` to choose the next delivery and performs it: the faulty
+    /// delivery under a clean injector, which always delivers. Returns `false` if
+    /// nothing is in flight or the adversary declines (`None`).
     pub fn deliver_next(&mut self, adversary: &mut dyn DeliveryAdversary) -> bool {
-        if self.cluster.queue().is_empty() {
-            return false;
-        }
-        let view = DeliveryView {
-            queue: self.cluster.queue(),
-            deliveries: self.deliveries,
-        };
-        let Some(slot) = adversary.next_delivery(&view) else {
-            return false;
-        };
-        let key = self
-            .cluster
-            .queue()
-            .get(slot)
-            .expect("adversary must choose an occupied slot")
-            .key();
-        self.cluster.deliver_slot(slot);
-        self.schedule.steps.push(ScheduleStep::Deliver(key));
-        self.deliveries += 1;
-        true
+        self.deliver_next_faulty(adversary, &mut FaultInjector::clean())
     }
 
     /// Drives `adversary` until quiescence, refusal, or `max_deliveries` total
@@ -1251,6 +1238,22 @@ mod tests {
             );
             assert!(shown.contains(&err.snippet), "{shown}");
         }
+    }
+
+    #[test]
+    fn out_of_range_client_events_are_skipped_steps() {
+        // Replay is total: an event naming a process outside the cluster is skipped
+        // with no effect, a crash included.
+        let fresh = || crate::AbdCluster::new(5, ProcessId(0));
+        let mut cluster = fresh();
+        let crash: Schedule = "crash 99".parse().unwrap();
+        assert_eq!(crash.replay_trace_on(&mut cluster).fired, vec![false]);
+        assert!(cluster.history().is_empty());
+        let others: Schedule = "read 99\nwrite-by 99 1\nrecover 99".parse().unwrap();
+        assert_eq!(others.replay_trace_on(&mut fresh()).fired, vec![false; 3]);
+        let mut run = ScheduleRun::new(fresh());
+        assert!(!run.crash(ProcessId(99)));
+        assert!(run.schedule().is_empty(), "a skipped crash records nothing");
     }
 
     #[test]

@@ -17,11 +17,13 @@
 //!   distributions rolled at delivery time. The dice are rolled **only while
 //!   recording**; the outcomes become ordinary [`crate::ScheduleStep`]s, so replay
 //!   never consults an rng and is bit-identical by construction.
-//! * [`FaultScenario`] / [`hunt_with_faults`] — a scripted failure scenario
-//!   (partition window, crashes, recoveries, loss plan) driven against a cluster
-//!   under any [`DeliveryAdversary`], recording everything as a replayable
-//!   [`crate::Schedule`] and checking linearizability after every completed read —
-//!   the lossy-network counterpart of [`crate::adversary::hunt_new_old_inversion`].
+//! * [`FaultScenario`] / [`hunt_with`] — the one hunt loop: a scripted failure
+//!   scenario (partition window, crashes, recoveries, loss plan) driven against a
+//!   cluster under any [`DeliveryAdversary`], recording everything as a replayable
+//!   [`crate::Schedule`], rechecking after every step and halting at the first
+//!   non-linearizable prefix. [`hunt_with_faults`] rechecks with one incremental
+//!   session; [`crate::adversary::hunt_new_old_inversion`] is it under the clean
+//!   scenario.
 
 use crate::adversary::DeliveryAdversary;
 use crate::delivery::{Envelope, InflightQueue, MessageCluster, ScheduleRun};
@@ -675,7 +677,7 @@ impl FaultInjector {
     }
 }
 
-/// A scripted failure scenario for [`hunt_with_faults`]: the loss plan plus
+/// A scripted failure scenario for [`hunt_with`]: the loss plan plus
 /// partition/crash/recovery events keyed on the delivery count.
 #[derive(Debug, Clone)]
 pub struct FaultScenario {
@@ -732,17 +734,24 @@ impl FaultScenario {
     }
 }
 
-/// Drives `cluster` through the seeded open workload of
-/// [`crate::adversary::hunt_new_old_inversion`] — continuous writes, one reader at a
-/// time — under `adversary` **and** the failure scenario: every chosen delivery rolls
-/// the scenario's [`FaultInjector`], partitions are installed and healed at the
-/// scripted delivery counts, processes crash and recover, and when nothing is
-/// deliverable the virtual clock fast-forwards to the next retry timer or delayed
-/// release. Everything — including every fault — is recorded in the returned
-/// [`crate::Schedule`], so the run replays bit-identically and ddmin-minimizes.
-///
-/// The history is checked after every completed read from the second one on; the hunt
-/// stops at the first rejection or once `max_deliveries` deliveries were made.
+/// Result of a hunt ([`hunt_with`] and its wrappers).
+#[derive(Debug)]
+pub struct HuntReport {
+    /// Delivery count at which the hunt's `reject` first fired (`None` if the budget
+    /// ran out first).
+    pub violation_at: Option<u64>,
+    /// Total deliveries made.
+    pub deliveries: u64,
+    /// The recorded run, replayable with [`crate::Schedule::replay_on`].
+    pub schedule: crate::Schedule,
+    /// The cluster's fault counters at the end of the run (all zero for fault-free
+    /// hunts; see [`FaultLog`]).
+    pub fault_log: FaultLog,
+}
+
+/// [`hunt_with`] with one incremental checking session per hunt: the interner,
+/// precedence bitsets and per-register frozen searches persist across the run's
+/// rechecks instead of being re-derived from scratch after every step.
 pub fn hunt_with_faults<C: MessageCluster>(
     cluster: C,
     adversary: &mut dyn DeliveryAdversary,
@@ -750,11 +759,9 @@ pub fn hunt_with_faults<C: MessageCluster>(
     scenario_seed: u64,
     max_deliveries: u64,
     checker: &Checker<i64>,
-) -> crate::adversary::HuntReport {
-    // As in `hunt_new_old_inversion`: one incremental session per hunt, resumed
-    // across every recheck instead of re-deriving the pipeline per delivery.
+) -> HuntReport {
     let mut monitor = checker.incremental();
-    hunt_with_faults_with(
+    hunt_with(
         cluster,
         adversary,
         scenario,
@@ -767,34 +774,35 @@ pub fn hunt_with_faults<C: MessageCluster>(
     )
 }
 
-/// [`hunt_with_faults`] with a from-scratch [`Checker::check`] per recheck instead of
-/// one incremental session per hunt. Verdict-identical; the benchmark baseline.
-pub fn hunt_with_faults_from_scratch<C: MessageCluster>(
-    cluster: C,
-    adversary: &mut dyn DeliveryAdversary,
-    scenario: &FaultScenario,
-    scenario_seed: u64,
-    max_deliveries: u64,
-    checker: &Checker<i64>,
-) -> crate::adversary::HuntReport {
-    hunt_with_faults_with(
-        cluster,
-        adversary,
-        scenario,
-        scenario_seed,
-        max_deliveries,
-        &mut |cluster: &C| matches!(checker.check(&cluster.history()).outcome(), Ok(false)),
-    )
-}
-
-fn hunt_with_faults_with<C: MessageCluster>(
+/// The hunt: drives `cluster` through a seeded open workload under `adversary`
+/// **and** the failure scenario, halting at the first non-linearizable prefix.
+///
+/// The workload: the designated writer writes continuously (a fresh value whenever
+/// it is idle and alive), and one reader at a time, picked uniformly among the
+/// other processes by the `scenario_seed` rng, runs a read. Every chosen delivery
+/// rolls the scenario's [`FaultInjector`], partitions are installed and healed at
+/// the scripted delivery counts, processes crash and recover, and when nothing is
+/// deliverable the virtual clock fast-forwards to the next retry timer or delayed
+/// release. Everything, every fault included, is recorded in the returned
+/// [`crate::Schedule`], so the run replays bit-identically and ddmin-minimizes.
+///
+/// `reject` is called after every step (delivery, fault decision or clock
+/// advance); the hunt stops at the first `true`, or once `max_deliveries`
+/// deliveries were made. The rng picks only reader identities, so one
+/// `scenario_seed` pits every adversary against the same workload, and with a
+/// deterministic adversary the whole hunt is a pure function of its arguments.
+/// Under a clean scenario (`FaultScenario::new(FaultPlan::clean(), 0)`) the
+/// injector never rolls, and a cluster without retries has no deadline to advance
+/// to, so the run is the plain message schedule of
+/// [`crate::adversary::hunt_new_old_inversion`].
+pub fn hunt_with<C: MessageCluster>(
     cluster: C,
     adversary: &mut dyn DeliveryAdversary,
     scenario: &FaultScenario,
     scenario_seed: u64,
     max_deliveries: u64,
     reject: &mut dyn FnMut(&C) -> bool,
-) -> crate::adversary::HuntReport {
+) -> HuntReport {
     let mut run = ScheduleRun::new(cluster);
     let mut injector = FaultInjector::new(
         scenario.plan.clone(),
@@ -805,11 +813,11 @@ fn hunt_with_faults_with<C: MessageCluster>(
     let writer = run.cluster().writer();
     let mut next_value = 7i64;
     let mut active_reader: Option<ProcessId> = None;
-    let mut completed_reads = 0u64;
     let mut partition_pending = scenario.partition_at.clone();
     let mut heal_pending = scenario.heal_at;
     let mut crashes = scenario.crashes.clone();
     let mut recoveries = scenario.recoveries.clone();
+    let mut violation_at = None;
     // Fault decisions and timer fires add steps without adding deliveries; bound the
     // total step count too so a 100%-drop plan cannot loop forever.
     let step_cap = max_deliveries.saturating_mul(8).max(64);
@@ -859,6 +867,7 @@ fn hunt_with_faults_with<C: MessageCluster>(
             next_value += 1;
         }
         if active_reader.is_none() {
+            // A uniform pick among the n - 1 non-writer processes.
             let r = rng.gen_range(0..n - 1);
             let p = ProcessId(if r >= writer.0 { r + 1 } else { r });
             if run.start_read(p).is_some() {
@@ -870,23 +879,18 @@ fn hunt_with_faults_with<C: MessageCluster>(
         if !run.deliver_next_faulty(adversary, &mut injector) && !run.advance_time() {
             break;
         }
+        if reject(run.cluster()) {
+            violation_at = Some(run.deliveries());
+            break;
+        }
         if let Some(p) = active_reader {
             if !run.cluster().is_crashed(p) && run.cluster().is_idle(p) {
                 active_reader = None;
-                completed_reads += 1;
-                if completed_reads >= 2 && reject(run.cluster()) {
-                    return crate::adversary::HuntReport {
-                        violation_at: Some(run.deliveries()),
-                        deliveries: run.deliveries(),
-                        fault_log: run.cluster().fault_log(),
-                        schedule: run.into_schedule(),
-                    };
-                }
             }
         }
     }
-    crate::adversary::HuntReport {
-        violation_at: None,
+    HuntReport {
+        violation_at,
         deliveries: run.deliveries(),
         fault_log: run.cluster().fault_log(),
         schedule: run.into_schedule(),

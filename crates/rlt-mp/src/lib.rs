@@ -30,8 +30,13 @@
 //!   the shared-memory scheduler.
 //! * First-class message-schedule [`adversary`] implementations — uniform baseline,
 //!   FIFO/LIFO, destination starving, and the targeted [`ReplyWithholdingAdversary`]
-//!   that forces the faulty cluster's new/old inversion in a handful of deliveries —
-//!   plus the [`adversary::hunt_new_old_inversion`] counterexample search.
+//!   that forces the faulty cluster's new/old inversion in a handful of deliveries.
+//! * One counterexample hunt, [`hunt_with`]: a seeded open workload (continuous
+//!   writes, one reader at a time) under any adversary and failure scenario that
+//!   calls its `reject` closure after every step and halts at the first
+//!   non-linearizable prefix. [`hunt_with_faults`] runs it with one incremental
+//!   checking session, and [`adversary::hunt_new_old_inversion`] runs that under
+//!   the clean scenario.
 //! * A seeded delta-debugging [`minimize`]r that shrinks a failing schedule to a
 //!   1-minimal counterexample which replays deterministically.
 //! * A coverage-guided schedule [`mod@fuzz`]er that mutates recorded schedules at scale,
@@ -135,9 +140,9 @@
 //!
 //! Message keys are `{from}->{to} {kind}#{seq}` with kinds `write-req`,
 //! `write-ack`, `read-req`, `read-reply`, `wb-req`, `wb-ack`. Replay is
-//! *total*: a step that cannot fire (dead endpoint, missing message, stale
-//! fault id) is skipped with zero side effects, which is what makes every
-//! sub-sequence of a schedule replayable and ddmin sound.
+//! *total*: a step that cannot fire (dead or out-of-range endpoint, missing
+//! message, stale fault id) is skipped with zero side effects, which is what
+//! makes every sub-sequence of a schedule replayable and ddmin sound.
 //!
 //! [`analyze`](mod@analyze) decides much of that skipping **statically**. Given a
 //! [`ClusterModel`] (process count, designated writer, multi-writer?,
@@ -148,11 +153,10 @@
 //! `crashed-endpoint`, `partition-limbo`, `unsent-key`, `no-write-back`,
 //! `client-crashed`, `client-busy`, `not-writer`, `out-of-range`), while
 //! `warn`-severity codes flag suspicious-but-live structure
-//! (`redundant-crash`, `crash-out-of-range`, `shadowed-partition`,
-//! `unhealed-partition`). [`scrub`] drops the dead steps and [`canonicalize`]
-//! sorts adjacent commuting request deliveries, both replay-equivalent — the
-//! canonical text keys the fuzzer's static triage
-//! ([`fuzz::TriagePolicy::Analyze`]) and the minimizer's replay cache
+//! (`redundant-crash`, `shadowed-partition`, `unhealed-partition`). [`scrub`]
+//! drops the dead steps and [`canonicalize`] sorts adjacent commuting request
+//! deliveries, both replay-equivalent — the canonical text keys the fuzzer's
+//! static triage ([`fuzz::TriagePolicy::Analyze`]) and the minimizer's replay cache
 //! ([`minimize_schedule_with_model`]). `tests/analyze_soundness.rs` proptests
 //! the dead-means-dead contract against real replays; the CLI front-end is
 //! `cargo run --release -p rlt-bench --bin schedule_lint`, and `rlt-server`
@@ -183,8 +187,8 @@ pub use delivery::{
     ReplayTrace, Schedule, ScheduleParseError, ScheduleRun, ScheduleStep,
 };
 pub use faults::{
-    hunt_with_faults, hunt_with_faults_from_scratch, FaultDecision, FaultInjector, FaultLog,
-    FaultPlan, FaultScenario, LinkFaults, LinkOverride, Partition, RetryPolicy, SimNet,
+    hunt_with, hunt_with_faults, FaultDecision, FaultInjector, FaultLog, FaultPlan, FaultScenario,
+    HuntReport, LinkFaults, LinkOverride, Partition, RetryPolicy, SimNet,
 };
 pub use fuzz::{
     fuzz, fuzz_faulty_rediscovery, fuzz_mw_rediscovery, fuzz_strong_distinctions,

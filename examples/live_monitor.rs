@@ -17,57 +17,38 @@
 //!
 //! Run with: `cargo run --release --example live_monitor`
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rlt_core::mp::{FaultyAbdCluster, MessageCluster, ReplyWithholdingAdversary, ScheduleRun};
+use rlt_core::mp::{
+    hunt_with, FaultPlan, FaultScenario, FaultyAbdCluster, MessageCluster,
+    ReplyWithholdingAdversary,
+};
 use rlt_core::sim::{
     CoinSource, PendingOp, RegisterMode, RoundRobinAdversary, Scheduler, ScriptedResolver,
     SharedMem, StepOutcome, StepProcess,
 };
 use rlt_core::spec::{Checker, ProcessId, RegisterId};
 
-/// The hunt workload, inlined: the designated writer writes continuously, one
-/// uniformly chosen reader at a time — but unlike `hunt_new_old_inversion` (which
-/// rechecks after completed reads), the monitor here is consulted after **every
-/// delivery**, the finest granularity the message layer has.
+/// The E13 hunt workload (continuous writes, one uniformly chosen reader at a time)
+/// through the one hunt loop, `hunt_with`, with the session as its `reject`
+/// closure: the loop consults it after every delivery, the finest granularity the
+/// message layer has.
 fn monitored_abd_run() {
     let checker = Checker::new(0i64);
     let mut monitor = checker.incremental();
-    let mut run = ScheduleRun::new(FaultyAbdCluster::new(5, ProcessId(0)));
-    let mut adversary = ReplyWithholdingAdversary::new();
-    let mut rng = StdRng::seed_from_u64(0);
-    let writer = run.cluster().writer();
-    let n = run.cluster().process_count();
-    let mut next_value = 7i64;
-    let mut active_reader: Option<ProcessId> = None;
-    let mut violation_at: Option<u64> = None;
-    while run.deliveries() < 3_000 {
-        if run.cluster().is_idle(writer) && run.start_write(next_value).is_some() {
-            next_value += 1;
-        }
-        if active_reader.is_none() {
-            let r = rng.gen_range(0..n - 1);
-            let p = ProcessId(if r >= writer.0 { r + 1 } else { r });
-            if run.start_read(p).is_some() {
-                active_reader = Some(p);
-            }
-        }
-        if let Some(p) = active_reader {
-            if run.cluster().is_idle(p) {
-                active_reader = None;
-            }
-        }
-        if !run.deliver_next(&mut adversary) {
-            break;
-        }
-        monitor.sync_with_ops(run.cluster().operations());
-        if monitor.verdict_ref().outcome() == Ok(false) {
-            violation_at = Some(run.deliveries());
-            break;
-        }
-    }
-    let at = violation_at.expect("the reply-withholding adversary forces an inversion");
-    let history = run.history();
+    let report = hunt_with(
+        FaultyAbdCluster::new(5, ProcessId(0)),
+        &mut ReplyWithholdingAdversary::new(),
+        &FaultScenario::new(FaultPlan::clean(), 0),
+        0,
+        3_000,
+        &mut |cluster: &FaultyAbdCluster| {
+            monitor.sync_with_ops(cluster.operations());
+            monitor.verdict_ref().outcome() == Ok(false)
+        },
+    );
+    let at = report
+        .violation_at
+        .expect("the reply-withholding adversary forces an inversion");
+    let history = monitor.history().clone();
     let stats = monitor.stats();
     println!("faulty ABD cluster under reply-withholding delivery (n = 5, seed 0):");
     println!("  halted at the first non-linearizable prefix: delivery {at}");
