@@ -60,7 +60,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlt_registers::algorithm2::VectorSim;
 use rlt_registers::algorithm4::LamportSim;
-use rlt_registers::schedule::{random_run, MwmrStepSim, WorkloadParams};
+use rlt_registers::schedule::{random_run, WorkloadParams};
 use rlt_spec::{History, HistoryBuilder, OpId, Operation, ProcessId, RegisterId};
 
 /// Parameters of the tracked `BENCH_checkers.json` workloads, shared by
@@ -183,7 +183,7 @@ pub fn lamport_workload(n: usize, decisions: usize, seed: u64) -> History<i64> {
             write_fraction: 0.5,
         },
     );
-    sim.recorded_history()
+    sim.history()
 }
 
 /// Interleaves `k` independent single-register histories into one multi-register

@@ -294,15 +294,6 @@ impl SimNet {
         self.partitions.iter().any(|cut| cut.severs(a, b))
     }
 
-    /// Names of the currently installed partitions (diagnostics).
-    #[must_use]
-    pub fn installed_partitions(&self) -> Vec<(u32, &str)> {
-        self.partitions
-            .iter()
-            .map(|p| (p.id, p.name.as_str()))
-            .collect()
-    }
-
     fn park(&mut self, env: Envelope, until: ParkedUntil) {
         let seq = self.next_park_seq;
         self.next_park_seq += 1;

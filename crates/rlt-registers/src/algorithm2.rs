@@ -1,44 +1,67 @@
-//! Algorithm 2: a write strongly-linearizable MWMR register built from SWMR registers,
-//! implemented as a fine-grained step simulator.
+//! Algorithm 2: a write strongly-linearizable MWMR register built from SWMR registers.
 //!
-//! Every low-level access to the SWMR registers `Val[1..n]` is a separate, atomic,
-//! timestamped step, and the scheduler (the caller) decides which process moves next —
-//! so high-level write/read operations genuinely overlap, exactly as in the paper's
-//! model. The simulator records:
-//!
-//! * the MWMR-level history (invocations/responses of `write(v)` and `read()`),
-//! * for every write, the *progress of its vector timestamp*: which component was set
-//!   to what value at what time (this is the `new_ts` variable of the paper, which is
-//!   initialized to `[∞,…,∞]` and filled in one component per step), and the time of the
-//!   write to `Val[k]` (line 8),
-//! * for every read, the timestamp attached to the value it returned.
+//! A writer forms a *vector* timestamp `new_ts`: it starts at `[∞,…,∞]`, and reading
+//! `Val[i]` fixes component `i` to `(Val[i].ts)[i]` — plus one for the writer's own
+//! component. [`Vector`] is that [`Construction`]; it runs on the shared step
+//! simulator [`crate::mwmr::MwmrSim`], which records for every write the progress of
+//! its vector timestamp (which component was set to what value at what time) and the
+//! time of its write to `Val[k]` (line 8), and for every read the timestamp of the
+//! value it returned.
 //!
 //! This trace is exactly the information Algorithm 3 (the on-line write
 //! strong-linearization function, [`crate::algorithm3`]) consumes.
 
+use crate::mwmr::{self, Construction, MwmrSim, Trace};
 use crate::timestamp::{TsEntry, VectorTs};
-use rlt_spec::{History, OpId, OpKind, Operation, ProcessId, RegisterId, Time};
-use std::collections::BTreeMap;
+use rlt_spec::{RegisterId, Time};
 
 /// The register id used for the implemented MWMR register `R` in recorded histories.
 pub const MWMR_REGISTER: RegisterId = RegisterId(100);
 
-/// Per-write trace: how the vector timestamp was formed and when `Val[k]` was written.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteTrace {
-    /// The MWMR-level operation id of the write.
-    pub op: OpId,
-    /// The writing process.
-    pub process: ProcessId,
-    /// The value written to the implemented register.
-    pub value: i64,
-    /// `(component, value, time)` entries: `new_ts[component] := value` at `time`.
-    pub ts_progress: Vec<(usize, u64, Time)>,
-    /// The time of the write to `Val[k]` (line 8 of Algorithm 2), if it happened.
-    pub val_write_time: Option<Time>,
-    /// The complete timestamp written to `Val[k]`, if line 8 was reached.
-    pub final_ts: Option<VectorTs>,
+/// Algorithm 2's timestamps: vector timestamps, filled in one component per read
+/// (lines 1–7) and written whole into `Val[k]` (line 8).
+#[derive(Debug, Clone)]
+pub struct Vector;
+
+impl Construction for Vector {
+    type Ts = VectorTs;
+    type Acc = VectorTs;
+    const REGISTER: RegisterId = MWMR_REGISTER;
+
+    /// Every `Val[i]` starts as `(0, [0,…,0])`.
+    fn initial(n: usize, _i: usize) -> VectorTs {
+        VectorTs::zero(n)
+    }
+
+    /// `new_ts` starts as `[∞,…,∞]` (line 9 resets it there after every write).
+    fn start(n: usize) -> VectorTs {
+        VectorTs::infinity(n)
+    }
+
+    /// Lines 2–6: `new_ts[i] := (Val[i].ts)[i]`, plus one when `i = k`.
+    fn observe(new_ts: &mut VectorTs, k: usize, i: usize, ts: &VectorTs) -> Option<u64> {
+        let observed = ts
+            .get(i)
+            .finite()
+            .expect("Val[-] always holds complete timestamps");
+        let assigned = if i == k { observed + 1 } else { observed };
+        new_ts.set(i, TsEntry::Finite(assigned));
+        Some(assigned)
+    }
+
+    fn stamp(new_ts: &VectorTs, _k: usize) -> VectorTs {
+        new_ts.clone()
+    }
 }
+
+/// Step simulator for Algorithm 2.
+pub type VectorSim = MwmrSim<Vector>;
+/// The complete trace of a run of Algorithm 2.
+pub type VectorTrace = Trace<VectorTs>;
+/// Per-write trace of Algorithm 2.
+pub type WriteTrace = mwmr::WriteTrace<VectorTs>;
+/// What a single step of [`VectorSim`] accomplished.
+pub type StepResult = mwmr::StepResult<VectorTs>;
 
 impl WriteTrace {
     /// The value of the writer's `new_ts` variable at time `t` (Definition of `ts^i_w`
@@ -56,403 +79,10 @@ impl WriteTrace {
     }
 }
 
-/// The complete trace of a run of Algorithm 2.
-#[derive(Debug, Clone)]
-pub struct VectorTrace {
-    /// Number of processes (and of SWMR registers `Val[-]`).
-    pub n: usize,
-    /// The MWMR-level concurrent history of the run.
-    pub history: History<i64>,
-    /// The timestamp attached to each completed read's return value.
-    pub read_ts: BTreeMap<OpId, VectorTs>,
-    /// The per-write traces, in operation-id order.
-    pub writes: Vec<WriteTrace>,
-}
-
-impl VectorTrace {
-    /// Restricts the trace to the events at times `<= t` (the prefix `G` of the run).
-    #[must_use]
-    pub fn prefix_at(&self, t: Time) -> VectorTrace {
-        let history = self.history.prefix_at(t);
-        let read_ts = self
-            .read_ts
-            .iter()
-            .filter(|(op, _)| history.get(**op).map(|o| o.is_complete()).unwrap_or(false))
-            .map(|(op, ts)| (*op, ts.clone()))
-            .collect();
-        let writes = self
-            .writes
-            .iter()
-            .filter(|w| history.get(w.op).is_some())
-            .map(|w| WriteTrace {
-                op: w.op,
-                process: w.process,
-                value: w.value,
-                ts_progress: w
-                    .ts_progress
-                    .iter()
-                    .copied()
-                    .filter(|&(_, _, when)| when <= t)
-                    .collect(),
-                val_write_time: w.val_write_time.filter(|&when| when <= t),
-                final_ts: if w.val_write_time.map(|when| when <= t).unwrap_or(false) {
-                    w.final_ts.clone()
-                } else {
-                    None
-                },
-            })
-            .collect();
-        VectorTrace {
-            n: self.n,
-            history,
-            read_ts,
-            writes,
-        }
-    }
-
-    /// Looks up the trace of a specific write operation.
-    #[must_use]
-    pub fn write_trace(&self, op: OpId) -> Option<&WriteTrace> {
-        self.writes.iter().find(|w| w.op == op)
-    }
-}
-
-/// What a single step of the simulator accomplished.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StepResult {
-    /// The process had no operation in progress.
-    Idle,
-    /// The process performed one internal low-level access.
-    Progressed,
-    /// The process performed the write to `Val[k]` (line 8).
-    WroteVal,
-    /// The process completed its MWMR write operation.
-    CompletedWrite,
-    /// The process completed its MWMR read operation, returning `(value, timestamp)`.
-    CompletedRead(i64, VectorTs),
-}
-
-#[derive(Debug, Clone)]
-enum ProcState {
-    Idle,
-    Writing {
-        op: OpId,
-        value: i64,
-        new_ts: VectorTs,
-        next_component: usize,
-        wrote_val: bool,
-    },
-    Reading {
-        op: OpId,
-        next_component: usize,
-        collected: Vec<(i64, VectorTs)>,
-    },
-}
-
-/// Step simulator for Algorithm 2 over `n` processes.
-#[derive(Debug, Clone)]
-pub struct VectorSim {
-    n: usize,
-    vals: Vec<(i64, VectorTs)>,
-    now: u64,
-    next_op: u64,
-    ops: Vec<Operation<i64>>,
-    read_ts: BTreeMap<OpId, VectorTs>,
-    write_traces: BTreeMap<OpId, WriteTrace>,
-    procs: Vec<ProcState>,
-}
-
-impl VectorSim {
-    /// Creates a simulator for `n >= 2` processes; the implemented register holds `0`
-    /// initially and every `Val[i]` holds `(0, [0,…,0])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 2, "Algorithm 2 needs at least two processes");
-        VectorSim {
-            n,
-            vals: vec![(0, VectorTs::zero(n)); n],
-            now: 0,
-            next_op: 0,
-            ops: Vec::new(),
-            read_ts: BTreeMap::new(),
-            write_traces: BTreeMap::new(),
-            procs: vec![ProcState::Idle; n],
-        }
-    }
-
-    /// Number of processes.
-    #[must_use]
-    pub fn process_count(&self) -> usize {
-        self.n
-    }
-
-    /// Returns `true` if the process has no operation in progress.
-    #[must_use]
-    pub fn is_idle(&self, p: ProcessId) -> bool {
-        matches!(self.procs[p.0], ProcState::Idle)
-    }
-
-    /// Returns `true` if every process is idle.
-    #[must_use]
-    pub fn all_idle(&self) -> bool {
-        self.procs.iter().all(|s| matches!(s, ProcState::Idle))
-    }
-
-    fn tick(&mut self) -> Time {
-        self.now += 1;
-        Time(self.now)
-    }
-
-    fn fresh_op(&mut self) -> OpId {
-        let id = OpId(self.next_op);
-        self.next_op += 1;
-        id
-    }
-
-    /// Invokes a write of `value` by process `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` already has an operation in progress or is out of range.
-    pub fn start_write(&mut self, p: ProcessId, value: i64) -> OpId {
-        assert!(p.0 < self.n, "process {p} out of range");
-        assert!(
-            self.is_idle(p),
-            "process {p} already has an operation in progress"
-        );
-        let op = self.fresh_op();
-        let t = self.tick();
-        self.ops.push(Operation {
-            id: op,
-            process: p,
-            register: MWMR_REGISTER,
-            kind: OpKind::Write(value),
-            invoked_at: t,
-            responded_at: None,
-        });
-        self.write_traces.insert(
-            op,
-            WriteTrace {
-                op,
-                process: p,
-                value,
-                ts_progress: Vec::new(),
-                val_write_time: None,
-                final_ts: None,
-            },
-        );
-        self.procs[p.0] = ProcState::Writing {
-            op,
-            value,
-            new_ts: VectorTs::infinity(self.n),
-            next_component: 0,
-            wrote_val: false,
-        };
-        op
-    }
-
-    /// Invokes a read by process `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` already has an operation in progress or is out of range.
-    pub fn start_read(&mut self, p: ProcessId) -> OpId {
-        assert!(p.0 < self.n, "process {p} out of range");
-        assert!(
-            self.is_idle(p),
-            "process {p} already has an operation in progress"
-        );
-        let op = self.fresh_op();
-        let t = self.tick();
-        self.ops.push(Operation {
-            id: op,
-            process: p,
-            register: MWMR_REGISTER,
-            kind: OpKind::Read(None),
-            invoked_at: t,
-            responded_at: None,
-        });
-        self.procs[p.0] = ProcState::Reading {
-            op,
-            next_component: 0,
-            collected: Vec::new(),
-        };
-        op
-    }
-
-    /// Executes one atomic step of process `p`.
-    pub fn step(&mut self, p: ProcessId) -> StepResult {
-        let state = self.procs[p.0].clone();
-        match state {
-            ProcState::Idle => StepResult::Idle,
-            ProcState::Writing {
-                op,
-                value,
-                mut new_ts,
-                next_component,
-                wrote_val,
-            } => {
-                if next_component < self.n {
-                    // Lines 1–7: read (Val[i].ts)[i] and set new_ts[i].
-                    let t = self.tick();
-                    let observed = match self.vals[next_component].1.get(next_component) {
-                        TsEntry::Finite(v) => v,
-                        TsEntry::Infinity => {
-                            unreachable!("Val[-] always holds complete timestamps")
-                        }
-                    };
-                    let assigned = if next_component == p.0 {
-                        observed + 1
-                    } else {
-                        observed
-                    };
-                    new_ts.set(next_component, TsEntry::Finite(assigned));
-                    self.write_traces
-                        .get_mut(&op)
-                        .expect("trace exists")
-                        .ts_progress
-                        .push((next_component, assigned, t));
-                    self.procs[p.0] = ProcState::Writing {
-                        op,
-                        value,
-                        new_ts,
-                        next_component: next_component + 1,
-                        wrote_val,
-                    };
-                    StepResult::Progressed
-                } else if !wrote_val {
-                    // Line 8: write (v, new_ts) into Val[k].
-                    let t = self.tick();
-                    self.vals[p.0] = (value, new_ts.clone());
-                    let trace = self.write_traces.get_mut(&op).expect("trace exists");
-                    trace.val_write_time = Some(t);
-                    trace.final_ts = Some(new_ts.clone());
-                    self.procs[p.0] = ProcState::Writing {
-                        op,
-                        value,
-                        new_ts,
-                        next_component,
-                        wrote_val: true,
-                    };
-                    StepResult::WroteVal
-                } else {
-                    // Lines 9–10: reset new_ts (implicit: the next write starts from
-                    // [∞,…,∞]) and return.
-                    let t = self.tick();
-                    let rec = self
-                        .ops
-                        .iter_mut()
-                        .find(|o| o.id == op)
-                        .expect("operation exists");
-                    rec.responded_at = Some(t);
-                    self.procs[p.0] = ProcState::Idle;
-                    StepResult::CompletedWrite
-                }
-            }
-            ProcState::Reading {
-                op,
-                next_component,
-                mut collected,
-            } => {
-                if next_component < self.n {
-                    // Lines 11–13: read Val[i].
-                    let _t = self.tick();
-                    collected.push(self.vals[next_component].clone());
-                    self.procs[p.0] = ProcState::Reading {
-                        op,
-                        next_component: next_component + 1,
-                        collected,
-                    };
-                    StepResult::Progressed
-                } else {
-                    // Lines 14–15: return the value with the lexicographically greatest
-                    // timestamp.
-                    let t = self.tick();
-                    let (value, ts) = collected
-                        .iter()
-                        .max_by(|a, b| a.1.cmp(&b.1))
-                        .cloned()
-                        .expect("collected n >= 2 values");
-                    let rec = self
-                        .ops
-                        .iter_mut()
-                        .find(|o| o.id == op)
-                        .expect("operation exists");
-                    rec.responded_at = Some(t);
-                    rec.kind = OpKind::Read(Some(value));
-                    self.read_ts.insert(op, ts.clone());
-                    self.procs[p.0] = ProcState::Idle;
-                    StepResult::CompletedRead(value, ts)
-                }
-            }
-        }
-    }
-
-    /// Steps every non-idle process in round-robin order until all are idle or the step
-    /// budget runs out. Returns the number of steps taken.
-    pub fn run_round_robin(&mut self, max_steps: u64) -> u64 {
-        let mut steps = 0;
-        while steps < max_steps && !self.all_idle() {
-            for i in 0..self.n {
-                if !self.is_idle(ProcessId(i)) {
-                    self.step(ProcessId(i));
-                    steps += 1;
-                    if steps >= max_steps {
-                        break;
-                    }
-                }
-            }
-        }
-        steps
-    }
-
-    /// Steps process `p` until its current operation (if any) completes.
-    pub fn run_to_completion(&mut self, p: ProcessId) -> StepResult {
-        let mut last = StepResult::Idle;
-        while !self.is_idle(p) {
-            last = self.step(p);
-        }
-        last
-    }
-
-    /// The current logical time.
-    #[must_use]
-    pub fn now(&self) -> Time {
-        Time(self.now)
-    }
-
-    /// The MWMR-level history recorded so far.
-    #[must_use]
-    pub fn history(&self) -> History<i64> {
-        History::from_operations(self.ops.clone())
-    }
-
-    /// The full trace (history + timestamp progress) recorded so far.
-    #[must_use]
-    pub fn trace(&self) -> VectorTrace {
-        VectorTrace {
-            n: self.n,
-            history: self.history(),
-            read_ts: self.read_ts.clone(),
-            writes: self.write_traces.values().cloned().collect(),
-        }
-    }
-
-    /// Direct view of the current contents of `Val[i]` (for tests and diagnostics).
-    #[must_use]
-    pub fn val(&self, i: usize) -> (i64, VectorTs) {
-        self.vals[i].clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlt_spec::Checker;
+    use rlt_spec::{Checker, ProcessId};
 
     /// One checking session shared by every assertion in this module.
     fn is_linearizable(h: &rlt_spec::History<i64>) -> bool {

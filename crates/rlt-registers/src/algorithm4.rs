@@ -3,399 +3,64 @@
 //! Each value is timestamped with `⟨sq, pid⟩`: a writer reads every `Val[i]`, takes the
 //! maximum sequence number it saw plus one, and writes `(v, ⟨new_sq, k⟩)` into its own
 //! `Val[k]`; readers return the value with the lexicographically largest timestamp.
+//! [`Lamport`] is that [`Construction`], run on the shared step simulator
+//! [`crate::mwmr::MwmrSim`].
 //!
 //! The implementation is linearizable (Theorem 12) but **not** write
 //! strongly-linearizable (Theorem 13): the Lamport clocks do not carry enough
 //! information to fix the order of concurrent writes at the moment one of them
-//! completes. The step simulator below records full traces so that
-//! [`crate::counterexample`] can replay the exact executions of Figure 4.
+//! completes. The simulator records full traces so that [`crate::counterexample`] can
+//! replay the exact executions of Figure 4.
 
+use crate::mwmr::{self, Construction, MwmrSim, Trace};
 use crate::timestamp::LamportTs;
-use rlt_spec::{History, OpId, OpKind, Operation, ProcessId, RegisterId, Time};
-use std::collections::BTreeMap;
+use rlt_spec::RegisterId;
 
 /// The register id used for the implemented MWMR register `R` in recorded histories.
 pub const MWMR_REGISTER: RegisterId = RegisterId(200);
 
-/// Per-write trace for Algorithm 4.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LamportWriteTrace {
-    /// The MWMR-level operation id of the write.
-    pub op: OpId,
-    /// The writing process.
-    pub process: ProcessId,
-    /// The value written.
-    pub value: i64,
-    /// The time of the write to `Val[k]` (line 6), if reached.
-    pub val_write_time: Option<Time>,
-    /// The timestamp written to `Val[k]`, if line 6 was reached.
-    pub final_ts: Option<LamportTs>,
+/// Algorithm 4's timestamps: Lamport clocks `⟨max sq + 1, k⟩` (lines 1–6).
+#[derive(Debug, Clone)]
+pub struct Lamport;
+
+impl Construction for Lamport {
+    type Ts = LamportTs;
+    /// The largest sequence number read so far.
+    type Acc = u64;
+    const REGISTER: RegisterId = MWMR_REGISTER;
+
+    /// `Val[i]` starts as `(0, ⟨0, i⟩)`.
+    fn initial(_n: usize, i: usize) -> LamportTs {
+        LamportTs::new(0, i)
+    }
+
+    fn start(_n: usize) -> u64 {
+        0
+    }
+
+    /// Lines 1–3: keep the largest `Val[i].ts.sq` read.
+    fn observe(max_sq: &mut u64, _k: usize, _i: usize, ts: &LamportTs) -> Option<u64> {
+        *max_sq = (*max_sq).max(ts.sq);
+        None
+    }
+
+    /// Lines 4–5: `new_sq = max + 1`, stamped with the writer's id.
+    fn stamp(max_sq: &u64, k: usize) -> LamportTs {
+        LamportTs::new(max_sq + 1, k)
+    }
 }
 
+/// Step simulator for Algorithm 4.
+pub type LamportSim = MwmrSim<Lamport>;
 /// The complete trace of a run of Algorithm 4.
-#[derive(Debug, Clone)]
-pub struct LamportTrace {
-    /// Number of processes (and of SWMR registers `Val[-]`).
-    pub n: usize,
-    /// The MWMR-level concurrent history.
-    pub history: History<i64>,
-    /// Timestamp attached to each completed read's return value.
-    pub read_ts: BTreeMap<OpId, LamportTs>,
-    /// Per-write traces in operation-id order.
-    pub writes: Vec<LamportWriteTrace>,
-}
-
-impl LamportTrace {
-    /// Restricts the trace to events at times `<= t`.
-    #[must_use]
-    pub fn prefix_at(&self, t: Time) -> LamportTrace {
-        let history = self.history.prefix_at(t);
-        LamportTrace {
-            n: self.n,
-            read_ts: self
-                .read_ts
-                .iter()
-                .filter(|(op, _)| history.get(**op).map(|o| o.is_complete()).unwrap_or(false))
-                .map(|(op, ts)| (*op, *ts))
-                .collect(),
-            writes: self
-                .writes
-                .iter()
-                .filter(|w| history.get(w.op).is_some())
-                .map(|w| LamportWriteTrace {
-                    op: w.op,
-                    process: w.process,
-                    value: w.value,
-                    val_write_time: w.val_write_time.filter(|&when| when <= t),
-                    final_ts: if w.val_write_time.map(|when| when <= t).unwrap_or(false) {
-                        w.final_ts
-                    } else {
-                        None
-                    },
-                })
-                .collect(),
-            history,
-        }
-    }
-}
-
-/// What a single step accomplished.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StepResult {
-    /// The process had no operation in progress.
-    Idle,
-    /// The process performed one low-level `Val[-]` read.
-    Progressed,
-    /// The process performed the write to `Val[k]` (line 6).
-    WroteVal,
-    /// The process completed its MWMR write.
-    CompletedWrite,
-    /// The process completed its MWMR read, returning `(value, timestamp)`.
-    CompletedRead(i64, LamportTs),
-}
-
-#[derive(Debug, Clone)]
-enum ProcState {
-    Idle,
-    Writing {
-        op: OpId,
-        value: i64,
-        next_component: usize,
-        max_sq: u64,
-        wrote_val: bool,
-    },
-    Reading {
-        op: OpId,
-        next_component: usize,
-        collected: Vec<(i64, LamportTs)>,
-    },
-}
-
-/// Step simulator for Algorithm 4 over `n` processes.
-#[derive(Debug, Clone)]
-pub struct LamportSim {
-    n: usize,
-    vals: Vec<(i64, LamportTs)>,
-    now: u64,
-    next_op: u64,
-    ops: Vec<Operation<i64>>,
-    read_ts: BTreeMap<OpId, LamportTs>,
-    write_traces: BTreeMap<OpId, LamportWriteTrace>,
-    procs: Vec<ProcState>,
-}
-
-impl LamportSim {
-    /// Creates a simulator for `n >= 2` processes; `Val[i]` holds `(0, ⟨0, i⟩)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 2, "Algorithm 4 needs at least two processes");
-        LamportSim {
-            n,
-            vals: (0..n).map(|i| (0, LamportTs::new(0, i))).collect(),
-            now: 0,
-            next_op: 0,
-            ops: Vec::new(),
-            read_ts: BTreeMap::new(),
-            write_traces: BTreeMap::new(),
-            procs: vec![ProcState::Idle; n],
-        }
-    }
-
-    /// Number of processes.
-    #[must_use]
-    pub fn process_count(&self) -> usize {
-        self.n
-    }
-
-    /// Returns `true` if the process has no operation in progress.
-    #[must_use]
-    pub fn is_idle(&self, p: ProcessId) -> bool {
-        matches!(self.procs[p.0], ProcState::Idle)
-    }
-
-    /// Returns `true` if every process is idle.
-    #[must_use]
-    pub fn all_idle(&self) -> bool {
-        self.procs.iter().all(|s| matches!(s, ProcState::Idle))
-    }
-
-    fn tick(&mut self) -> Time {
-        self.now += 1;
-        Time(self.now)
-    }
-
-    fn fresh_op(&mut self) -> OpId {
-        let id = OpId(self.next_op);
-        self.next_op += 1;
-        id
-    }
-
-    /// Invokes a write of `value` by process `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` already has an operation in progress or is out of range.
-    pub fn start_write(&mut self, p: ProcessId, value: i64) -> OpId {
-        assert!(p.0 < self.n, "process {p} out of range");
-        assert!(
-            self.is_idle(p),
-            "process {p} already has an operation in progress"
-        );
-        let op = self.fresh_op();
-        let t = self.tick();
-        self.ops.push(Operation {
-            id: op,
-            process: p,
-            register: MWMR_REGISTER,
-            kind: OpKind::Write(value),
-            invoked_at: t,
-            responded_at: None,
-        });
-        self.write_traces.insert(
-            op,
-            LamportWriteTrace {
-                op,
-                process: p,
-                value,
-                val_write_time: None,
-                final_ts: None,
-            },
-        );
-        self.procs[p.0] = ProcState::Writing {
-            op,
-            value,
-            next_component: 0,
-            max_sq: 0,
-            wrote_val: false,
-        };
-        op
-    }
-
-    /// Invokes a read by process `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` already has an operation in progress or is out of range.
-    pub fn start_read(&mut self, p: ProcessId) -> OpId {
-        assert!(p.0 < self.n, "process {p} out of range");
-        assert!(
-            self.is_idle(p),
-            "process {p} already has an operation in progress"
-        );
-        let op = self.fresh_op();
-        let t = self.tick();
-        self.ops.push(Operation {
-            id: op,
-            process: p,
-            register: MWMR_REGISTER,
-            kind: OpKind::Read(None),
-            invoked_at: t,
-            responded_at: None,
-        });
-        self.procs[p.0] = ProcState::Reading {
-            op,
-            next_component: 0,
-            collected: Vec::new(),
-        };
-        op
-    }
-
-    /// Executes one atomic step of process `p`.
-    pub fn step(&mut self, p: ProcessId) -> StepResult {
-        let state = self.procs[p.0].clone();
-        match state {
-            ProcState::Idle => StepResult::Idle,
-            ProcState::Writing {
-                op,
-                value,
-                next_component,
-                max_sq,
-                wrote_val,
-            } => {
-                if next_component < self.n {
-                    // Lines 1–3: read Val[i].
-                    let _t = self.tick();
-                    let observed = self.vals[next_component].1.sq;
-                    self.procs[p.0] = ProcState::Writing {
-                        op,
-                        value,
-                        next_component: next_component + 1,
-                        max_sq: max_sq.max(observed),
-                        wrote_val,
-                    };
-                    StepResult::Progressed
-                } else if !wrote_val {
-                    // Lines 4–6: new_sq = max + 1; write (v, ⟨new_sq, k⟩) into Val[k].
-                    let t = self.tick();
-                    let ts = LamportTs::new(max_sq + 1, p.0);
-                    self.vals[p.0] = (value, ts);
-                    let trace = self.write_traces.get_mut(&op).expect("trace exists");
-                    trace.val_write_time = Some(t);
-                    trace.final_ts = Some(ts);
-                    self.procs[p.0] = ProcState::Writing {
-                        op,
-                        value,
-                        next_component,
-                        max_sq,
-                        wrote_val: true,
-                    };
-                    StepResult::WroteVal
-                } else {
-                    // Line 7: return done.
-                    let t = self.tick();
-                    let rec = self
-                        .ops
-                        .iter_mut()
-                        .find(|o| o.id == op)
-                        .expect("operation exists");
-                    rec.responded_at = Some(t);
-                    self.procs[p.0] = ProcState::Idle;
-                    StepResult::CompletedWrite
-                }
-            }
-            ProcState::Reading {
-                op,
-                next_component,
-                mut collected,
-            } => {
-                if next_component < self.n {
-                    // Lines 8–10: read Val[i].
-                    let _t = self.tick();
-                    collected.push(self.vals[next_component]);
-                    self.procs[p.0] = ProcState::Reading {
-                        op,
-                        next_component: next_component + 1,
-                        collected,
-                    };
-                    StepResult::Progressed
-                } else {
-                    // Lines 11–12: return the value with the greatest timestamp.
-                    let t = self.tick();
-                    let (value, ts) = collected
-                        .iter()
-                        .max_by_key(|(_, ts)| *ts)
-                        .copied()
-                        .expect("collected n >= 2 values");
-                    let rec = self
-                        .ops
-                        .iter_mut()
-                        .find(|o| o.id == op)
-                        .expect("operation exists");
-                    rec.responded_at = Some(t);
-                    rec.kind = OpKind::Read(Some(value));
-                    self.read_ts.insert(op, ts);
-                    self.procs[p.0] = ProcState::Idle;
-                    StepResult::CompletedRead(value, ts)
-                }
-            }
-        }
-    }
-
-    /// Steps every non-idle process in round-robin order until all are idle or the step
-    /// budget runs out. Returns the number of steps taken.
-    pub fn run_round_robin(&mut self, max_steps: u64) -> u64 {
-        let mut steps = 0;
-        while steps < max_steps && !self.all_idle() {
-            for i in 0..self.n {
-                if !self.is_idle(ProcessId(i)) {
-                    self.step(ProcessId(i));
-                    steps += 1;
-                    if steps >= max_steps {
-                        break;
-                    }
-                }
-            }
-        }
-        steps
-    }
-
-    /// Steps process `p` until its current operation (if any) completes.
-    pub fn run_to_completion(&mut self, p: ProcessId) -> StepResult {
-        let mut last = StepResult::Idle;
-        while !self.is_idle(p) {
-            last = self.step(p);
-        }
-        last
-    }
-
-    /// The current logical time.
-    #[must_use]
-    pub fn now(&self) -> Time {
-        Time(self.now)
-    }
-
-    /// The MWMR-level history recorded so far.
-    #[must_use]
-    pub fn history(&self) -> History<i64> {
-        History::from_operations(self.ops.clone())
-    }
-
-    /// The full trace recorded so far.
-    #[must_use]
-    pub fn trace(&self) -> LamportTrace {
-        LamportTrace {
-            n: self.n,
-            history: self.history(),
-            read_ts: self.read_ts.clone(),
-            writes: self.write_traces.values().cloned().collect(),
-        }
-    }
-
-    /// Direct view of the current contents of `Val[i]`.
-    #[must_use]
-    pub fn val(&self, i: usize) -> (i64, LamportTs) {
-        self.vals[i]
-    }
-}
+pub type LamportTrace = Trace<LamportTs>;
+/// What a single step of [`LamportSim`] accomplished.
+pub type StepResult = mwmr::StepResult<LamportTs>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlt_spec::Checker;
+    use rlt_spec::{Checker, ProcessId};
 
     /// One checking session shared by every assertion in this module.
     fn is_linearizable(h: &rlt_spec::History<i64>) -> bool {

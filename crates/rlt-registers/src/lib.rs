@@ -3,23 +3,29 @@
 //! This crate contains executable versions of the register algorithms of
 //! *"On Register Linearizability and Termination"* (Hadzilacos, Hu, Toueg; PODC 2021):
 //!
-//! * [`algorithm2`] — the **vector-timestamp** MWMR register built from SWMR registers
-//!   (the paper's Algorithm 2), implemented as a fine-grained step simulator so that
-//!   every low-level access to `Val[-]` is an explicit, timestamped event.
+//! * [`mwmr`] — the one MWMR register both constructions share, as a fine-grained
+//!   step simulator ([`MwmrSim`]) so that every low-level access to `Val[-]` is an
+//!   explicit, timestamped event. It is generic over a [`Construction`]: how a writer
+//!   forms the timestamp it writes, the only thing Algorithms 2 and 4 differ in.
+//! * [`algorithm2`] — the **vector-timestamp** construction
+//!   ([`Vector`](algorithm2::Vector), the paper's Algorithm 2) and its simulator
+//!   [`VectorSim`].
 //! * [`algorithm3`] — the **on-line write strong-linearization function** `f` for
 //!   Algorithm 2's histories (the paper's Algorithm 3), which is what makes Algorithm 2
 //!   write strongly-linearizable (Theorem 10).
-//! * [`algorithm4`] — the simpler **Lamport-clock** MWMR register (the paper's
-//!   Algorithm 4), which is linearizable (Theorem 12) but *not* write
+//! * [`algorithm4`] — the simpler **Lamport-clock** construction
+//!   ([`Lamport`](algorithm4::Lamport), the paper's Algorithm 4) and its simulator
+//!   [`LamportSim`]; it is linearizable (Theorem 12) but *not* write
 //!   strongly-linearizable (Theorem 13).
 //! * [`counterexample`] — the exact histories `G`, `H` (cases 1 and 2) of Theorem 13 /
 //!   Figure 4, produced by running Algorithm 4 under the paper's schedules, together
 //!   with the existential check that no write strong-linearization function exists.
-//! * [`threaded`] — real multi-threaded implementations of both constructions over
-//!   lock-based SWMR cells, with history recording, for stress tests and benchmarks.
+//! * [`threaded`] — the same protocol for either construction over lock-based SWMR
+//!   cells under real multi-threading ([`ThreadedRegister`]), with history recording,
+//!   for stress tests and benchmarks.
 //! * [`timestamp`] — vector timestamps (with the `∞` initialization Algorithm 2 relies
 //!   on) and Lamport `⟨sq, pid⟩` timestamps, both ordered lexicographically.
-//! * [`schedule`] — random schedule generation for driving the step simulators through
+//! * [`schedule`] — seeded random workloads that drive the step simulator through
 //!   many interleavings.
 //!
 //! # Quick start
@@ -49,6 +55,7 @@ pub mod algorithm2;
 pub mod algorithm3;
 pub mod algorithm4;
 pub mod counterexample;
+pub mod mwmr;
 pub mod recording;
 pub mod schedule;
 pub mod swmr_cell;
@@ -59,5 +66,6 @@ pub use algorithm2::{VectorSim, VectorTrace, WriteTrace};
 pub use algorithm3::{vector_linearization, VectorStrategy};
 pub use algorithm4::{LamportSim, LamportTrace};
 pub use counterexample::{theorem13_family, Theorem13Outcome};
-pub use threaded::{LamportRegister, VectorRegister};
+pub use mwmr::{Construction, MwmrSim};
+pub use threaded::{LamportRegister, ThreadedRegister, VectorRegister};
 pub use timestamp::{LamportTs, TsEntry, VectorTs};

@@ -1,81 +1,13 @@
-//! Random schedule generation for the step simulators.
+//! Random schedule generation for the step simulator.
 //!
-//! Both [`VectorSim`] and
-//! [`LamportSim`] expose the same step-wise driving
-//! interface; [`MwmrStepSim`] abstracts over it so the experiment harnesses and property
-//! tests can push either construction through the same randomized workloads.
+//! [`random_run`] pushes either construction ([`VectorSim`](crate::VectorSim) or
+//! [`LamportSim`](crate::LamportSim)) through the same seeded randomized workload,
+//! for the experiment harnesses and property tests.
 
-use crate::algorithm2::VectorSim;
-use crate::algorithm4::LamportSim;
+use crate::mwmr::{Construction, MwmrSim};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rlt_spec::{History, ProcessId};
-
-/// Common step-wise driving interface of the two MWMR simulators.
-pub trait MwmrStepSim {
-    /// Number of processes.
-    fn processes(&self) -> usize;
-    /// Returns `true` if the process has no operation in progress.
-    fn idle(&self, p: ProcessId) -> bool;
-    /// Invokes a write of `value` by `p`.
-    fn begin_write(&mut self, p: ProcessId, value: i64);
-    /// Invokes a read by `p`.
-    fn begin_read(&mut self, p: ProcessId);
-    /// Performs one step of `p`.
-    fn advance(&mut self, p: ProcessId);
-    /// Runs every pending operation to completion.
-    fn drain(&mut self);
-    /// The MWMR-level history recorded so far.
-    fn recorded_history(&self) -> History<i64>;
-}
-
-impl MwmrStepSim for VectorSim {
-    fn processes(&self) -> usize {
-        self.process_count()
-    }
-    fn idle(&self, p: ProcessId) -> bool {
-        self.is_idle(p)
-    }
-    fn begin_write(&mut self, p: ProcessId, value: i64) {
-        self.start_write(p, value);
-    }
-    fn begin_read(&mut self, p: ProcessId) {
-        self.start_read(p);
-    }
-    fn advance(&mut self, p: ProcessId) {
-        self.step(p);
-    }
-    fn drain(&mut self) {
-        self.run_round_robin(u64::MAX);
-    }
-    fn recorded_history(&self) -> History<i64> {
-        self.history()
-    }
-}
-
-impl MwmrStepSim for LamportSim {
-    fn processes(&self) -> usize {
-        self.process_count()
-    }
-    fn idle(&self, p: ProcessId) -> bool {
-        self.is_idle(p)
-    }
-    fn begin_write(&mut self, p: ProcessId, value: i64) {
-        self.start_write(p, value);
-    }
-    fn begin_read(&mut self, p: ProcessId) {
-        self.start_read(p);
-    }
-    fn advance(&mut self, p: ProcessId) {
-        self.step(p);
-    }
-    fn drain(&mut self) {
-        self.run_round_robin(u64::MAX);
-    }
-    fn recorded_history(&self) -> History<i64> {
-        self.history()
-    }
-}
+use rlt_spec::ProcessId;
 
 /// Parameters of a random workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,29 +33,30 @@ impl Default for WorkloadParams {
 ///
 /// Written values are the distinct integers `1, 2, 3, …` so recorded histories can be
 /// checked for linearizability without ambiguity.
-pub fn random_run<S: MwmrStepSim>(sim: &mut S, seed: u64, params: WorkloadParams) {
+pub fn random_run<C: Construction>(sim: &mut MwmrSim<C>, seed: u64, params: WorkloadParams) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let n = sim.processes();
+    let n = sim.process_count();
     let mut next_value = 1i64;
     for _ in 0..params.decisions {
         let p = ProcessId(rng.gen_range(0..n));
-        if sim.idle(p) {
+        if sim.is_idle(p) {
             if rng.gen_bool(params.write_fraction) {
-                sim.begin_write(p, next_value);
+                sim.start_write(p, next_value);
                 next_value += 1;
             } else {
-                sim.begin_read(p);
+                sim.start_read(p);
             }
         } else {
-            sim.advance(p);
+            sim.step(p);
         }
     }
-    sim.drain();
+    sim.run_round_robin(u64::MAX);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LamportSim, VectorSim};
     use rlt_spec::Checker;
 
     /// One checking session shared by every assertion in this module.
@@ -141,12 +74,12 @@ mod tests {
             let mut v = VectorSim::new(3);
             random_run(&mut v, seed, WorkloadParams::default());
             assert!(v.all_idle());
-            assert!(is_linearizable(&v.recorded_history()));
+            assert!(is_linearizable(&v.history()));
 
             let mut l = LamportSim::new(3);
             random_run(&mut l, seed, WorkloadParams::default());
             assert!(l.all_idle());
-            assert!(is_linearizable(&l.recorded_history()));
+            assert!(is_linearizable(&l.history()));
         }
     }
 
@@ -161,7 +94,7 @@ mod tests {
                 write_fraction: 1.0,
             },
         );
-        let h = sim.recorded_history();
+        let h = sim.history();
         assert!(h.reads().count() == 0);
         assert!(h.writes().count() > 0);
     }
@@ -171,7 +104,7 @@ mod tests {
         let run = |seed| {
             let mut sim = LamportSim::new(4);
             random_run(&mut sim, seed, WorkloadParams::default());
-            sim.recorded_history()
+            sim.history()
         };
         assert_eq!(run(3), run(3));
     }

@@ -1,111 +1,39 @@
 //! Real multi-threaded implementations of both MWMR constructions.
 //!
-//! The step simulators ([`crate::algorithm2`], [`crate::algorithm4`]) give full control
-//! over interleavings; these threaded versions run the very same protocols over
-//! lock-based SWMR cells under genuine OS-thread concurrency, recording every
-//! MWMR-level operation through a [`SharedRecorder`]. They are used for stress tests
-//! (the recorded histories are checked for linearizability) and for the Criterion
-//! benchmarks comparing the cost of the vector-timestamp construction (Algorithm 2)
-//! against the Lamport-clock construction (Algorithm 4).
+//! The step simulator ([`crate::mwmr::MwmrSim`]) gives full control over
+//! interleavings; [`ThreadedRegister`] runs the very same protocol, for any
+//! [`Construction`], over lock-based SWMR cells under genuine OS-thread concurrency,
+//! recording every MWMR-level operation through a [`SharedRecorder`]. It is used for
+//! stress tests (the recorded histories are checked for linearizability) and for the
+//! Criterion benchmarks comparing the cost of the vector-timestamp construction
+//! ([`VectorRegister`], Algorithm 2) against the Lamport-clock construction
+//! ([`LamportRegister`], Algorithm 4).
 
+use crate::algorithm2::Vector;
+use crate::algorithm4::Lamport;
+use crate::mwmr::{keep_newest, Construction};
 use crate::recording::SharedRecorder;
 use crate::swmr_cell::SwmrCell;
-use crate::timestamp::{LamportTs, TsEntry, VectorTs};
 use rlt_spec::{History, ProcessId, RegisterId};
 
 /// Register id used for the implemented register in recorded histories.
 pub const THREADED_REGISTER: RegisterId = RegisterId(300);
 
-/// Threaded Algorithm 2: a write strongly-linearizable MWMR register from SWMR cells.
+/// An MWMR register from SWMR cells, shared by `n` threads.
 #[derive(Debug, Clone)]
-pub struct VectorRegister {
+pub struct ThreadedRegister<C: Construction> {
     n: usize,
-    vals: Vec<SwmrCell<(i64, VectorTs)>>,
+    vals: Vec<SwmrCell<(i64, C::Ts)>>,
     recorder: SharedRecorder<i64>,
 }
 
-impl VectorRegister {
-    /// Creates a register shared by `n >= 2` processes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 2, "need at least two processes");
-        VectorRegister {
-            n,
-            vals: (0..n)
-                .map(|i| SwmrCell::new(ProcessId(i), (0, VectorTs::zero(n))))
-                .collect(),
-            recorder: SharedRecorder::new(),
-        }
-    }
-
-    /// Number of processes sharing the register.
-    #[must_use]
-    pub fn process_count(&self) -> usize {
-        self.n
-    }
-
-    /// Writes `value` on behalf of process `k` (lines 1–10 of Algorithm 2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn write(&self, k: ProcessId, value: i64) {
-        assert!(k.0 < self.n, "process {k} out of range");
-        let op = self.recorder.invoke_write(k, THREADED_REGISTER, value);
-        let mut new_ts = VectorTs::infinity(self.n);
-        for i in 0..self.n {
-            let observed = match self.vals[i].read().1.get(i) {
-                TsEntry::Finite(v) => v,
-                TsEntry::Infinity => unreachable!("Val[-] holds complete timestamps"),
-            };
-            let assigned = if i == k.0 { observed + 1 } else { observed };
-            new_ts.set(i, TsEntry::Finite(assigned));
-        }
-        self.vals[k.0].write(k, (value, new_ts));
-        self.recorder.respond_write(op);
-    }
-
-    /// Reads the register on behalf of process `p` (lines 11–15 of Algorithm 2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    pub fn read(&self, p: ProcessId) -> i64 {
-        assert!(p.0 < self.n, "process {p} out of range");
-        let op = self.recorder.invoke_read(p, THREADED_REGISTER);
-        let mut best: Option<(i64, VectorTs)> = None;
-        for i in 0..self.n {
-            let (v, ts) = self.vals[i].read();
-            if best.as_ref().map(|(_, b)| ts > *b).unwrap_or(true) {
-                best = Some((v, ts));
-            }
-        }
-        let (value, _) = best.expect("n >= 2 cells");
-        self.recorder.respond_read(op, value);
-        value
-    }
-
-    /// The recorded MWMR-level history.
-    #[must_use]
-    pub fn history(&self) -> History<i64> {
-        self.recorder.history()
-    }
-}
-
+/// Threaded Algorithm 2: a write strongly-linearizable MWMR register.
+pub type VectorRegister = ThreadedRegister<Vector>;
 /// Threaded Algorithm 4: a linearizable (but not write strongly-linearizable) MWMR
-/// register from SWMR cells using Lamport clocks.
-#[derive(Debug, Clone)]
-pub struct LamportRegister {
-    n: usize,
-    vals: Vec<SwmrCell<(i64, LamportTs)>>,
-    recorder: SharedRecorder<i64>,
-}
+/// register using Lamport clocks.
+pub type LamportRegister = ThreadedRegister<Lamport>;
 
-impl LamportRegister {
+impl<C: Construction> ThreadedRegister<C> {
     /// Creates a register shared by `n >= 2` processes.
     ///
     /// # Panics
@@ -114,10 +42,10 @@ impl LamportRegister {
     #[must_use]
     pub fn new(n: usize) -> Self {
         assert!(n >= 2, "need at least two processes");
-        LamportRegister {
+        ThreadedRegister {
             n,
             vals: (0..n)
-                .map(|i| SwmrCell::new(ProcessId(i), (0, LamportTs::new(0, i))))
+                .map(|i| SwmrCell::new(ProcessId(i), (0, C::initial(n, i))))
                 .collect(),
             recorder: SharedRecorder::new(),
         }
@@ -129,7 +57,8 @@ impl LamportRegister {
         self.n
     }
 
-    /// Writes `value` on behalf of process `k` (lines 1–7 of Algorithm 4).
+    /// Writes `value` on behalf of process `k`: reads every `Val[i]`, then writes
+    /// `(value, ts)` into `Val[k]`.
     ///
     /// # Panics
     ///
@@ -137,15 +66,16 @@ impl LamportRegister {
     pub fn write(&self, k: ProcessId, value: i64) {
         assert!(k.0 < self.n, "process {k} out of range");
         let op = self.recorder.invoke_write(k, THREADED_REGISTER, value);
-        let mut max_sq = 0u64;
-        for i in 0..self.n {
-            max_sq = max_sq.max(self.vals[i].read().1.sq);
+        let mut acc = C::start(self.n);
+        for (i, cell) in self.vals.iter().enumerate() {
+            C::observe(&mut acc, k.0, i, &cell.read().1);
         }
-        self.vals[k.0].write(k, (value, LamportTs::new(max_sq + 1, k.0)));
+        self.vals[k.0].write(k, (value, C::stamp(&acc, k.0)));
         self.recorder.respond_write(op);
     }
 
-    /// Reads the register on behalf of process `p` (lines 8–12 of Algorithm 4).
+    /// Reads the register on behalf of process `p`: the value with the greatest
+    /// timestamp in `Val[-]`.
     ///
     /// # Panics
     ///
@@ -153,12 +83,9 @@ impl LamportRegister {
     pub fn read(&self, p: ProcessId) -> i64 {
         assert!(p.0 < self.n, "process {p} out of range");
         let op = self.recorder.invoke_read(p, THREADED_REGISTER);
-        let mut best: Option<(i64, LamportTs)> = None;
-        for i in 0..self.n {
-            let (v, ts) = self.vals[i].read();
-            if best.map(|(_, b)| ts > b).unwrap_or(true) {
-                best = Some((v, ts));
-            }
+        let mut best = None;
+        for cell in &self.vals {
+            keep_newest(&mut best, cell.read());
         }
         let (value, _) = best.expect("n >= 2 cells");
         self.recorder.respond_read(op, value);

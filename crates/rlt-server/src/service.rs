@@ -782,6 +782,45 @@ mod tests {
         assert_eq!(service.metrics.parse_errors.load(Ordering::Relaxed), 1);
     }
 
+    /// A witness of this body would complete the pending `op0` one tick after
+    /// `u64::MAX`.
+    const LAST_TICK_BODY: &str =
+        "op0 p0 R0 write 1 @ t1..\nop1 p1 R0 read 1 @ t2..t18446744073709551615\n";
+
+    #[test]
+    fn a_checked_event_at_the_last_tick_is_a_line_numbered_parse_error() {
+        let service = CheckService::new(AppConfig::default());
+        let checked = service
+            .check_text(LAST_TICK_BODY)
+            .expect_err("no tick is left for the witness");
+        assert!(matches!(checked, ServiceError::Parse(_)), "{checked:?}");
+        assert_eq!(checked.status(), 400);
+        assert!(
+            checked.message().starts_with("history line 2:"),
+            "{checked:?}"
+        );
+        assert_eq!(service.metrics.parse_errors.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_session_event_at_the_last_tick_is_a_line_numbered_parse_error() {
+        let service = CheckService::new(AppConfig::default());
+        let (id, _) = service
+            .create_session("op0 p0 R0 write 1 @ t1..\n")
+            .expect("seeded session");
+        let rejected = service
+            .session_events(id, "op1 p1 R0 read 1 @ t2..t18446744073709551615\n")
+            .expect_err("no tick is left for the witness");
+        assert!(matches!(rejected, ServiceError::Parse(_)), "{rejected:?}");
+        assert_eq!(rejected.status(), 400);
+        assert!(
+            rejected.message().starts_with("history line 1:"),
+            "{rejected:?}"
+        );
+        // The session survives: its verdict still answers over the seeded prefix.
+        assert!(service.session_verdict(id).is_ok());
+    }
+
     #[test]
     fn a_session_completion_without_a_read_value_is_a_parse_error() {
         let service = CheckService::new(AppConfig::default());

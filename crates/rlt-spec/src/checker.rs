@@ -28,7 +28,8 @@
 //! underlying search exactly as far as the consumer pulls.
 
 use crate::engine::{
-    Engine, EnumerationLimitExceeded, Linearizations, MemoStats, ScratchPool, StateSketch,
+    CheckOutcome, Engine, EnumerationLimitExceeded, Linearizations, MemoStats, ScratchPool,
+    StateSketch,
 };
 use crate::history::History;
 use crate::incremental::IncrementalChecker;
@@ -123,15 +124,35 @@ pub struct Verdict<V> {
 }
 
 impl<V> Verdict<V> {
-    pub(crate) fn new(
-        decision: Option<bool>,
-        witness: Option<SeqHistory<V>>,
-        stats: CheckStats,
+    /// The verdict of one engine search: linearizable when it found an order,
+    /// inconclusive when its state budget ran out first, not linearizable
+    /// otherwise. With `witness` on, `materialize` turns the found order into the
+    /// witness linearization.
+    pub(crate) fn from_outcome(
+        outcome: &CheckOutcome,
+        witness: bool,
+        materialize: impl FnOnce(&[usize]) -> SeqHistory<V>,
     ) -> Self {
+        let decision = if outcome.order.is_some() {
+            Some(true)
+        } else if outcome.limit_hit {
+            None
+        } else {
+            Some(false)
+        };
         Verdict {
             decision,
-            witness,
-            stats,
+            witness: outcome
+                .order
+                .as_deref()
+                .filter(|_| witness)
+                .map(materialize),
+            stats: CheckStats {
+                states_explored: outcome.states_explored,
+                states_memoized: outcome.states_memoized,
+                enumeration_nodes: 0,
+                memo: outcome.memo,
+            },
         }
     }
 
@@ -357,33 +378,10 @@ impl<V: RegisterValue> Checker<V> {
         };
         let engine = Engine::new(history, &self.init);
         let outcome = engine.check_with(self.state_budget, scratch);
-        let decision = if outcome.order.is_some() {
-            Some(true)
-        } else if outcome.limit_hit {
-            None
-        } else {
-            Some(false)
-        };
-        let witness = if self.witness {
-            outcome
-                .order
-                .map(|order| order_to_seq(history, engine.ops(), &order))
-        } else {
-            None
-        };
-        (
-            Verdict::new(
-                decision,
-                witness,
-                CheckStats {
-                    states_explored: outcome.states_explored,
-                    states_memoized: outcome.states_memoized,
-                    enumeration_nodes: 0,
-                    memo: outcome.memo,
-                },
-            ),
-            outcome.sketch,
-        )
+        let verdict = Verdict::from_outcome(&outcome, self.witness, |order| {
+            order_to_seq(history, engine.ops(), order)
+        });
+        (verdict, outcome.sketch)
     }
 
     /// Checks a whole batch of histories; results come back in input order and every

@@ -1582,6 +1582,20 @@ pub struct CheckOutcome {
     pub limit_hit: bool,
 }
 
+impl CheckOutcome {
+    /// The outcome of a search that found `order` (or none) with `stats`.
+    pub(crate) fn new(order: Option<Vec<usize>>, stats: SearchStats) -> Self {
+        CheckOutcome {
+            order,
+            states_explored: stats.states_explored,
+            states_memoized: stats.states_memoized,
+            memo: stats.memo,
+            sketch: stats.sketch,
+            limit_hit: stats.limit_hit,
+        }
+    }
+}
+
 /// Error returned when enumeration exceeds its work cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnumerationLimitExceeded {
@@ -1751,14 +1765,7 @@ impl<'a, V: RegisterValue> Engine<'a, V> {
                 Some(order) => sub_orders.push(order),
                 None => {
                     scratch.release(arena);
-                    return CheckOutcome {
-                        order: None,
-                        states_explored: stats.states_explored,
-                        states_memoized: stats.states_memoized,
-                        memo: stats.memo,
-                        sketch: stats.sketch,
-                        limit_hit: stats.limit_hit,
-                    };
+                    return CheckOutcome::new(None, stats);
                 }
             }
         }
@@ -1807,14 +1814,7 @@ impl<'a, V: RegisterValue> Engine<'a, V> {
                     .map(|order| order.iter().map(|&i| i as usize).collect())
             }
         };
-        CheckOutcome {
-            order,
-            states_explored: stats.states_explored,
-            states_memoized: stats.states_memoized,
-            memo: stats.memo,
-            sketch: stats.sketch,
-            limit_hit: stats.limit_hit,
-        }
+        CheckOutcome::new(order, *stats)
     }
 
     /// Merges per-register witness orders into one global order respecting both every

@@ -29,14 +29,16 @@ impl<V: Clone> History<V> {
     /// # Panics
     ///
     /// Panics if two operations share an [`OpId`], if any response time precedes its own
-    /// invocation time, if two events share a time, or if a completed read has no
-    /// return value (`OpKind::Read(None)` with a response time).
+    /// invocation time, if two events share a time, if an event is later than
+    /// [`Time::LAST`], or if a completed read has no return value (`OpKind::Read(None)`
+    /// with a response time).
     #[must_use]
     pub fn from_operations(ops: Vec<Operation<V>>) -> Self {
         let mut ids = BTreeSet::new();
         let mut times = BTreeSet::new();
         for op in &ops {
             assert!(ids.insert(op.id), "duplicate operation id {:?}", op.id);
+            assert_event_times(op);
             assert!(
                 times.insert(op.invoked_at),
                 "duplicate event time {:?}",
@@ -219,6 +221,19 @@ impl<V: Clone + Eq> History<V> {
         }
         key(self) == key(&reconstructed)
     }
+}
+
+/// Asserts that no event of `op` is later than [`Time::LAST`], which leaves a
+/// witness the tick after the last event for the responses of pending operations.
+pub(crate) fn assert_event_times<V>(op: &Operation<V>) {
+    let last = op.responded_at.unwrap_or(op.invoked_at).max(op.invoked_at);
+    assert!(
+        last <= Time::LAST,
+        "operation {:?} has an event at {:?}, after the last event time {:?}",
+        op.id,
+        last,
+        Time::LAST
+    );
 }
 
 impl<V: fmt::Debug> fmt::Display for History<V> {
@@ -470,6 +485,20 @@ mod tests {
         op2.invoked_at = Time(3);
         op2.responded_at = Some(Time(4));
         let _ = History::from_operations(vec![op, op2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "after the last event time")]
+    fn from_operations_rejects_an_event_after_the_last_time() {
+        let op = Operation {
+            id: OpId(0),
+            process: ProcessId(0),
+            register: RegisterId(0),
+            kind: OpKind::Write(1i64),
+            invoked_at: Time(1),
+            responded_at: Some(Time(u64::MAX)),
+        };
+        let _ = History::from_operations(vec![op]);
     }
 
     #[test]

@@ -71,6 +71,11 @@ impl Time {
     /// The smallest time value.
     pub const ZERO: Time = Time(0);
 
+    /// The latest time an event may carry. A witness completes every pending
+    /// operation one tick after the last event, so `Time(u64::MAX)` is never an
+    /// event time.
+    pub const LAST: Time = Time(u64::MAX - 1);
+
     /// Returns the next time tick.
     #[must_use]
     pub fn next(self) -> Time {

@@ -93,9 +93,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 use crate::checker::{order_to_seq, CheckStats, Verdict};
 use crate::engine::{
     memo_size_class, merge_witness_orders, resume_witness, row_contains, search_witness, words_for,
-    Engine, LocalOp, ScratchPool, SearchScratch, SearchStats, StateSketch, SubProblem, WORD_BITS,
+    CheckOutcome, Engine, LocalOp, ScratchPool, SearchScratch, SearchStats, StateSketch,
+    SubProblem, WORD_BITS,
 };
-use crate::history::History;
+use crate::history::{assert_event_times, History};
 use crate::ids::{OpId, RegisterId};
 use crate::op::{OpKind, Operation};
 use crate::sequential::SeqHistory;
@@ -514,14 +515,16 @@ impl<V: RegisterValue> IncrementalChecker<V> {
     ///
     /// Panics on the same malformed inputs [`History::from_operations`] rejects:
     /// duplicate op ids, duplicate event times, a response at or before its own
-    /// invocation, or a completed read with no return value — and on a completion
-    /// that contradicts its pending op.
+    /// invocation, an event later than [`Time::LAST`](crate::Time::LAST), or a
+    /// completed read with no return value — and on a completion that contradicts
+    /// its pending op.
     pub fn append(&mut self, op: Operation<V>) {
         assert!(
             op.is_pending() || !matches!(op.kind, OpKind::Read(None)),
             "completed read {:?} has no return value",
             op.id
         );
+        assert_event_times(&op);
         self.cached_verdict = None;
         if let Some(pos) = self
             .pending
@@ -1090,7 +1093,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
             }
         }
         if failed {
-            return self.finish(Some(false), None, stats);
+            return self.finish(None, stats);
         }
         // Decision-only fast path: with at most one register there is nothing to
         // merge (a lone witness order is trivially a global order), and with
@@ -1098,7 +1101,9 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         // checker would compute it and throw it away. This keeps the per-verdict
         // cost of a single-register monitoring stream free of O(history) work.
         if !self.witness && self.regs.len() <= 1 {
-            return self.finish(Some(true), None, stats);
+            // Any order stands for "found": with witness recording off it is
+            // never materialized.
+            return self.finish(Some(Vec::new()), stats);
         }
         let per_register_orders: Vec<Vec<usize>> = self
             .regs
@@ -1133,12 +1138,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
             // on the same remaining budget).
             return self.full_fallback();
         };
-        let witness = if self.witness {
-            Some(order_to_seq(&self.history, &self.filtered_ops(), &order))
-        } else {
-            None
-        };
-        self.finish(Some(true), witness, stats)
+        self.finish(Some(order), stats)
     }
 
     fn filtered_ops(&self) -> Vec<&Operation<V>> {
@@ -1148,23 +1148,14 @@ impl<V: RegisterValue> IncrementalChecker<V> {
             .collect()
     }
 
-    fn finish(
-        &self,
-        decision: Option<bool>,
-        witness: Option<SeqHistory<V>>,
-        stats: SearchStats,
-    ) -> IncrementalVerdict<V> {
+    /// The session's verdict from a search `order` over [`Self::filtered_ops`], if
+    /// one was found, and the search statistics.
+    fn finish(&self, order: Option<Vec<usize>>, stats: SearchStats) -> IncrementalVerdict<V> {
+        let outcome = CheckOutcome::new(order, stats);
         IncrementalVerdict {
-            verdict: Verdict::new(
-                decision,
-                witness,
-                CheckStats {
-                    states_explored: stats.states_explored,
-                    states_memoized: stats.states_memoized,
-                    enumeration_nodes: 0,
-                    memo: stats.memo,
-                },
-            ),
+            verdict: Verdict::from_outcome(&outcome, self.witness, |order| {
+                order_to_seq(&self.history, &self.filtered_ops(), order)
+            }),
             incremental: self.stats,
         }
     }
@@ -1177,32 +1168,10 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         let engine = Engine::new(&self.history, &self.init);
         let outcome = engine.check_with(self.state_budget, &self.pool);
         self.stats.incremental_states += outcome.states_explored;
-        let decision = if outcome.order.is_some() {
-            Some(true)
-        } else if outcome.limit_hit {
-            None
-        } else {
-            Some(false)
-        };
-        let witness = if self.witness {
-            outcome
-                .order
-                .as_ref()
-                .map(|order| order_to_seq(&self.history, engine.ops(), order))
-        } else {
-            None
-        };
         IncrementalVerdict {
-            verdict: Verdict::new(
-                decision,
-                witness,
-                CheckStats {
-                    states_explored: outcome.states_explored,
-                    states_memoized: outcome.states_memoized,
-                    enumeration_nodes: 0,
-                    memo: outcome.memo,
-                },
-            ),
+            verdict: Verdict::from_outcome(&outcome, self.witness, |order| {
+                order_to_seq(&self.history, engine.ops(), order)
+            }),
             incremental: self.stats,
         }
     }
@@ -1449,6 +1418,30 @@ mod tests {
             assert_eq!(incremental.as_verdict(), &batch, "at op {i}");
         }
         assert!(session.stats().registers_researched > 0);
+    }
+
+    /// A completion at `u64::MAX` would leave the witness no tick for the pending
+    /// write's response.
+    #[test]
+    #[should_panic(expected = "after the last event time")]
+    fn append_rejects_an_event_after_the_last_time() {
+        let mut session = Checker::new(0i64).incremental();
+        session.append(Operation {
+            id: OpId(0),
+            process: ProcessId(0),
+            register: RegisterId(0),
+            kind: OpKind::Write(1i64),
+            invoked_at: Time(1),
+            responded_at: None,
+        });
+        session.append(Operation {
+            id: OpId(1),
+            process: ProcessId(1),
+            register: RegisterId(0),
+            kind: OpKind::Read(Some(1i64)),
+            invoked_at: Time(2),
+            responded_at: Some(Time(u64::MAX)),
+        });
     }
 
     /// A pending read completing after a later write was invoked is the mid-list

@@ -19,12 +19,15 @@
 //! for a pending/unobserved return ([`OpKind::Read`]`(None)`). Values use the
 //! [`Value`] `Display` forms: `init`, `⊥` (accepted also as `bot`), `7`,
 //! `[0,3]`, `(5#2)` — none contain whitespace, so the line tokenizes on spaces.
+//! Event times run up to [`Time::LAST`], `t18446744073709551614`: a witness
+//! completes every pending operation one tick after the last event, so
+//! `t18446744073709551615` is rejected.
 //!
 //! [`parse_history`] pre-validates everything [`History::from_operations`]
-//! asserts (duplicate ids, duplicate event times, response ≤ invocation, a
-//! completed read without a value) and reports those as line-numbered
-//! [`WireError`]s instead of panicking, so a service can feed untrusted request
-//! bodies straight into it.
+//! asserts (duplicate ids, duplicate event times, response ≤ invocation, an
+//! event after [`Time::LAST`], a completed read without a value) and reports
+//! those as line-numbered [`WireError`]s instead of panicking, so a service can
+//! feed untrusted request bodies straight into it.
 
 use crate::checker::Verdict;
 use crate::history::History;
@@ -167,6 +170,14 @@ pub fn parse_history(text: &str) -> Result<History<Value>, WireError> {
         } else {
             Some(parse_prefixed(resp, "t", "response time").map_err(&err)?)
         };
+        let last = resp.unwrap_or(inv).max(inv);
+        if last > Time::LAST.0 {
+            return Err(err(format!(
+                "event time `t{last}` leaves a witness no tick after the last event: \
+                 event times run up to `t{}`",
+                Time::LAST.0
+            )));
+        }
         let kind = match verb {
             "write" => OpKind::Write(parse_value(value).map_err(&err)?),
             "read" if value == "?" => OpKind::Read(None),
@@ -370,6 +381,16 @@ mod tests {
                 "op0 p0 R0 write 1 @ t1..t2\nop1 p1 R0 read ? @ t3..t4",
                 2,
                 "has no return value",
+            ),
+            (
+                "op0 p0 R0 write 1 @ t1..\nop1 p1 R0 read 1 @ t2..t18446744073709551615",
+                2,
+                "no tick after the last event",
+            ),
+            (
+                "op0 p0 R0 write 1 @ t18446744073709551615..",
+                1,
+                "no tick after the last event",
             ),
         ];
         for (text, line, needle) in cases {

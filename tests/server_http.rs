@@ -71,6 +71,10 @@ fn malformed_bodies_get_line_numbered_400() {
         ("op0 p0 R0 write what @ t1..t2\n", 1),
         ("op0 p0 R0 poke 1 @ t1..t2\n", 1),
         ("# comment only\nop0 p0 R0 write 1 @ t1..t1\n", 2),
+        (
+            "op0 p0 R0 write 1 @ t1..\nop1 p1 R0 read 1 @ t2..t18446744073709551615\n",
+            2,
+        ),
     ];
     for (body, line) in cases {
         let resp = client.post("/check", body).expect("POST /check");
