@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rlt_mp::{AbdCluster, MessageCluster};
+use rlt_mp::AbdCluster;
 use rlt_spec::ProcessId;
 use std::hint::black_box;
 

@@ -29,7 +29,7 @@ use rlt_mp::adversary::hunt_new_old_inversion;
 use rlt_mp::minimize::minimize_schedule;
 use rlt_mp::{
     hunt_with, hunt_with_faults, AbdCluster, DeliveryAdversary, FaultPlan, FaultScenario,
-    FaultyAbdCluster, HuntReport, MessageCluster, NewestFirstAdversary, OldestFirstAdversary,
+    FaultyAbdCluster, HuntReport, NewestFirstAdversary, OldestFirstAdversary,
     ReplyWithholdingAdversary, RetryPolicy, StarveDestinationAdversary, UniformAdversary,
 };
 use rlt_spec::{Checker, ProcessId};
@@ -67,8 +67,8 @@ pub const TRACKED_ADVERSARIES: &[&str] = &[
     "reply_withholding",
 ];
 
-fn faulty_cluster() -> FaultyAbdCluster {
-    FaultyAbdCluster::new(HUNT_PROCESSES, ProcessId(0))
+fn faulty_cluster() -> AbdCluster {
+    FaultyAbdCluster::new(HUNT_PROCESSES, ProcessId(0)).into()
 }
 
 /// One E13 hunt: the tracked scenario (continuous writes, one reader at a time) on

@@ -26,12 +26,15 @@
 //! The simulation assumes fewer than half of the processes crash (the standard ABD
 //! assumption); the delivery order of messages is entirely under the caller's control,
 //! which plays the role of the adversary — either directly through
-//! [`AbdCluster::deliver`], through the shared random delivery of
-//! [`MessageCluster`], or through a [`crate::adversary::DeliveryAdversary`].
+//! [`AbdCluster::deliver`], through seeded random delivery
+//! ([`AbdCluster::deliver_random`]), through recorded schedule steps
+//! ([`AbdCluster::apply`]), or through a [`crate::adversary::DeliveryAdversary`].
 
 use crate::analyze::ClusterModel;
-use crate::delivery::{InflightQueue, MessageCluster};
-use crate::faults::{RetryPolicy, SimNet};
+use crate::delivery::{ClientEvent, InflightQueue, ScheduleStep};
+use crate::faults::{FaultLog, Partition, RetryPolicy, SimNet};
+use rand::rngs::StdRng;
+use rand::Rng;
 use rlt_spec::{History, OpId, OpKind, Operation, ProcessId, RegisterId};
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
@@ -105,7 +108,9 @@ pub struct AbdCluster {
     replicas: Vec<(u64, i64)>,
     /// Each process's client: the phase of its operation in progress, if any.
     clients: Vec<Option<Phase>>,
-    net: SimNet,
+    /// The network: `pub(crate)` so a recorder can drop, delay or duplicate the
+    /// exact slot an adversary chose rather than the oldest copy of its key.
+    pub(crate) net: SimNet,
     /// Read ids, shared by reads and multi-writer query phases.
     next_rid: u64,
     writer_seq: u64,
@@ -497,6 +502,130 @@ impl AbdCluster {
         History::from_operations(self.ops.clone())
     }
 
+    /// The recorded operations in invocation order, grown in place (pending ops
+    /// complete at their original position) — the zero-copy view behind
+    /// [`AbdCluster::history`], fit for feeding an [`rlt_spec::IncrementalChecker`]
+    /// without cloning and revalidating the whole record on every recheck.
+    #[must_use]
+    pub fn operations(&self) -> &[Operation<i64>] {
+        &self.ops
+    }
+
+    /// The per-run fault log (drops, duplicates, delays, purges, dead sends, timer
+    /// fires, retransmissions).
+    #[must_use]
+    pub fn fault_log(&self) -> FaultLog {
+        *self.net.fault_log()
+    }
+
+    /// Fires one schedule step and returns `true`, or skips it with no effect at
+    /// all and returns `false`. This is the one rule behind replay
+    /// ([`crate::Schedule::replay_on`]) and recording ([`crate::ScheduleRun::apply`]):
+    ///
+    /// * an operation start is skipped when its process is out of range, crashed
+    ///   or busy, and a write also when the process may not write (only the
+    ///   designated writer does on a single-writer cluster); a `crash` is skipped
+    ///   when its process is out of range, a `recover` unless it has crashed;
+    /// * `deliver`, `drop`, `dup` and `delay` act on the oldest in-flight copy of
+    ///   their key, and are skipped when none is in flight;
+    /// * a `partition` is skipped when its id is already installed, a `heal` when
+    ///   it is not, and an `advance` when there is no deadline to advance to.
+    pub fn apply(&mut self, step: &ScheduleStep) -> bool {
+        match *step {
+            ScheduleStep::Event(ClientEvent::StartWrite(value)) => self
+                .can_start(self.writer)
+                .then(|| self.start_write(value))
+                .is_some(),
+            ScheduleStep::Event(ClientEvent::StartWriteBy(p, value)) => {
+                ((self.multi_writer || p == self.writer) && self.can_start(p))
+                    .then(|| self.start_write_by(p, value))
+                    .is_some()
+            }
+            ScheduleStep::Event(ClientEvent::StartRead(p)) => {
+                self.can_start(p).then(|| self.start_read(p)).is_some()
+            }
+            ScheduleStep::Event(ClientEvent::Crash(p)) => {
+                (p.0 < self.n).then(|| self.crash(p)).is_some()
+            }
+            ScheduleStep::Event(ClientEvent::Recover(p)) => self.recover(p),
+            ScheduleStep::Deliver(key) => self
+                .inflight()
+                .find_key(key)
+                .map(|slot| self.deliver(slot))
+                .is_some(),
+            ScheduleStep::Drop(key) => self
+                .inflight()
+                .find_key(key)
+                .map(|slot| self.net.drop_slot(slot))
+                .is_some(),
+            ScheduleStep::Duplicate(key) => self
+                .inflight()
+                .find_key(key)
+                .map(|slot| self.net.duplicate_slot(slot))
+                .is_some(),
+            ScheduleStep::Delay(key, ticks) => self
+                .inflight()
+                .find_key(key)
+                .map(|slot| self.net.delay_slot(slot, ticks))
+                .is_some(),
+            ScheduleStep::Partition { id, side } => {
+                self.net.install_partition(Partition::from_parts(id, side))
+            }
+            ScheduleStep::Heal(id) => self.net.heal_partition(id),
+            ScheduleStep::Advance => self.advance_time(),
+        }
+    }
+
+    /// Fast-forwards virtual time to the next deadline: due delayed messages return
+    /// to the queue, and every live process whose retry timer fired re-broadcasts
+    /// its current phase. Returns `false` if there was no deadline to advance to.
+    pub fn advance_time(&mut self) -> bool {
+        let Some(fired) = self.net.advance() else {
+            return false;
+        };
+        for p in fired {
+            self.retransmit(p);
+        }
+        true
+    }
+
+    /// Delivers one uniformly random in-flight message. Returns `false` if none exist.
+    pub fn deliver_random(&mut self, rng: &mut StdRng) -> bool {
+        let len = self.inflight_count();
+        if len == 0 {
+            return false;
+        }
+        let slot = self.inflight().slot_at(rng.gen_range(0..len));
+        self.deliver(slot);
+        true
+    }
+
+    /// Delivers random messages until either nothing is in flight or `max_deliveries`
+    /// have been made. Returns the number of deliveries.
+    pub fn run_to_quiescence(&mut self, rng: &mut StdRng, max_deliveries: u64) -> u64 {
+        let mut count = 0;
+        while count < max_deliveries && self.deliver_random(rng) {
+            count += 1;
+        }
+        count
+    }
+
+    /// Like [`AbdCluster::run_to_quiescence`], but when nothing is deliverable it
+    /// fast-forwards virtual time ([`AbdCluster::advance_time`]) — so delayed
+    /// messages come back and retry timers fire — and only stops once both the queue
+    /// and the timeline are exhausted. Returns the number of deliveries.
+    pub fn run_to_quiescence_with_time(&mut self, rng: &mut StdRng, max_deliveries: u64) -> u64 {
+        let mut count = 0;
+        while count < max_deliveries {
+            if self.deliver_random(rng) {
+                count += 1;
+            } else if !self.advance_time() {
+                break;
+            }
+        }
+        count
+    }
+
     /// Current `(seq, value)` stored at replica `p` (diagnostics).
     #[must_use]
     pub fn replica_state(&self, p: ProcessId) -> (u64, i64) {
@@ -504,60 +633,10 @@ impl AbdCluster {
     }
 }
 
-impl MessageCluster for AbdCluster {
-    fn net(&self) -> &SimNet {
-        &self.net
-    }
-
-    fn net_mut(&mut self) -> &mut SimNet {
-        &mut self.net
-    }
-
-    fn deliver_slot(&mut self, slot: usize) {
-        self.deliver(slot);
-    }
-
-    fn try_start_write_by(&mut self, p: ProcessId, value: i64) -> Option<OpId> {
-        ((self.multi_writer || p == self.writer) && self.can_start(p))
-            .then(|| self.start_write_by(p, value))
-    }
-
-    fn try_start_read(&mut self, p: ProcessId) -> Option<OpId> {
-        self.can_start(p).then(|| self.start_read(p))
-    }
-
-    fn on_timer(&mut self, p: ProcessId) {
-        self.retransmit(p);
-    }
-
-    fn recover_process(&mut self, p: ProcessId) -> bool {
-        self.recover(p)
-    }
-
-    fn history(&self) -> History<i64> {
-        AbdCluster::history(self)
-    }
-
-    fn operations(&self) -> &[Operation<i64>] {
-        &self.ops
-    }
-
-    fn process_count(&self) -> usize {
-        self.n
-    }
-
-    fn writer(&self) -> ProcessId {
-        self.writer
-    }
-
-    fn is_idle(&self, p: ProcessId) -> bool {
-        AbdCluster::is_idle(self, p)
-    }
-}
-
 /// The single-writer cluster without the read write-back phase — the negative
 /// control, **not** linearizable — under its own type name: a thin wrapper over
-/// [`AbdCluster::without_write_back`] that dereferences to the [`AbdCluster`].
+/// [`AbdCluster::without_write_back`] that dereferences to, and converts into, the
+/// [`AbdCluster`].
 #[derive(Debug)]
 pub struct FaultyAbdCluster(AbdCluster);
 
@@ -593,53 +672,9 @@ impl DerefMut for FaultyAbdCluster {
     }
 }
 
-impl MessageCluster for FaultyAbdCluster {
-    fn net(&self) -> &SimNet {
-        self.0.net()
-    }
-
-    fn net_mut(&mut self) -> &mut SimNet {
-        self.0.net_mut()
-    }
-
-    fn deliver_slot(&mut self, slot: usize) {
-        self.0.deliver_slot(slot);
-    }
-
-    fn try_start_write_by(&mut self, p: ProcessId, value: i64) -> Option<OpId> {
-        self.0.try_start_write_by(p, value)
-    }
-
-    fn try_start_read(&mut self, p: ProcessId) -> Option<OpId> {
-        self.0.try_start_read(p)
-    }
-
-    fn on_timer(&mut self, p: ProcessId) {
-        self.0.on_timer(p);
-    }
-
-    fn recover_process(&mut self, p: ProcessId) -> bool {
-        self.0.recover_process(p)
-    }
-
-    fn history(&self) -> History<i64> {
-        self.0.history()
-    }
-
-    fn operations(&self) -> &[Operation<i64>] {
-        self.0.operations()
-    }
-
-    fn process_count(&self) -> usize {
-        self.0.process_count()
-    }
-
-    fn writer(&self) -> ProcessId {
-        self.0.writer()
-    }
-
-    fn is_idle(&self, p: ProcessId) -> bool {
-        self.0.is_idle(p)
+impl From<FaultyAbdCluster> for AbdCluster {
+    fn from(faulty: FaultyAbdCluster) -> Self {
+        faulty.0
     }
 }
 
@@ -1155,14 +1190,20 @@ mod tests {
         use crate::delivery::ScheduleRun;
         let mut run = ScheduleRun::new(AbdCluster::multi_writer(5));
         let mut adv = UniformAdversary::new(9);
-        run.start_write_by(ProcessId(2), 7);
-        run.start_write_by(ProcessId(4), 8);
+        run.apply(ScheduleStep::Event(ClientEvent::StartWriteBy(
+            ProcessId(2),
+            7,
+        )));
+        run.apply(ScheduleStep::Event(ClientEvent::StartWriteBy(
+            ProcessId(4),
+            8,
+        )));
         for _ in 0..30 {
             if !run.deliver_next(&mut adv) {
                 break;
             }
         }
-        run.start_read(ProcessId(1));
+        run.apply(ScheduleStep::Event(ClientEvent::StartRead(ProcessId(1))));
         for _ in 0..30 {
             if !run.deliver_next(&mut adv) {
                 break;
@@ -1202,8 +1243,8 @@ mod tests {
                 .expect("query traffic while the write is in its query phase");
             c.deliver(slot);
         }
-        let t = c.net().now();
-        assert_eq!(c.net_mut().next_deadline(), Some(t + policy.base));
+        let t = c.net.now();
+        assert_eq!(c.net.next_deadline(), Some(t + policy.base));
         while c.advance_time() {}
         assert_eq!(c.fault_log().timer_fires, u64::from(policy.max_attempts));
     }

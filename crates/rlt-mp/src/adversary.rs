@@ -11,7 +11,7 @@
 //! Provided implementations:
 //!
 //! * [`UniformAdversary`] — the seeded uniform-random baseline (what
-//!   [`MessageCluster::deliver_random`] does, as an adversary value).
+//!   [`crate::AbdCluster::deliver_random`] does, as an adversary value).
 //! * [`OldestFirstAdversary`] / [`NewestFirstAdversary`] — FIFO / LIFO networks.
 //! * [`StarveDestinationAdversary`] — delays every message addressed to one victim
 //!   process for as long as anything else is deliverable.
@@ -27,8 +27,9 @@
 //! non-linearizable prefix, recording the whole run as a [`Schedule`] for replay and
 //! [`crate::minimize`] shrinking.
 
-use crate::delivery::{AbdMessage, Envelope, EnvelopeKey, InflightQueue, MessageCluster, Schedule};
+use crate::delivery::{AbdMessage, Envelope, EnvelopeKey, InflightQueue, Schedule};
 use crate::faults::{hunt_with_faults, FaultPlan, FaultScenario, HuntReport};
+use crate::AbdCluster;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlt_spec::{Checker, ProcessId};
@@ -279,8 +280,8 @@ impl DeliveryAdversary for ScriptedAdversary {
 /// message schedule. Continuous writes, one reader at a time, the history
 /// rechecked by one incremental session after every delivery; stops at the first
 /// non-linearizable prefix or after `max_deliveries`. See [`crate::hunt_with`].
-pub fn hunt_new_old_inversion<C: MessageCluster>(
-    cluster: C,
+pub fn hunt_new_old_inversion(
+    cluster: AbdCluster,
     adversary: &mut dyn DeliveryAdversary,
     scenario_seed: u64,
     max_deliveries: u64,
@@ -299,7 +300,9 @@ pub fn hunt_new_old_inversion<C: MessageCluster>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{hunt_with, AbdCluster, FaultyAbdCluster, Partition, RetryPolicy, ScheduleRun};
+    use crate::{
+        hunt_with, ClientEvent, FaultyAbdCluster, Partition, RetryPolicy, ScheduleRun, ScheduleStep,
+    };
 
     fn checker() -> Checker<i64> {
         Checker::new(0i64)
@@ -311,7 +314,7 @@ mod tests {
         for seed in 0..5u64 {
             let mut adv = ReplyWithholdingAdversary::new();
             let report = hunt_new_old_inversion(
-                FaultyAbdCluster::new(5, ProcessId(0)),
+                FaultyAbdCluster::new(5, ProcessId(0)).into(),
                 &mut adv,
                 seed,
                 500,
@@ -352,13 +355,13 @@ mod tests {
         let mut found = 0;
         for (scenario, retries) in &scenarios {
             for seed in 0..5u64 {
-                let hunt = |reject: &mut dyn FnMut(&FaultyAbdCluster) -> bool| {
+                let hunt = |reject: &mut dyn FnMut(&AbdCluster) -> bool| {
                     let mut cluster = FaultyAbdCluster::new(5, ProcessId(0));
                     if let Some(policy) = retries {
                         cluster = cluster.with_retries(*policy);
                     }
                     let mut adversary = ReplyWithholdingAdversary::new();
-                    hunt_with(cluster, &mut adversary, scenario, seed, 300, reject)
+                    hunt_with(cluster.into(), &mut adversary, scenario, seed, 300, reject)
                 };
                 let mut monitor = checker.incremental();
                 let incremental = hunt(&mut |cluster| {
@@ -388,7 +391,7 @@ mod tests {
         let run = |seed| {
             let mut adv = ReplyWithholdingAdversary::new();
             hunt_new_old_inversion(
-                FaultyAbdCluster::new(5, ProcessId(0)),
+                FaultyAbdCluster::new(5, ProcessId(0)).into(),
                 &mut adv,
                 seed,
                 500,
@@ -455,8 +458,8 @@ mod tests {
         // overlapping read), driven by a deterministic adversary...
         let record = {
             let mut run = ScheduleRun::new(AbdCluster::new(5, ProcessId(0)));
-            run.start_write(7);
-            run.start_read(ProcessId(3));
+            run.apply(ScheduleStep::Event(ClientEvent::StartWrite(7)));
+            run.apply(ScheduleStep::Event(ClientEvent::StartRead(ProcessId(3))));
             let mut adv = NewestFirstAdversary::new();
             while run.deliver_next(&mut adv) {}
             run
@@ -467,8 +470,8 @@ mod tests {
         // cluster after issuing the same operations by hand.
         let mut scripted = ScriptedAdversary::from_schedule(&schedule);
         let mut run = ScheduleRun::new(AbdCluster::new(5, ProcessId(0)));
-        run.start_write(7);
-        run.start_read(ProcessId(3));
+        run.apply(ScheduleStep::Event(ClientEvent::StartWrite(7)));
+        run.apply(ScheduleStep::Event(ClientEvent::StartRead(ProcessId(3))));
         while run.deliver_next(&mut scripted) {}
         assert_eq!(scripted.remaining(), 0);
         assert_eq!(run.history(), recorded_history);

@@ -36,7 +36,7 @@
 //!
 //! The model of the cluster under analysis is a [`ClusterModel`]; with
 //! [`ClusterModel::permissive`] every verdict is valid for *any*
-//! [`crate::MessageCluster`], while the shaped models
+//! [`crate::AbdCluster`] flavour and size, while the shaped models
 //! ([`ClusterModel::single_writer`], [`ClusterModel::multi_writer`]) unlock the
 //! protocol-role diagnostics (`unsent-key`, `not-writer`, `no-write-back`,
 //! `out-of-range`).
@@ -120,7 +120,7 @@ pub struct ClusterModel {
 }
 
 impl ClusterModel {
-    /// Assumes nothing: sound for any [`crate::MessageCluster`].
+    /// Assumes nothing: sound for any [`crate::AbdCluster`] flavour and size.
     #[must_use]
     pub fn permissive() -> Self {
         ClusterModel {
@@ -879,7 +879,7 @@ pub fn canonicalize(schedule: &Schedule) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AbdCluster, FaultyAbdCluster, MessageCluster};
+    use crate::{AbdCluster, FaultyAbdCluster};
 
     fn sched(text: &str) -> Schedule {
         text.parse().expect("schedule parses")

@@ -9,25 +9,21 @@
 //!   compacting `Vec`, delivering one message never moves the others, so adversaries
 //!   can hold slot indices across deliveries without silent reindexing, and a delivery
 //!   is `O(1)` instead of `O(n)`.
-//! * [`MessageCluster`] — the capability trait the clusters implement. It is what the
-//!   [`crate::adversary::DeliveryAdversary`] implementations, the recorded
-//!   [`Schedule`]s, and the [`crate::minimize`] shrinker are generic over, and it hosts
-//!   the single shared implementation of [`MessageCluster::deliver_random`] /
-//!   [`MessageCluster::run_to_quiescence`] (previously copy-pasted per cluster).
 //! * [`Schedule`] / [`ScheduleRun`] — a replayable recording of one run: the client
 //!   events (operation starts, crashes, recoveries) interleaved with the delivered
 //!   message keys **and the injected faults** (drops, duplications, delays, partition
 //!   installs/heals, virtual-time advances) as first-class, payload-independent steps.
+//!   Replay and recording both fire each step through [`AbdCluster::apply`], the one
+//!   rule for whether a step fires or is skipped, so the two cannot disagree.
 //!   Replaying a schedule on a fresh cluster is deterministic — the fault dice are
 //!   rolled only while recording — so a failing schedule is a *portable, shrinkable
 //!   counterexample* rather than a lucky seed. Schedules also have a stable textual
 //!   form ([`Schedule`]'s `Display`/`FromStr` round-trip) for storing and diffing.
 
 use crate::adversary::{DeliveryAdversary, DeliveryView};
-use crate::faults::{FaultDecision, FaultInjector, FaultLog, Partition, SimNet};
-use rand::rngs::StdRng;
-use rand::Rng;
-use rlt_spec::{History, OpId, Operation, ProcessId};
+use crate::faults::{FaultDecision, FaultInjector};
+use crate::AbdCluster;
+use rlt_spec::{History, ProcessId};
 use std::fmt;
 use std::str::FromStr;
 
@@ -321,8 +317,8 @@ pub enum ClientEvent {
     /// The designated writer invokes `write(value)`.
     StartWrite(i64),
     /// Process `p` invokes `write(value)` — only meaningful on multi-writer
-    /// clusters (see [`MessageCluster::try_start_write_by`]); on single-writer
-    /// clusters it is a no-op unless `p` is the designated writer.
+    /// clusters; on single-writer clusters it is skipped unless `p` is the
+    /// designated writer (see [`AbdCluster::apply`]).
     StartWriteBy(ProcessId, i64),
     /// Process `p` invokes a read.
     StartRead(ProcessId),
@@ -548,9 +544,10 @@ impl std::error::Error for ScheduleParseError {}
 ///
 /// Replay ([`Schedule::replay_on`]) is deterministic and *total*: events that can no
 /// longer fire (the process is busy or crashed) are skipped, and `Deliver` steps whose
-/// key names no in-flight message are skipped. Totality is what makes delta-debugging
-/// possible — any sub-sequence of a schedule is itself a valid schedule — while
-/// determinism makes every shrunk counterexample replay bit-identically.
+/// key names no in-flight message are skipped ([`AbdCluster::apply`] holds the whole
+/// rule). Totality is what makes delta-debugging possible — any sub-sequence of a
+/// schedule is itself a valid schedule — while determinism makes every shrunk
+/// counterexample replay bit-identically.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Schedule {
     /// The recorded steps, in execution order.
@@ -591,7 +588,7 @@ impl Schedule {
     /// Fault steps replay without any randomness: the recorded outcome *is* the step.
     /// Like deliveries, they are skipped when inapplicable (key not in flight,
     /// partition id unknown, no deadline to advance to), keeping replay total.
-    pub fn replay_on<C: MessageCluster>(&self, cluster: &mut C) -> u64 {
+    pub fn replay_on(&self, cluster: &mut AbdCluster) -> u64 {
         self.replay_trace_on(cluster).delivered
     }
 
@@ -603,31 +600,17 @@ impl Schedule {
     /// A skipped step has no effect on the cluster whatsoever, so replaying a
     /// schedule with its skipped steps removed is bit-identical to replaying the
     /// original.
-    pub fn replay_trace_on<C: MessageCluster>(&self, cluster: &mut C) -> ReplayTrace {
+    pub fn replay_trace_on(&self, cluster: &mut AbdCluster) -> ReplayTrace {
         let mut delivered = 0;
-        let mut fired = Vec::with_capacity(self.steps.len());
-        for step in &self.steps {
-            let took_effect = match step {
-                ScheduleStep::Event(event) => cluster.apply_event(*event),
-                ScheduleStep::Deliver(key) => match cluster.queue().find_key(*key) {
-                    Some(slot) => {
-                        cluster.deliver_slot(slot);
-                        delivered += 1;
-                        true
-                    }
-                    None => false,
-                },
-                ScheduleStep::Drop(key) => cluster.drop_by_key(*key),
-                ScheduleStep::Duplicate(key) => cluster.duplicate_by_key(*key),
-                ScheduleStep::Delay(key, ticks) => cluster.delay_by_key(*key, *ticks),
-                ScheduleStep::Partition { id, side } => {
-                    cluster.install_partition(Partition::from_parts(*id, *side))
-                }
-                ScheduleStep::Heal(id) => cluster.heal_partition(*id),
-                ScheduleStep::Advance => cluster.advance_time(),
-            };
-            fired.push(took_effect);
-        }
+        let fired = self
+            .steps
+            .iter()
+            .map(|step| {
+                let fired = cluster.apply(step);
+                delivered += u64::from(fired && matches!(step, ScheduleStep::Deliver(_)));
+                fired
+            })
+            .collect();
         ReplayTrace { fired, delivered }
     }
 }
@@ -693,233 +676,20 @@ impl FromStr for Schedule {
     }
 }
 
-/// The capability surface the delivery core needs from a message-passing cluster.
-///
-/// Implemented by [`crate::AbdCluster`] and [`crate::FaultyAbdCluster`]; everything in
-/// `adversary.rs` and `minimize.rs` is generic over it. The provided methods are the
-/// single shared implementation of uniform-random delivery.
-pub trait MessageCluster {
-    /// The embedded network/failure substrate (queue, clock, crash set, partitions,
-    /// fault log).
-    fn net(&self) -> &SimNet;
-
-    /// Mutable access to the network/failure substrate.
-    fn net_mut(&mut self) -> &mut SimNet;
-
-    /// Delivers the in-flight message at `slot`, processing it at its destination.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is free or out of range.
-    fn deliver_slot(&mut self, slot: usize);
-
-    /// Starts a write of `value` by the designated writer if it is idle and alive;
-    /// returns `None` (without recording anything) otherwise.
-    fn try_start_write(&mut self, value: i64) -> Option<OpId> {
-        self.try_start_write_by(self.writer(), value)
-    }
-
-    /// Starts a read by `p` if it is idle, alive, and in range; returns `None`
-    /// (without recording anything) otherwise.
-    fn try_start_read(&mut self, p: ProcessId) -> Option<OpId>;
-
-    /// Starts a write of `value` by process `p` if `p` may write, is idle, alive,
-    /// and in range; returns `None` (without recording anything) otherwise. On a
-    /// single-writer cluster only the designated writer may write, so replaying a
-    /// multi-writer schedule there skips foreign writes, keeping replay total.
-    fn try_start_write_by(&mut self, p: ProcessId, value: i64) -> Option<OpId>;
-
-    /// Reacts to `p`'s retry timer firing: re-broadcast the messages of `p`'s current
-    /// protocol phase (if any) and re-arm the backed-off timer. Called by
-    /// [`MessageCluster::advance_time`]; a no-op for idle or crashed processes.
-    fn on_timer(&mut self, p: ProcessId);
-
-    /// Recovers a crashed `p`: it rejoins with its *persisted* replica state (the
-    /// `(timestamp, value)` pair survives the crash) and an idle client; traffic of the
-    /// crashed incarnation stays purged, and an operation that was pending at the crash
-    /// stays pending forever. Returns `false` (a no-op) if `p` was not crashed.
-    fn recover_process(&mut self, p: ProcessId) -> bool;
-
-    /// The recorded register-level history so far.
-    fn history(&self) -> History<i64>;
-
-    /// The recorded operations in invocation order, grown in place (pending ops
-    /// complete at their original position) — the zero-copy view behind
-    /// [`history`](MessageCluster::history), fit for feeding an
-    /// [`rlt_spec::IncrementalChecker`] without cloning and revalidating the whole
-    /// record on every recheck.
-    fn operations(&self) -> &[Operation<i64>];
-
-    /// Number of processes.
-    fn process_count(&self) -> usize;
-
-    /// The designated writer.
-    fn writer(&self) -> ProcessId;
-
-    /// `true` if `p` has no operation in progress.
-    fn is_idle(&self, p: ProcessId) -> bool;
-
-    /// The in-flight message queue (see [`InflightQueue`] for the index-stability
-    /// contract).
-    fn queue(&self) -> &InflightQueue {
-        self.net().queue()
-    }
-
-    /// `true` if `p` has crashed.
-    fn is_crashed(&self, p: ProcessId) -> bool {
-        self.net().is_crashed(p)
-    }
-
-    /// Fail-stops `p`: it takes no further protocol steps and its in-flight traffic is
-    /// dropped. Returns `false` (a no-op) if `p` is out of range.
-    fn crash_process(&mut self, p: ProcessId) -> bool {
-        if p.0 >= self.process_count() {
-            return false;
-        }
-        self.net_mut().crash(p);
-        true
-    }
-
-    /// Number of messages currently in flight.
-    fn inflight_count(&self) -> usize {
-        self.queue().len()
-    }
-
-    /// The per-run fault log (drops, duplicates, delays, purges, dead sends, timer
-    /// fires, retransmissions).
-    fn fault_log(&self) -> FaultLog {
-        *self.net().fault_log()
-    }
-
-    /// Drops the in-flight message named by `key`. Returns `false` if none matches.
-    fn drop_by_key(&mut self, key: EnvelopeKey) -> bool {
-        match self.queue().find_key(key) {
-            Some(slot) => {
-                self.net_mut().drop_slot(slot);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Puts an extra copy of the in-flight message named by `key` in flight. Returns
-    /// `false` if none matches.
-    fn duplicate_by_key(&mut self, key: EnvelopeKey) -> bool {
-        match self.queue().find_key(key) {
-            Some(slot) => {
-                self.net_mut().duplicate_slot(slot);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Parks the in-flight message named by `key` for `ticks` virtual ticks. Returns
-    /// `false` if none matches.
-    fn delay_by_key(&mut self, key: EnvelopeKey, ticks: u64) -> bool {
-        match self.queue().find_key(key) {
-            Some(slot) => {
-                self.net_mut().delay_slot(slot, ticks);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Installs a partition (see [`SimNet::install_partition`]). Returns `false` if a
-    /// partition with the same id is already installed.
-    fn install_partition(&mut self, partition: Partition) -> bool {
-        self.net_mut().install_partition(partition)
-    }
-
-    /// Heals the partition with the given id (see [`SimNet::heal_partition`]).
-    /// Returns `false` if no such partition is installed.
-    fn heal_partition(&mut self, id: u32) -> bool {
-        self.net_mut().heal_partition(id)
-    }
-
-    /// Fast-forwards virtual time to the next deadline: due delayed messages return to
-    /// the queue and due retry timers fire ([`MessageCluster::on_timer`]). Returns
-    /// `false` if there was no deadline to advance to.
-    fn advance_time(&mut self) -> bool {
-        match self.net_mut().advance() {
-            None => false,
-            Some(fired) => {
-                for p in fired {
-                    if !self.is_crashed(p) {
-                        self.on_timer(p);
-                    }
-                }
-                true
-            }
-        }
-    }
-
-    /// Applies a [`ClientEvent`], returning `true` if it took effect (start events on a
-    /// busy or crashed process, and any event naming a process out of range, are
-    /// skipped and return `false`).
-    fn apply_event(&mut self, event: ClientEvent) -> bool {
-        match event {
-            ClientEvent::StartWrite(value) => self.try_start_write(value).is_some(),
-            ClientEvent::StartWriteBy(p, value) => self.try_start_write_by(p, value).is_some(),
-            ClientEvent::StartRead(p) => self.try_start_read(p).is_some(),
-            ClientEvent::Crash(p) => self.crash_process(p),
-            ClientEvent::Recover(p) => self.recover_process(p),
-        }
-    }
-
-    /// Delivers one uniformly random in-flight message. Returns `false` if none exist.
-    fn deliver_random(&mut self, rng: &mut StdRng) -> bool {
-        let len = self.queue().len();
-        if len == 0 {
-            return false;
-        }
-        let slot = self.queue().slot_at(rng.gen_range(0..len));
-        self.deliver_slot(slot);
-        true
-    }
-
-    /// Delivers random messages until either nothing is in flight or `max_deliveries`
-    /// have been made. Returns the number of deliveries.
-    fn run_to_quiescence(&mut self, rng: &mut StdRng, max_deliveries: u64) -> u64 {
-        let mut count = 0;
-        while count < max_deliveries && self.deliver_random(rng) {
-            count += 1;
-        }
-        count
-    }
-
-    /// Like [`MessageCluster::run_to_quiescence`], but when nothing is deliverable it
-    /// fast-forwards virtual time ([`MessageCluster::advance_time`]) — so delayed
-    /// messages come back and retry timers fire — and only stops once both the queue
-    /// and the timeline are exhausted. Returns the number of deliveries.
-    fn run_to_quiescence_with_time(&mut self, rng: &mut StdRng, max_deliveries: u64) -> u64 {
-        let mut count = 0;
-        while count < max_deliveries {
-            if self.deliver_random(rng) {
-                count += 1;
-            } else if !self.advance_time() {
-                break;
-            }
-        }
-        count
-    }
-}
-
 /// Wraps a cluster and records everything done to it as a replayable [`Schedule`]:
-/// client events via [`ScheduleRun::start_write`] / [`ScheduleRun::start_read`] /
-/// [`ScheduleRun::crash`], deliveries via [`ScheduleRun::deliver_next`] (which asks a
-/// [`DeliveryAdversary`] to choose).
+/// client events, partitions, heals and clock advances via [`ScheduleRun::apply`],
+/// deliveries via [`ScheduleRun::deliver_next`] (which asks a [`DeliveryAdversary`]
+/// to choose) and [`ScheduleRun::deliver_next_faulty`].
 #[derive(Debug)]
-pub struct ScheduleRun<C> {
-    cluster: C,
+pub struct ScheduleRun {
+    cluster: AbdCluster,
     schedule: Schedule,
     deliveries: u64,
 }
 
-impl<C: MessageCluster> ScheduleRun<C> {
+impl ScheduleRun {
     /// Starts recording on (typically fresh) `cluster`.
-    pub fn new(cluster: C) -> Self {
+    pub fn new(cluster: AbdCluster) -> Self {
         ScheduleRun {
             cluster,
             schedule: Schedule::new(),
@@ -928,98 +698,19 @@ impl<C: MessageCluster> ScheduleRun<C> {
     }
 
     /// The wrapped cluster.
-    pub fn cluster(&self) -> &C {
+    pub fn cluster(&self) -> &AbdCluster {
         &self.cluster
     }
 
-    /// Starts a write by the designated writer, recording it if it took effect.
-    pub fn start_write(&mut self, value: i64) -> Option<OpId> {
-        let op = self.cluster.try_start_write(value);
-        if op.is_some() {
-            self.schedule
-                .steps
-                .push(ScheduleStep::Event(ClientEvent::StartWrite(value)));
+    /// Fires `step` through [`AbdCluster::apply`] and records it if it fired.
+    /// Returns whether it fired.
+    pub fn apply(&mut self, step: ScheduleStep) -> bool {
+        let fired = self.cluster.apply(&step);
+        if fired {
+            self.deliveries += u64::from(matches!(step, ScheduleStep::Deliver(_)));
+            self.schedule.steps.push(step);
         }
-        op
-    }
-
-    /// Starts a write by process `p` (multi-writer clusters; see
-    /// [`MessageCluster::try_start_write_by`]), recording it if it took effect.
-    pub fn start_write_by(&mut self, p: ProcessId, value: i64) -> Option<OpId> {
-        let op = self.cluster.try_start_write_by(p, value);
-        if op.is_some() {
-            self.schedule
-                .steps
-                .push(ScheduleStep::Event(ClientEvent::StartWriteBy(p, value)));
-        }
-        op
-    }
-
-    /// Starts a read by `p`, recording it if it took effect.
-    pub fn start_read(&mut self, p: ProcessId) -> Option<OpId> {
-        let op = self.cluster.try_start_read(p);
-        if op.is_some() {
-            self.schedule
-                .steps
-                .push(ScheduleStep::Event(ClientEvent::StartRead(p)));
-        }
-        op
-    }
-
-    /// Crashes `p`, recording the event if it took effect (`p` is in range).
-    pub fn crash(&mut self, p: ProcessId) -> bool {
-        let crashed = self.cluster.crash_process(p);
-        if crashed {
-            self.schedule
-                .steps
-                .push(ScheduleStep::Event(ClientEvent::Crash(p)));
-        }
-        crashed
-    }
-
-    /// Recovers `p`, recording the event if it took effect.
-    pub fn recover(&mut self, p: ProcessId) -> bool {
-        if self.cluster.recover_process(p) {
-            self.schedule
-                .steps
-                .push(ScheduleStep::Event(ClientEvent::Recover(p)));
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Installs a partition, recording it (by `(id, side)`) if it took effect.
-    pub fn install_partition(&mut self, partition: &Partition) -> bool {
-        if self.cluster.install_partition(partition.clone()) {
-            self.schedule.steps.push(ScheduleStep::Partition {
-                id: partition.id(),
-                side: partition.side_mask(),
-            });
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Heals the partition with the given id, recording it if it took effect.
-    pub fn heal_partition(&mut self, id: u32) -> bool {
-        if self.cluster.heal_partition(id) {
-            self.schedule.steps.push(ScheduleStep::Heal(id));
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Fast-forwards virtual time, recording the `advance` if there was a deadline.
-    pub fn advance_time(&mut self) -> bool {
-        if self.cluster.advance_time() {
-            self.schedule.steps.push(ScheduleStep::Advance);
-            true
-        } else {
-            false
-        }
+        fired
     }
 
     /// Like [`ScheduleRun::deliver_next`], but the chosen message first passes through
@@ -1032,11 +723,11 @@ impl<C: MessageCluster> ScheduleRun<C> {
         adversary: &mut dyn DeliveryAdversary,
         injector: &mut FaultInjector,
     ) -> bool {
-        if self.cluster.queue().is_empty() {
+        if self.cluster.inflight().is_empty() {
             return false;
         }
         let view = DeliveryView {
-            queue: self.cluster.queue(),
+            queue: self.cluster.inflight(),
             deliveries: self.deliveries,
         };
         let Some(slot) = adversary.next_delivery(&view) else {
@@ -1045,31 +736,31 @@ impl<C: MessageCluster> ScheduleRun<C> {
         let (key, decision) = {
             let env = self
                 .cluster
-                .queue()
+                .inflight()
                 .get(slot)
                 .expect("adversary must choose an occupied slot");
             (env.key(), injector.decide(env))
         };
         match decision {
             FaultDecision::Deliver => {
-                self.cluster.deliver_slot(slot);
+                self.cluster.deliver(slot);
                 self.schedule.steps.push(ScheduleStep::Deliver(key));
                 self.deliveries += 1;
             }
             FaultDecision::Drop => {
-                self.cluster.net_mut().drop_slot(slot);
+                self.cluster.net.drop_slot(slot);
                 self.schedule.steps.push(ScheduleStep::Drop(key));
             }
             FaultDecision::Delay(ticks) => {
-                self.cluster.net_mut().delay_slot(slot, ticks);
+                self.cluster.net.delay_slot(slot, ticks);
                 self.schedule.steps.push(ScheduleStep::Delay(key, ticks));
             }
             FaultDecision::Duplicate => {
                 // Record the duplication before the delivery: on replay, the dup is
                 // cloned first and then `Deliver` takes the oldest matching copy.
-                self.cluster.net_mut().duplicate_slot(slot);
+                self.cluster.net.duplicate_slot(slot);
                 self.schedule.steps.push(ScheduleStep::Duplicate(key));
-                self.cluster.deliver_slot(slot);
+                self.cluster.deliver(slot);
                 self.schedule.steps.push(ScheduleStep::Deliver(key));
                 self.deliveries += 1;
             }
@@ -1082,16 +773,6 @@ impl<C: MessageCluster> ScheduleRun<C> {
     /// nothing is in flight or the adversary declines (`None`).
     pub fn deliver_next(&mut self, adversary: &mut dyn DeliveryAdversary) -> bool {
         self.deliver_next_faulty(adversary, &mut FaultInjector::clean())
-    }
-
-    /// Drives `adversary` until quiescence, refusal, or `max_deliveries` total
-    /// deliveries. Returns the number of deliveries made by this call.
-    pub fn run_with(&mut self, adversary: &mut dyn DeliveryAdversary, max_deliveries: u64) -> u64 {
-        let mut count = 0;
-        while self.deliveries < max_deliveries && self.deliver_next(adversary) {
-            count += 1;
-        }
-        count
     }
 
     /// Total deliveries recorded so far.
@@ -1242,18 +923,51 @@ mod tests {
 
     #[test]
     fn out_of_range_client_events_are_skipped_steps() {
-        // Replay is total: an event naming a process outside the cluster is skipped
-        // with no effect, a crash included.
-        let fresh = || crate::AbdCluster::new(5, ProcessId(0));
-        let mut cluster = fresh();
-        let crash: Schedule = "crash 99".parse().unwrap();
-        assert_eq!(crash.replay_trace_on(&mut cluster).fired, vec![false]);
-        assert!(cluster.history().is_empty());
-        let others: Schedule = "read 99\nwrite-by 99 1\nrecover 99".parse().unwrap();
-        assert_eq!(others.replay_trace_on(&mut fresh()).fired, vec![false; 3]);
-        let mut run = ScheduleRun::new(fresh());
-        assert!(!run.crash(ProcessId(99)));
-        assert!(run.schedule().is_empty(), "a skipped crash records nothing");
+        // Replay is total: a step that cannot fire is skipped with no effect and
+        // recorded by nobody — one row per kind of step, on a cluster whose writer
+        // is busy, with process 4 crashed and partition 1 cutting process 1 off.
+        let fresh = || {
+            let mut cluster = AbdCluster::new(5, ProcessId(0));
+            cluster.start_write(1);
+            cluster.crash(ProcessId(4));
+            assert!(cluster.apply(&ScheduleStep::Partition { id: 1, side: 0b10 }));
+            cluster
+        };
+        let mut rows: Vec<ScheduleStep> = [
+            "write 8",
+            "write-by 2 5",
+            "read 4",
+            "read 99",
+            "crash 99",
+            "recover 1",
+            "deliver 0->1 write-req#1", // parked by the partition
+            "drop 0->4 write-req#1",    // purged by the crash
+            "dup 1->0 write-ack#1",     // not sent yet
+            "delay 0->2 read-req#1 +3", // never sent
+            "partition 1 4",
+            "advance",
+        ]
+        .iter()
+        .map(|text| text.parse().expect("a step"))
+        .collect();
+        // The text parser rejects a heal of an undeclared partition.
+        rows.push(ScheduleStep::Heal(7));
+        for step in rows {
+            let mut cluster = fresh();
+            let history = cluster.history();
+            let (inflight, log) = (cluster.inflight_count(), cluster.fault_log());
+            assert!(!cluster.apply(&step), "`{step}` fired");
+            assert_eq!(cluster.history(), history, "`{step}` changed the history");
+            assert_eq!(
+                cluster.inflight_count(),
+                inflight,
+                "`{step}` moved a message"
+            );
+            assert_eq!(cluster.fault_log(), log, "`{step}` logged a fault");
+            let mut run = ScheduleRun::new(fresh());
+            assert!(!run.apply(step), "`{step}` fired while recording");
+            assert!(run.schedule().is_empty(), "`{step}` was recorded");
+        }
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!   scenario.
 
 use crate::adversary::DeliveryAdversary;
-use crate::delivery::{Envelope, InflightQueue, MessageCluster, ScheduleRun};
+use crate::delivery::{ClientEvent, Envelope, InflightQueue, ScheduleRun, ScheduleStep};
+use crate::AbdCluster;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlt_sim::{TimerId, VirtualClock};
@@ -34,7 +35,7 @@ use rlt_spec::{Checker, ProcessId, Time};
 use std::collections::BTreeSet;
 
 /// Per-run counters of every injected fault and loss-like event, exposed on
-/// [`MessageCluster::fault_log`] so hunts and tests can assert on them.
+/// [`AbdCluster::fault_log`] so hunts and tests can assert on them.
 ///
 /// Before this log existed, sends to a crashed process were silently dropped with no
 /// trace; now every lossy event leaves a count.
@@ -743,8 +744,8 @@ pub struct HuntReport {
 /// [`hunt_with`] with one incremental checking session per hunt: the interner,
 /// precedence bitsets and per-register frozen searches persist across the run's
 /// rechecks instead of being re-derived from scratch after every step.
-pub fn hunt_with_faults<C: MessageCluster>(
-    cluster: C,
+pub fn hunt_with_faults(
+    cluster: AbdCluster,
     adversary: &mut dyn DeliveryAdversary,
     scenario: &FaultScenario,
     scenario_seed: u64,
@@ -758,7 +759,7 @@ pub fn hunt_with_faults<C: MessageCluster>(
         scenario,
         scenario_seed,
         max_deliveries,
-        &mut |cluster: &C| {
+        &mut |cluster: &AbdCluster| {
             monitor.sync_with_ops(cluster.operations());
             matches!(monitor.verdict_ref().outcome(), Ok(false))
         },
@@ -786,13 +787,13 @@ pub fn hunt_with_faults<C: MessageCluster>(
 /// injector never rolls, and a cluster without retries has no deadline to advance
 /// to, so the run is the plain message schedule of
 /// [`crate::adversary::hunt_new_old_inversion`].
-pub fn hunt_with<C: MessageCluster>(
-    cluster: C,
+pub fn hunt_with(
+    cluster: AbdCluster,
     adversary: &mut dyn DeliveryAdversary,
     scenario: &FaultScenario,
     scenario_seed: u64,
     max_deliveries: u64,
-    reject: &mut dyn FnMut(&C) -> bool,
+    reject: &mut dyn FnMut(&AbdCluster) -> bool,
 ) -> HuntReport {
     let mut run = ScheduleRun::new(cluster);
     let mut injector = FaultInjector::new(
@@ -816,20 +817,23 @@ pub fn hunt_with<C: MessageCluster>(
         let delivered = run.deliveries();
         if let Some((at, partition)) = partition_pending.take() {
             if delivered >= at {
-                run.install_partition(&partition);
+                run.apply(ScheduleStep::Partition {
+                    id: partition.id(),
+                    side: partition.side_mask(),
+                });
             } else {
                 partition_pending = Some((at, partition));
             }
         }
         if let Some((at, id)) = heal_pending {
             // Heal only once its partition is actually installed.
-            if delivered >= at && partition_pending.is_none() && run.heal_partition(id) {
+            if delivered >= at && partition_pending.is_none() && run.apply(ScheduleStep::Heal(id)) {
                 heal_pending = None;
             }
         }
         crashes.retain(|&(at, p)| {
             if delivered >= at && !run.cluster().is_crashed(p) {
-                run.crash(p);
+                run.apply(ScheduleStep::Event(ClientEvent::Crash(p)));
                 false
             } else {
                 delivered < at
@@ -838,7 +842,7 @@ pub fn hunt_with<C: MessageCluster>(
         recoveries.retain(|&(at, p)| {
             if delivered >= at {
                 if run.cluster().is_crashed(p) {
-                    run.recover(p);
+                    run.apply(ScheduleStep::Event(ClientEvent::Recover(p)));
                 }
                 false
             } else {
@@ -853,7 +857,7 @@ pub fn hunt_with<C: MessageCluster>(
         }
         if run.cluster().is_idle(writer)
             && !run.cluster().is_crashed(writer)
-            && run.start_write(next_value).is_some()
+            && run.apply(ScheduleStep::Event(ClientEvent::StartWrite(next_value)))
         {
             next_value += 1;
         }
@@ -861,13 +865,13 @@ pub fn hunt_with<C: MessageCluster>(
             // A uniform pick among the n - 1 non-writer processes.
             let r = rng.gen_range(0..n - 1);
             let p = ProcessId(if r >= writer.0 { r + 1 } else { r });
-            if run.start_read(p).is_some() {
+            if run.apply(ScheduleStep::Event(ClientEvent::StartRead(p))) {
                 active_reader = Some(p);
             }
         }
         // Deliver under the fault layer; when nothing is deliverable, fast-forward
         // virtual time (releasing delayed messages, firing retry timers).
-        if !run.deliver_next_faulty(adversary, &mut injector) && !run.advance_time() {
+        if !run.deliver_next_faulty(adversary, &mut injector) && !run.apply(ScheduleStep::Advance) {
             break;
         }
         if reject(run.cluster()) {

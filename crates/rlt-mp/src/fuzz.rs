@@ -17,13 +17,14 @@
 //!
 //! Everything is deterministic per seed. Each mutant is a pure function of
 //! `(fuzzer seed, generation, parent, mutant index)`, and the whole loop runs on
-//! the calling thread: a generation breeds its mutants, gates them on their triage
-//! keys, replays the survivors, and merges the outcomes, each phase in task order,
-//! so the corpus, coverage, and trophy set are bit-identical at any `RLT_THREADS`.
-//! (Spreading a generation's phases over two threads was measured no faster than
-//! one thread on a 2-CPU host, so the fuzzer never forks.) Budgets degrade
+//! the calling thread: a generation first breeds every mutant and gates it on its
+//! triage key, then replays each survivor and merges its outcome, both passes in
+//! task order, so the corpus, coverage, and trophy set are bit-identical at any
+//! `RLT_THREADS`. (Spreading a generation over two threads was measured no faster
+//! than one thread on a 2-CPU host, so the fuzzer never forks.) Budgets degrade
 //! gracefully: the delivery budget is an [`rlt_sim::Budget`] charged in merge
-//! order, and a dry budget yields a censored [`FuzzReport`] — never a hang.
+//! order, no replay runs once it is dry, and a dry budget yields a censored
+//! [`FuzzReport`] — never a hang.
 //!
 //! Every non-linearizable trophy is ddmin-minimized through [`crate::minimize`]
 //! and re-verified by two bit-identical replays before it is reported.
@@ -36,9 +37,7 @@
 
 use crate::adversary::UniformAdversary;
 use crate::analyze::{analyze, canonicalize, scrub, ClusterModel};
-use crate::delivery::{
-    ClientEvent, EnvelopeKey, MessageCluster, MessageKind, Schedule, ScheduleRun, ScheduleStep,
-};
+use crate::delivery::{ClientEvent, EnvelopeKey, MessageKind, Schedule, ScheduleRun, ScheduleStep};
 use crate::faults::FaultLog;
 use crate::minimize::{minimize_schedule, minimize_schedule_by, MinimizeReport};
 use crate::{AbdCluster, FaultyAbdCluster};
@@ -46,6 +45,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlt_sim::Budget;
 use rlt_spec::{Checker, ExtensionFamily, ProcessId, StateSketch};
+use std::borrow::{Borrow, BorrowMut};
 use std::collections::BTreeSet;
 
 /// SplitMix64 finalizer: the module's one-stop deterministic hash/seed mixer.
@@ -80,8 +80,6 @@ pub struct FuzzConfig {
     /// Corpus size cap; once full, novel mutants stop being added (their
     /// coverage still counts).
     pub max_corpus: usize,
-    /// ddmin-minimize every trophy (disable only for throughput experiments).
-    pub minimize_trophies: bool,
     /// Trophy cap; the run stops once this many distinct trophies exist.
     pub max_trophies: usize,
 }
@@ -97,7 +95,6 @@ impl Default for FuzzConfig {
             delivery_budget: 120_000,
             stop_at_first_trophy: true,
             max_corpus: 192,
-            minimize_trophies: true,
             max_trophies: 4,
         }
     }
@@ -121,14 +118,14 @@ pub struct Inspection {
 /// How the fuzzer statically triages mutants before spending replays on them
 /// (see [`crate::analyze`](mod@crate::analyze)).
 ///
-/// Triage computes a *key* per mutant; a mutant whose key was already seen is
+/// Every schedule the fuzzer would replay, seeds included, is triaged first:
+/// triage computes a *key* per schedule, and one whose key was already seen is
 /// rejected without a replay, because an earlier schedule with the same key is
 /// guaranteed to replay identically *and* carry identical shape digests — so
 /// the duplicate could never contribute novel coverage or a new first trophy.
+/// The policy chooses only how coarse the key is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TriagePolicy {
-    /// No triage: every mutant replays.
-    Off,
     /// Reject only byte-identical resends of already-triaged schedule text.
     /// Sound for *any* target, including ones whose verdict depends on the
     /// schedule's step structure (e.g. [`StrongFamilyTarget`]'s cut point).
@@ -144,8 +141,9 @@ pub enum TriagePolicy {
 /// A fuzzing target: how to build a fresh cluster, judge a replay, and shrink a
 /// trophy. [`fuzz`] calls it only from the thread that runs the fuzzer.
 pub trait FuzzTarget {
-    /// Cluster type the schedules replay on.
-    type Cluster: MessageCluster;
+    /// Cluster type the schedules replay on: an [`AbdCluster`] (the shipped
+    /// targets use it directly), or a wrapper that lends one out.
+    type Cluster: BorrowMut<AbdCluster>;
     /// Display name (report and bench rows).
     fn name(&self) -> &str;
     /// A fresh cluster for one replay.
@@ -200,20 +198,20 @@ impl<F> LinearizabilityTarget<F> {
 
 impl<C, F> FuzzTarget for LinearizabilityTarget<F>
 where
-    C: MessageCluster,
+    C: Into<AbdCluster>,
     F: Fn() -> C,
 {
-    type Cluster = C;
+    type Cluster = AbdCluster;
 
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn fresh(&self) -> C {
-        (self.make)()
+    fn fresh(&self) -> AbdCluster {
+        (self.make)().into()
     }
 
-    fn inspect(&self, _schedule: &Schedule, replayed: &C) -> Inspection {
+    fn inspect(&self, _schedule: &Schedule, replayed: &AbdCluster) -> Inspection {
         let checker = seq_checker();
         let (verdict, sketch) = checker.check_sketched(&replayed.history());
         Inspection {
@@ -228,14 +226,14 @@ where
         let checker = seq_checker();
         match &self.model {
             Some(model) => crate::minimize::minimize_schedule_with_model(
-                || (self.make)(),
+                || self.fresh(),
                 schedule,
                 |h| matches!(checker.check(h).outcome(), Ok(false)),
                 seed,
                 model,
             ),
             None => minimize_schedule(
-                || (self.make)(),
+                || self.fresh(),
                 schedule,
                 |h| matches!(checker.check(h).outcome(), Ok(false)),
                 seed,
@@ -288,10 +286,9 @@ impl<F> StrongFamilyTarget<F> {
     }
 }
 
-impl<C, F> StrongFamilyTarget<F>
+impl<F> StrongFamilyTarget<F>
 where
-    C: MessageCluster,
-    F: Fn() -> C,
+    F: Fn() -> AbdCluster,
 {
     /// Step index cutting off the last `tail` deliveries, if the schedule has
     /// enough of them to form a non-degenerate family.
@@ -308,7 +305,11 @@ where
     /// Builds the family of `schedule` and reports `(strong refused, write-strong
     /// refused, censored)`. `full` is the already-replayed full cluster when the
     /// caller has one (saves a replay).
-    fn family_verdicts(&self, schedule: &Schedule, full: Option<&C>) -> (bool, bool, bool) {
+    fn family_verdicts(
+        &self,
+        schedule: &Schedule,
+        full: Option<&AbdCluster>,
+    ) -> (bool, bool, bool) {
         let Some(cut) = self.cut_point(schedule) else {
             return (false, false, false);
         };
@@ -330,10 +331,10 @@ where
         // different but equally real continuation of the same base execution.
         let mut drained = 0;
         while drained < 4 * self.tail as u64 {
-            let Some(slot) = base_cluster.queue().oldest_matching(|_| true) else {
+            let Some(slot) = base_cluster.inflight().oldest_matching(|_| true) else {
                 break;
             };
-            base_cluster.deliver_slot(slot);
+            base_cluster.deliver(slot);
             drained += 1;
         }
         let ext_drain = base_cluster.history();
@@ -362,22 +363,21 @@ where
     }
 }
 
-impl<C, F> FuzzTarget for StrongFamilyTarget<F>
+impl<F> FuzzTarget for StrongFamilyTarget<F>
 where
-    C: MessageCluster,
-    F: Fn() -> C,
+    F: Fn() -> AbdCluster,
 {
-    type Cluster = C;
+    type Cluster = AbdCluster;
 
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn fresh(&self) -> C {
+    fn fresh(&self) -> AbdCluster {
         (self.make)()
     }
 
-    fn inspect(&self, schedule: &Schedule, replayed: &C) -> Inspection {
+    fn inspect(&self, schedule: &Schedule, replayed: &AbdCluster) -> Inspection {
         // Coverage still comes from the plain linearizability check: it feeds
         // the same sketch and doubles as a soundness net (a correct cluster
         // must never produce a non-linearizable history).
@@ -754,7 +754,7 @@ pub struct Trophy {
     pub generation: u32,
     /// The raw violating mutant.
     pub schedule: Schedule,
-    /// Its ddmin-minimized form (equal to `schedule` when minimization is off).
+    /// Its ddmin-minimized form.
     pub minimized: Schedule,
     /// Deliveries in the minimized schedule.
     pub min_deliveries: usize,
@@ -833,18 +833,17 @@ struct ReplayOutcome {
     fault_log: FaultLog,
 }
 
-/// Computes a mutant's triage key (and whether canonicalization changed its
-/// text). `None` means the policy is [`TriagePolicy::Off`]: never reject.
+/// Computes a schedule's triage key, and whether canonicalization changed its
+/// text.
 ///
 /// For [`TriagePolicy::Analyze`] the key is the scrubbed + canonicalized
 /// schedule text joined with the *raw* schedule's [`shape_digests`]: equal keys
 /// guarantee both a bit-identical replay (so sketch, violation, and fault log
 /// match an earlier run) *and* identical shape digests (dead steps still count
 /// toward the shape signal), which together are exactly what `absorb` consumes.
-fn triage_key(schedule: &Schedule, policy: &TriagePolicy) -> Option<(String, bool)> {
+fn triage_key(schedule: &Schedule, policy: &TriagePolicy) -> (String, bool) {
     match policy {
-        TriagePolicy::Off => None,
-        TriagePolicy::RawIdentity => Some((schedule.to_string(), false)),
+        TriagePolicy::RawIdentity => (schedule.to_string(), false),
         TriagePolicy::Analyze(model) => {
             let analysis = analyze(schedule, model);
             let canonical = canonicalize(&scrub(schedule, &analysis));
@@ -854,16 +853,23 @@ fn triage_key(schedule: &Schedule, policy: &TriagePolicy) -> Option<(String, boo
             for digest in shape_digests(schedule) {
                 key.push_str(&format!("{digest:x},"));
             }
-            Some((key, changed))
+            (key, changed)
         }
     }
 }
 
-fn run_schedule<T: FuzzTarget>(target: &T, schedule: Schedule) -> ReplayOutcome {
+/// Replays `schedule` on a fresh cluster of `target`: the cluster, and the
+/// deliveries made.
+fn replay<T: FuzzTarget>(target: &T, schedule: &Schedule) -> (T::Cluster, u64) {
     let mut cluster = target.fresh();
-    let delivered = schedule.replay_on(&mut cluster);
+    let delivered = schedule.replay_on(cluster.borrow_mut());
+    (cluster, delivered)
+}
+
+fn run_schedule<T: FuzzTarget>(target: &T, schedule: Schedule) -> ReplayOutcome {
+    let (cluster, delivered) = replay(target, &schedule);
     let inspection = target.inspect(&schedule, &cluster);
-    let fault_log = cluster.fault_log();
+    let fault_log = cluster.borrow().fault_log();
     ReplayOutcome {
         schedule,
         delivered,
@@ -909,13 +915,10 @@ pub fn fuzz<T: FuzzTarget>(target: &T, seeds: &[Schedule], config: &FuzzConfig) 
     // Sequential triage gate: `Some(schedule)` survives to replay, `None` was
     // rejected (its key matched an earlier schedule) and is never charged.
     let gate = |schedule: Schedule,
-                key: Option<(String, bool)>,
                 report: &mut FuzzReport,
                 seen_keys: &mut BTreeSet<String>|
      -> Option<Schedule> {
-        let Some((key, changed)) = key else {
-            return Some(schedule);
-        };
+        let (key, changed) = triage_key(&schedule, &policy);
         if changed {
             report.statically_canonicalized += 1;
         }
@@ -958,25 +961,20 @@ pub fn fuzz<T: FuzzTarget>(target: &T, seeds: &[Schedule], config: &FuzzConfig) 
         let violation = outcome.inspection.violation;
         if violation && report.trophies.len() < config.max_trophies {
             let trophy_seed = mix64(config.seed ^ 0xDD17 ^ report.trophies.len() as u64);
-            let (minimized, ddmin_replays) = if config.minimize_trophies {
-                let min_report = target.minimize(&outcome.schedule, trophy_seed);
-                // ddmin replays are real work: charge roughly one schedule's
-                // deliveries per replay (refusal just censors later work).
-                let _ = budget.take(
-                    min_report.replays_tried * (outcome.schedule.delivery_count() as u64 / 2 + 1),
-                );
-                (min_report.schedule, min_report.replays_tried)
-            } else {
-                (outcome.schedule.clone(), 0)
-            };
+            let MinimizeReport {
+                schedule: minimized,
+                replays_tried: ddmin_replays,
+                ..
+            } = target.minimize(&outcome.schedule, trophy_seed);
+            // ddmin replays are real work: charge roughly one schedule's
+            // deliveries per replay (refusal just censors later work).
+            let _ = budget.take(ddmin_replays * (outcome.schedule.delivery_count() as u64 / 2 + 1));
             if trophy_keys.insert(minimized.to_string()) {
-                let mut a = target.fresh();
-                let da = minimized.replay_on(&mut a);
-                let mut b = target.fresh();
-                let db = minimized.replay_on(&mut b);
+                let (a, da) = replay(target, &minimized);
+                let (b, db) = replay(target, &minimized);
                 let _ = budget.take(da + db);
                 let verified = da == db
-                    && a.history() == b.history()
+                    && a.borrow().history() == b.borrow().history()
                     && target.inspect(&minimized, &a).violation;
                 if report.first_trophy_generation.is_none() {
                     report.first_trophy_generation = Some(gen);
@@ -1009,19 +1007,13 @@ pub fn fuzz<T: FuzzTarget>(target: &T, seeds: &[Schedule], config: &FuzzConfig) 
 
     // Generation 0: replay the seed corpus itself (triaged like any mutant, so
     // duplicate seed recordings are rejected up front).
-    let seed_keys: Vec<_> = seeds.iter().map(|s| triage_key(s, &policy)).collect();
     let survivors: Vec<Schedule> = seeds
         .iter()
-        .zip(seed_keys)
-        .filter_map(|(s, key)| gate(s.clone(), key, &mut report, &mut seen_keys))
+        .filter_map(|s| gate(s.clone(), &mut report, &mut seen_keys))
         .collect();
-    let seed_outcomes: Vec<_> = survivors
-        .into_iter()
-        .map(|s| run_schedule(target, s))
-        .collect();
-    for outcome in seed_outcomes {
+    for schedule in survivors {
         if !absorb(
-            outcome,
+            run_schedule(target, schedule),
             None,
             0,
             &mut budget,
@@ -1060,12 +1052,11 @@ pub fn fuzz<T: FuzzTarget>(target: &T, seeds: &[Schedule], config: &FuzzConfig) 
                 })
             })
             .collect();
-        // Phase 1 (pure): breed each mutant and compute its triage key. Phase 2:
-        // the gate rejects mutants whose key matched an earlier schedule — they
-        // are never replayed or charged. Phase 3: replay the survivors. Phase 4:
-        // absorb. Each phase runs in task order, and breeding reads the corpus as
-        // it stood before the generation's merge.
-        let bred: Vec<_> = tasks
+        // Breed every mutant and gate it on its triage key, in task order:
+        // breeding reads the corpus as it stood before the generation's merge,
+        // and a mutant whose key matched an earlier schedule is never replayed or
+        // charged. Then replay and absorb each survivor, again in task order.
+        let survivors: Vec<Option<Schedule>> = tasks
             .iter()
             .map(|&(pid, donor, task_seed)| {
                 let mut rng = StdRng::seed_from_u64(task_seed);
@@ -1075,23 +1066,13 @@ pub fn fuzz<T: FuzzTarget>(target: &T, seeds: &[Schedule], config: &FuzzConfig) 
                     config.max_steps,
                     &mut rng,
                 );
-                let key = triage_key(&mutant, &policy);
-                (mutant, key)
+                gate(mutant, &mut report, &mut seen_keys)
             })
             .collect();
-        let survivors: Vec<Option<Schedule>> = bred
-            .into_iter()
-            .map(|(mutant, key)| gate(mutant, key, &mut report, &mut seen_keys))
-            .collect();
-        let outcomes: Vec<_> = survivors
-            .into_iter()
-            .map(|slot| slot.map(|s| run_schedule(target, s)))
-            .collect();
-        for (ti, outcome) in outcomes.into_iter().enumerate() {
-            let Some(outcome) = outcome else { continue };
-            let parent = tasks[ti].0;
+        for (&(parent, ..), survivor) in tasks.iter().zip(survivors) {
+            let Some(schedule) = survivor else { continue };
             if !absorb(
-                outcome,
+                run_schedule(target, schedule),
                 Some(parent),
                 gen,
                 &mut budget,
@@ -1127,13 +1108,13 @@ pub fn record_clean_corpus<C, F>(
     multi_writer: bool,
 ) -> Vec<Schedule>
 where
-    C: MessageCluster,
+    C: Into<AbdCluster>,
     F: Fn() -> C,
 {
     (0..runs)
         .map(|i| {
             let run_seed = mix64(seed ^ mix64(i as u64));
-            let mut run = ScheduleRun::new(make());
+            let mut run = ScheduleRun::new(make().into());
             let mut adv = UniformAdversary::new(run_seed);
             let mut rng = StdRng::seed_from_u64(mix64(run_seed ^ 0x00C0_FFEE));
             let n = run.cluster().process_count();
@@ -1153,7 +1134,9 @@ where
                     } else {
                         r
                     });
-                    if !active_readers.contains(&p) && run.start_read(p).is_some() {
+                    if !active_readers.contains(&p)
+                        && run.apply(ScheduleStep::Event(ClientEvent::StartRead(p)))
+                    {
                         active_readers.push(p);
                     }
                 }
@@ -1163,11 +1146,15 @@ where
                     let p = ProcessId(rng.gen_range(0..n));
                     if rng.gen_bool(0.4)
                         && !active_readers.contains(&p)
-                        && run.start_write_by(p, next_value).is_some()
+                        && run.apply(ScheduleStep::Event(ClientEvent::StartWriteBy(
+                            p, next_value,
+                        )))
                     {
                         next_value += 1;
                     }
-                } else if run.cluster().is_idle(writer) && run.start_write(next_value).is_some() {
+                } else if run.cluster().is_idle(writer)
+                    && run.apply(ScheduleStep::Event(ClientEvent::StartWrite(next_value)))
+                {
                     next_value += 1;
                 }
                 if !run.deliver_next(&mut adv) {

@@ -16,10 +16,10 @@
 //!   ([`AbdCluster::without_write_back`]). The write-back-free flavours are the
 //!   negative controls whose histories the checkers must reject;
 //!   [`FaultyAbdCluster`] names the single-writer one by type.
-//! * The shared [`delivery`] core: the index-stable [`InflightQueue`], the
-//!   [`MessageCluster`] trait the clusters implement (home of the shared
-//!   random-delivery helpers), and replayable recorded [`Schedule`]s with a stable
-//!   textual form (`Display`/`FromStr` round-trip).
+//! * The shared [`delivery`] core: the index-stable [`InflightQueue`], and
+//!   replayable recorded [`Schedule`]s with a stable textual form
+//!   (`Display`/`FromStr` round-trip), recorded by [`ScheduleRun`] and replayed
+//!   through [`AbdCluster::apply`], the one rule for whether a step fires.
 //! * The virtual-time [`faults`] layer every cluster embeds ([`SimNet`]): seeded
 //!   per-link drop/duplicate/delay injection ([`FaultInjector`]), named installable
 //!   [`Partition`]s, crash-*recovery* with persisted replica state, timeout-driven
@@ -54,7 +54,7 @@
 //! # Example
 //!
 //! ```
-//! use rlt_mp::{AbdCluster, MessageCluster};
+//! use rlt_mp::AbdCluster;
 //! use rlt_spec::prelude::*;
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
@@ -75,13 +75,13 @@
 //! ```
 //! use rlt_mp::adversary::{hunt_new_old_inversion, ReplyWithholdingAdversary};
 //! use rlt_mp::minimize::minimize_schedule;
-//! use rlt_mp::{FaultyAbdCluster, MessageCluster};
+//! use rlt_mp::FaultyAbdCluster;
 //! use rlt_spec::{Checker, ProcessId};
 //!
 //! let checker = Checker::new(0i64);
 //! let mut adversary = ReplyWithholdingAdversary::new();
 //! let report = hunt_new_old_inversion(
-//!     FaultyAbdCluster::new(5, ProcessId(0)),
+//!     FaultyAbdCluster::new(5, ProcessId(0)).into(),
 //!     &mut adversary,
 //!     1,      // scenario seed
 //!     1_000,  // delivery budget
@@ -89,7 +89,7 @@
 //! );
 //! assert!(report.violation_at.is_some());
 //! let minimal = minimize_schedule(
-//!     || FaultyAbdCluster::new(5, ProcessId(0)),
+//!     || FaultyAbdCluster::new(5, ProcessId(0)).into(),
 //!     &report.schedule,
 //!     |h| matches!(checker.check(h).outcome(), Ok(false)),
 //!     1,
@@ -183,8 +183,8 @@ pub use analyze::{
     TextAnalysis,
 };
 pub use delivery::{
-    AbdMessage, ClientEvent, Envelope, EnvelopeKey, InflightQueue, MessageCluster, MessageKind,
-    ReplayTrace, Schedule, ScheduleParseError, ScheduleRun, ScheduleStep,
+    AbdMessage, ClientEvent, Envelope, EnvelopeKey, InflightQueue, MessageKind, ReplayTrace,
+    Schedule, ScheduleParseError, ScheduleRun, ScheduleStep,
 };
 pub use faults::{
     hunt_with, hunt_with_faults, FaultDecision, FaultInjector, FaultLog, FaultPlan, FaultScenario,

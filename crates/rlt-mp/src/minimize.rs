@@ -13,7 +13,8 @@
 //! re-fails identically on every future replay — a portable regression input.
 
 use crate::analyze::{analyze, canonicalize, scrub, ClusterModel};
-use crate::delivery::{MessageCluster, Schedule, ScheduleStep};
+use crate::delivery::{Schedule, ScheduleStep};
+use crate::AbdCluster;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlt_spec::History;
@@ -43,15 +44,14 @@ pub struct MinimizeReport {
 ///
 /// Panics if the full schedule does not itself satisfy the predicate — minimizing a
 /// non-failing input is always a caller bug.
-pub fn minimize_schedule<C, F, P>(
+pub fn minimize_schedule<F, P>(
     make_cluster: F,
     schedule: &Schedule,
     predicate: P,
     seed: u64,
 ) -> MinimizeReport
 where
-    C: MessageCluster,
-    F: Fn() -> C,
+    F: Fn() -> AbdCluster,
     P: Fn(&History<i64>) -> bool,
 {
     minimize_schedule_by(
@@ -81,7 +81,7 @@ where
 /// # Panics
 ///
 /// Panics if the full schedule does not itself satisfy the predicate.
-pub fn minimize_schedule_with_model<C, F, P>(
+pub fn minimize_schedule_with_model<F, P>(
     make_cluster: F,
     schedule: &Schedule,
     predicate: P,
@@ -89,8 +89,7 @@ pub fn minimize_schedule_with_model<C, F, P>(
     model: &ClusterModel,
 ) -> MinimizeReport
 where
-    C: MessageCluster,
-    F: Fn() -> C,
+    F: Fn() -> AbdCluster,
     P: Fn(&History<i64>) -> bool,
 {
     let cache: RefCell<BTreeMap<String, bool>> = RefCell::new(BTreeMap::new());
@@ -188,8 +187,8 @@ mod tests {
     use crate::FaultyAbdCluster;
     use rlt_spec::{Checker, ProcessId};
 
-    fn fresh() -> FaultyAbdCluster {
-        FaultyAbdCluster::new(5, ProcessId(0))
+    fn fresh() -> AbdCluster {
+        FaultyAbdCluster::new(5, ProcessId(0)).into()
     }
 
     fn failing_schedule(scenario_seed: u64) -> Schedule {

@@ -184,22 +184,30 @@ impl CheckService {
         self.in_flight_cost.load(Ordering::SeqCst)
     }
 
-    /// Reserves `cost` against the aggregate budget or sheds the request.
-    fn reserve(&self, cost: u64) -> Result<BudgetGuard<'_>, ServiceError> {
+    /// Reserves the state budget of `checks` checks against the aggregate
+    /// budget or sheds the request. A reservation whose cost or new total does
+    /// not fit in a `u64` exceeds any budget, so it is shed too.
+    fn reserve(&self, checks: u64) -> Result<BudgetGuard<'_>, ServiceError> {
+        let per_check = self.config.state_budget;
+        let cost = per_check.checked_mul(checks);
         let mut current = self.in_flight_cost.load(Ordering::SeqCst);
         loop {
-            if current + cost > self.config.aggregate_state_budget {
+            let total = cost
+                .and_then(|cost| current.checked_add(cost))
+                .filter(|&total| total <= self.config.aggregate_state_budget);
+            let (Some(cost), Some(total)) = (cost, total) else {
                 self.metrics
                     .rejected_backpressure
                     .fetch_add(1, Ordering::Relaxed);
                 return Err(ServiceError::Backpressure(format!(
-                    "aggregate state budget exhausted: {current} in flight + {cost} requested > {}",
+                    "aggregate state budget exhausted: {current} in flight + \
+                     {checks} × {per_check} requested > {}",
                     self.config.aggregate_state_budget
                 )));
-            }
+            };
             match self.in_flight_cost.compare_exchange(
                 current,
-                current + cost,
+                total,
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             ) {
@@ -253,7 +261,7 @@ impl CheckService {
         let history = self.parse_body(body)?;
         self.metrics.check_requests.fetch_add(1, Ordering::Relaxed);
         self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let _budget = self.reserve(self.config.state_budget)?;
+        let _budget = self.reserve(1)?;
         let checker = self.acquire_checker();
         let (verdict, sketch) = checker.check_sketched(&history);
         self.release_checker(checker);
@@ -325,7 +333,7 @@ impl CheckService {
         self.metrics
             .check_many_histories
             .fetch_add(histories.len() as u64, Ordering::Relaxed);
-        let _budget = self.reserve(self.config.state_budget * histories.len() as u64)?;
+        let _budget = self.reserve(histories.len() as u64)?;
         let checker = self.acquire_checker();
         // One pooled checker across the whole batch keeps scratch warm between
         // histories; each solo check is bit-identical to `Checker::check_many`'s
@@ -356,7 +364,7 @@ impl CheckService {
         self.metrics
             .linearization_requests
             .fetch_add(1, Ordering::Relaxed);
-        let _budget = self.reserve(self.config.state_budget)?;
+        let _budget = self.reserve(1)?;
         let cap = max
             .unwrap_or(self.config.max_linearizations)
             .min(self.config.max_linearizations);
@@ -620,7 +628,7 @@ impl CheckService {
             self.metrics.not_found.fetch_add(1, Ordering::Relaxed);
             ServiceError::NotFound(format!("no session {id}"))
         })?;
-        let _budget = self.reserve(self.config.state_budget)?;
+        let _budget = self.reserve(1)?;
         let verdict = entry.inc.verdict();
         let sketch = entry.inc.state_sketch();
         self.metrics
@@ -770,6 +778,50 @@ mod tests {
         assert!(matches!(shed, ServiceError::Backpressure(_)), "{shed:?}");
         assert_eq!(counted_events(&service), 0);
         assert_eq!(service.sessions_live(), 1);
+    }
+
+    /// Both state limits disabled: every reservation is `u64::MAX` per check.
+    fn unlimited() -> CheckService {
+        CheckService::new(AppConfig {
+            state_budget: u64::MAX,
+            aggregate_state_budget: u64::MAX,
+            ..AppConfig::default()
+        })
+    }
+
+    fn shed_count(service: &CheckService) -> u64 {
+        service
+            .metrics
+            .rejected_backpressure
+            .load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_batch_cost_past_u64_is_shed_not_wrapped() {
+        let service = unlimited();
+        let shed = service
+            .check_many_text("op0 p0 R0 write 1 @ t1..t2\n---\nop0 p0 R0 write 2 @ t1..t2\n")
+            .expect_err("two unlimited checks overflow a u64");
+        assert!(matches!(shed, ServiceError::Backpressure(_)), "{shed:?}");
+        assert_eq!(shed.status(), 429);
+        assert_eq!(shed_count(&service), 1);
+        assert_eq!(service.in_flight_cost(), 0);
+    }
+
+    #[test]
+    fn a_total_past_u64_is_shed_and_the_held_cost_released() {
+        let service = unlimited();
+        let held = service.reserve(1).expect("the first reservation fits");
+        assert_eq!(service.in_flight_cost(), u64::MAX);
+        let refused = service.reserve(1).err().expect("the total overflows");
+        assert!(
+            matches!(refused, ServiceError::Backpressure(_)),
+            "{refused:?}"
+        );
+        assert_eq!(shed_count(&service), 1);
+        assert_eq!(service.in_flight_cost(), u64::MAX);
+        drop(held);
+        assert_eq!(service.in_flight_cost(), 0);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use rlt_core::spec::{Checker, ProcessId};
 
 fn main() {
     let checker = Checker::new(0i64);
-    let fresh = || FaultyAbdCluster::new(5, ProcessId(0));
+    let fresh = || -> AbdCluster { FaultyAbdCluster::new(5, ProcessId(0)).into() };
     let cap = 3_000u64;
     let seeds = 10u64;
 

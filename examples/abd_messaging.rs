@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rlt_core::mp::{AbdCluster, MessageCluster};
+use rlt_core::mp::AbdCluster;
 use rlt_core::spec::strategy::check_write_strong_prefix_property;
 use rlt_core::spec::swmr::canonical_swmr_strategy;
 use rlt_core::spec::{Checker, ProcessId};

@@ -15,8 +15,8 @@
 
 use rlt_core::mp::adversary::ReplyWithholdingAdversary;
 use rlt_core::mp::{
-    hunt_with_faults, AbdCluster, FaultPlan, FaultScenario, FaultyAbdCluster, MessageCluster,
-    Partition, RetryPolicy, UniformAdversary,
+    hunt_with_faults, AbdCluster, FaultPlan, FaultScenario, FaultyAbdCluster, Partition,
+    RetryPolicy, UniformAdversary,
 };
 use rlt_core::spec::{Checker, ProcessId};
 
@@ -68,11 +68,7 @@ struct Cell {
     retransmissions: u64,
 }
 
-fn run_cell<C, F>(fresh: F, scenario: &FaultScenario, targeted: bool) -> Cell
-where
-    C: MessageCluster,
-    F: Fn() -> C,
-{
+fn run_cell(fresh: impl Fn() -> AbdCluster, scenario: &FaultScenario, targeted: bool) -> Cell {
     let checker = Checker::new(0i64);
     let mut cell = Cell {
         rejected: 0,
@@ -150,7 +146,7 @@ fn main() {
             false,
         );
         let faulty = run_cell(
-            || FaultyAbdCluster::new(N, WRITER).with_retries(retry),
+            || FaultyAbdCluster::new(N, WRITER).with_retries(retry).into(),
             &scenario,
             true,
         );

@@ -18,8 +18,7 @@
 //! Run with: `cargo run --release --example live_monitor`
 
 use rlt_core::mp::{
-    hunt_with, FaultPlan, FaultScenario, FaultyAbdCluster, MessageCluster,
-    ReplyWithholdingAdversary,
+    hunt_with, AbdCluster, FaultPlan, FaultScenario, FaultyAbdCluster, ReplyWithholdingAdversary,
 };
 use rlt_core::sim::{
     CoinSource, PendingOp, RegisterMode, RoundRobinAdversary, Scheduler, ScriptedResolver,
@@ -35,12 +34,12 @@ fn monitored_abd_run() {
     let checker = Checker::new(0i64);
     let mut monitor = checker.incremental();
     let report = hunt_with(
-        FaultyAbdCluster::new(5, ProcessId(0)),
+        FaultyAbdCluster::new(5, ProcessId(0)).into(),
         &mut ReplyWithholdingAdversary::new(),
         &FaultScenario::new(FaultPlan::clean(), 0),
         0,
         3_000,
-        &mut |cluster: &FaultyAbdCluster| {
+        &mut |cluster: &AbdCluster| {
             monitor.sync_with_ops(cluster.operations());
             monitor.verdict_ref().outcome() == Ok(false)
         },

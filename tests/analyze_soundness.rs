@@ -19,18 +19,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rlt_core::mp::analyze::{analyze, canonicalize, scrub, ClusterModel};
 use rlt_core::mp::fuzz::{mutate_schedule, record_clean_corpus};
-use rlt_core::mp::{
-    AbdCluster, ClientEvent, FaultyAbdCluster, MessageCluster, Schedule, ScheduleStep,
-};
+use rlt_core::mp::{AbdCluster, ClientEvent, FaultyAbdCluster, Schedule, ScheduleStep};
 use rlt_core::spec::ProcessId;
 
 /// Records two clean schedules and stacks `rounds` crossover mutations on top:
 /// the exact population the fuzzer's static triage sees.
-fn soup<C, F>(make: &F, multi_writer: bool, seed: u64, rounds: usize) -> Schedule
-where
-    C: MessageCluster,
-    F: Fn() -> C,
-{
+fn soup(make: &impl Fn() -> AbdCluster, multi_writer: bool, seed: u64, rounds: usize) -> Schedule {
     let seeds = record_clean_corpus(make, 2, 50, seed, multi_writer);
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xA11CE);
     let mut schedule = seeds[0].clone();
@@ -40,11 +34,13 @@ where
     schedule
 }
 
-fn assert_sound<C, F>(make: F, model: &ClusterModel, multi_writer: bool, seed: u64, rounds: usize)
-where
-    C: MessageCluster,
-    F: Fn() -> C,
-{
+fn assert_sound(
+    make: impl Fn() -> AbdCluster,
+    model: &ClusterModel,
+    multi_writer: bool,
+    seed: u64,
+    rounds: usize,
+) {
     let schedule = soup(&make, multi_writer, seed, rounds);
     let analysis = analyze(&schedule, model);
     let trace = schedule.replay_trace_on(&mut make());
@@ -102,7 +98,7 @@ proptest! {
     #[test]
     fn dead_steps_never_fire_on_the_faulty_sw_cluster(seed in 0u64..1 << 32, rounds in 1usize..6) {
         assert_sound(
-            || FaultyAbdCluster::new(5, ProcessId(0)),
+            || FaultyAbdCluster::new(5, ProcessId(0)).into(),
             &ClusterModel::single_writer(5, ProcessId(0)).without_write_backs(),
             false,
             seed,

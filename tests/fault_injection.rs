@@ -8,7 +8,7 @@ use rlt_core::mp::adversary::ReplyWithholdingAdversary;
 use rlt_core::mp::minimize::minimize_schedule;
 use rlt_core::mp::{
     hunt_with_faults, AbdCluster, FaultPlan, FaultScenario, FaultyAbdCluster, LinkFaults,
-    MessageCluster, Partition, RetryPolicy, Schedule, ScheduleStep, UniformAdversary,
+    Partition, RetryPolicy, Schedule, ScheduleStep, UniformAdversary,
 };
 use rlt_core::spec::{Checker, ProcessId};
 
@@ -43,7 +43,9 @@ fn acceptance_hunt() -> (u64, Schedule) {
     for seed in 0..64u64 {
         let mut adversary = ReplyWithholdingAdversary::new();
         let report = hunt_with_faults(
-            FaultyAbdCluster::new(N, WRITER).with_retries(RetryPolicy::default()),
+            FaultyAbdCluster::new(N, WRITER)
+                .with_retries(RetryPolicy::default())
+                .into(),
             &mut adversary,
             &scenario,
             seed,
@@ -90,7 +92,11 @@ fn lossy_partition_hunt_finds_replayable_minimizable_inversion() {
     // exhibiting the new/old inversion (a read of the new value before a read of an
     // older one).
     let minimized = minimize_schedule(
-        || FaultyAbdCluster::new(N, WRITER).with_retries(RetryPolicy::default()),
+        || {
+            FaultyAbdCluster::new(N, WRITER)
+                .with_retries(RetryPolicy::default())
+                .into()
+        },
         &schedule,
         |h| matches!(checker.check(h).outcome(), Ok(false)),
         0,
@@ -312,7 +318,8 @@ fn retries_complete_operations_across_a_partition_heal() {
     c.start_write(5);
     // Lose the writer's entire first broadcast.
     while let Some(slot) = c.inflight().oldest_matching(|_| true) {
-        c.net_mut().drop_slot(slot);
+        let key = c.inflight().get(slot).expect("an occupied slot").key();
+        assert!(c.apply(&ScheduleStep::Drop(key)));
     }
     assert_eq!(c.inflight_count(), 0);
     assert!(!c.is_idle(WRITER), "the write is wedged");

@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rlt_core::mp::{AbdCluster, MessageCluster};
+use rlt_core::mp::AbdCluster;
 use rlt_core::spec::strategy::check_write_strong_prefix_property;
 use rlt_core::spec::swmr::{
     canonical_swmr_strategy, effective_swmr_writes, is_swmr_history, swmr_star,
@@ -188,7 +188,7 @@ fn targeted_adversary_beats_uniform_delivery_by_an_order_of_magnitude() {
             .map(|seed| {
                 let mut adversary = mk(seed);
                 hunt_new_old_inversion(
-                    FaultyAbdCluster::new(5, ProcessId(0)),
+                    FaultyAbdCluster::new(5, ProcessId(0)).into(),
                     &mut *adversary,
                     seed,
                     cap,
@@ -213,7 +213,7 @@ fn targeted_adversary_beats_uniform_delivery_by_an_order_of_magnitude() {
 #[test]
 fn minimizer_shrinks_a_failing_schedule_below_25_deliveries() {
     let checker = Checker::new(0i64);
-    let fresh = || FaultyAbdCluster::new(5, ProcessId(0));
+    let fresh = || -> AbdCluster { FaultyAbdCluster::new(5, ProcessId(0)).into() };
     let mut adversary = ReplyWithholdingAdversary::new();
     let report = hunt_new_old_inversion(fresh(), &mut adversary, 0, 1_000, &checker);
     assert!(report.violation_at.is_some(), "hunt must find a violation");
@@ -270,7 +270,7 @@ fn a_faulty_counterexample_schedule_is_harmless_on_the_correct_cluster() {
     let checker = Checker::new(0i64);
     let mut adversary = ReplyWithholdingAdversary::new();
     let report = hunt_new_old_inversion(
-        FaultyAbdCluster::new(5, ProcessId(0)),
+        FaultyAbdCluster::new(5, ProcessId(0)).into(),
         &mut adversary,
         1,
         1_000,
