@@ -18,7 +18,7 @@ use rlt_bench::{
 };
 use rlt_registers::algorithm3::vector_linearization;
 use rlt_spec::reference::reference_check_linearizable;
-use rlt_spec::{Checker, History, ThreadPolicy, DEFAULT_STATE_LIMIT};
+use rlt_spec::{Checker, History, DEFAULT_STATE_LIMIT};
 use std::hint::black_box;
 
 fn linearizability_checker(c: &mut Criterion) {
@@ -96,24 +96,26 @@ fn engine_vs_reference(c: &mut Criterion) {
 
 fn parallel_engine_scaling(c: &mut Criterion) {
     // Experiment E11: 16-history `check_many` batches of the multi-register
-    // composition workload across pool widths, through `ThreadPolicy::Fixed`
-    // checkers. Each check runs on one thread; the batch fans whole histories across
-    // the pool. Results are bit-identical across widths (pinned by the rlt-spec
-    // `parallel` suite); only wall time may move.
+    // composition workload across pool widths, through an `Auto` checker inside a
+    // fixed-width pool. Each check runs on one thread; the batch fans whole
+    // histories across the pool. Results are bit-identical across widths (pinned by
+    // the rlt-spec `parallel` suite); only wall time may move.
     let mut group = c.benchmark_group("parallel_engine_multi_register_3x");
     group.sample_size(20);
     let batch: Vec<History<i64>> = (0..16)
         .map(|s| multi_register_workload(3, 80, 7 + s))
         .collect();
+    let checker = Checker::new(0i64);
     for &threads in &[1usize, 2, 4] {
-        let checker = Checker::builder(0i64)
-            .threads(ThreadPolicy::Fixed(threads))
-            .build();
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("build the batch pool");
         group.bench_with_input(
             BenchmarkId::new("batch16_threads", threads),
             &batch,
             |b, hs| {
-                b.iter(|| black_box(checker.check_many(hs).len()));
+                b.iter(|| black_box(pool.install(|| checker.check_many(hs)).len()));
             },
         );
     }
@@ -121,9 +123,9 @@ fn parallel_engine_scaling(c: &mut Criterion) {
 }
 
 fn checker_reuse(c: &mut Criterion) {
-    // Scratch-arena reuse on the small-history corpus: one reused session vs a fresh
-    // checker (cold arenas) per call, so the diff is allocation. Verdicts are
-    // identical either way.
+    // Scratch-arena reuse on the small-history corpus: one reused session vs a new
+    // checker per call (its scratch pool starts empty), so the diff is allocation.
+    // Verdicts are identical either way.
     let mut group = c.benchmark_group("checker_reuse");
     group.sample_size(20);
     let corpus = small_history_corpus(256, 14, 2, 42);
@@ -143,13 +145,7 @@ fn checker_reuse(c: &mut Criterion) {
             black_box(
                 corpus
                     .iter()
-                    .filter(|h| {
-                        Checker::builder(0i64)
-                            .scratch_reuse(false)
-                            .build()
-                            .check(h)
-                            .is_linearizable()
-                    })
+                    .filter(|h| Checker::new(0i64).check(h).is_linearizable())
                     .count(),
             )
         });

@@ -8,14 +8,15 @@
 //!   recheck-from-scratch on growing streams, amortized per event): the
 //!   engine-backed [`Checker`] session vs the pre-engine reference checker on the
 //!   `lamport_history` and `multi_register_3x` workloads, 16-history `check_many`
-//!   batches across thread-pool widths (through `ThreadPolicy::Fixed` checkers),
-//!   the `checker_reused` / `checker_fresh` scratch-reuse pair on the small-history
-//!   corpus, and the `memo_arena` row (large-key many-distinct-value workload).
+//!   batches across thread-pool widths (an `Auto` checker inside a fixed-width
+//!   rayon pool), the `checker_reused` / `checker_fresh` scratch-reuse pair on the
+//!   small-history corpus (one checker for the corpus vs a new checker per
+//!   history), and the `memo_arena` row (large-key many-distinct-value workload).
 //!   Every row carries a `threads` field plus the memo-table counters
 //!   (`memo_probes` / `memo_hits` / `memo_arena_hwm`); every check runs on one
-//!   thread, so only the `engine_batch` rows have `threads` above 1, and the
-//!   deterministic state counters are cross-checked in CI by the
-//!   `state_drift_guard` bin.
+//!   thread, so only the `engine_batch` rows have `threads` above 1. Every field
+//!   but `mean_wall_nanos` and `iterations` is deterministic, and CI diffs the
+//!   regenerated file against the tracked one with those two masked.
 //! * `BENCH_game.json` — experiment E2: cost of 10-round Figure 1/2 games per
 //!   register mode and process count, plus full termination experiments.
 //! * `BENCH_abd.json` — experiments E3 (ABD write+read round-trip cost as the
@@ -43,7 +44,7 @@ use rlt_bench::{
 use rlt_game::{run_game, termination_experiment, GameConfig};
 use rlt_sim::RegisterMode;
 use rlt_spec::reference::reference_check_linearizable;
-use rlt_spec::{Checker, History, MemoStats, ThreadPolicy, DEFAULT_STATE_LIMIT};
+use rlt_spec::{Checker, History, MemoStats, DEFAULT_STATE_LIMIT};
 use std::fmt::Write as _;
 
 /// Decision counts for the single-register scaling series. 80 was the ceiling of the
@@ -63,9 +64,7 @@ const REFERENCE_CEILING: usize = 80;
 /// Pool widths measured by the E11 batch rows.
 const THREAD_COUNTS: &[usize] = &[1, 2, 4];
 
-// Workload geometry (sizes, seeds, thresholds) lives in `rlt_bench::tracked`,
-// shared with the `state_drift_guard` bin so the two can never disagree about what
-// a tracked row means.
+// Workload geometry (sizes, seeds, thresholds) lives in `rlt_bench::tracked`.
 
 struct Row {
     checker: &'static str,
@@ -115,17 +114,18 @@ fn measure_engine(workload: &str, history: &History<i64>) -> Row {
     }
 }
 
-/// A 16-history `check_many` batch through a `ThreadPolicy::Fixed` checker;
-/// `mean_wall_nanos` is per *history* so the row is directly comparable with the
-/// single-check rows.
+/// A 16-history `check_many` batch through an `Auto` checker inside a
+/// `threads`-wide pool; `mean_wall_nanos` is per *history* so the row is directly
+/// comparable with the single-check rows.
 fn measure_engine_batch(workload: &str, histories: &[History<i64>], threads: usize) -> Row {
-    let checker = Checker::builder(0i64)
-        .threads(ThreadPolicy::Fixed(threads))
-        .build();
-    let probe = checker.check_many(histories);
+    let checker = Checker::new(0i64);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("build the batch pool");
+    let probe = pool.install(|| checker.check_many(histories));
     let (mean_batch_nanos, iterations, linearizable) = mean_time(|| {
-        checker
-            .check_many(histories)
+        pool.install(|| checker.check_many(histories))
             .iter()
             .all(rlt_spec::Verdict::is_linearizable)
     });
@@ -144,9 +144,9 @@ fn measure_engine_batch(workload: &str, histories: &[History<i64>], threads: usi
     }
 }
 
-/// Scratch-arena reuse on the small-history corpus: one reused session vs a fresh
-/// cold-arena checker per call (`reuse = false`), so the diff is allocation;
-/// `mean_wall_nanos` is per history.
+/// Scratch-arena reuse on the small-history corpus: one reused session vs a new
+/// checker per call (`reuse = false`), whose scratch pool starts empty, so the
+/// diff is allocation; `mean_wall_nanos` is per history.
 fn measure_checker_reuse(workload: &str, histories: &[History<i64>], reuse: bool) -> Row {
     let session = Checker::new(0i64);
     let probe: Vec<_> = histories.iter().map(|h| session.check(h)).collect();
@@ -162,13 +162,7 @@ fn measure_checker_reuse(workload: &str, histories: &[History<i64>], reuse: bool
         } else {
             histories
                 .iter()
-                .filter(|h| {
-                    Checker::builder(0i64)
-                        .scratch_reuse(false)
-                        .build()
-                        .check(h)
-                        .is_linearizable()
-                })
+                .filter(|h| Checker::new(0i64).check(h).is_linearizable())
                 .count()
         };
         linearizable == histories.len()
@@ -197,7 +191,7 @@ fn measure_checker_reuse(workload: &str, histories: &[History<i64>], reuse: bool
 /// is **amortized per event** (sweep wall time over event count), directly
 /// comparable with the `recheck_scratch` rows; `states_explored` is the session's
 /// own `incremental_states` and `states_memoized` its `memo_entries_reused` — both
-/// deterministic, re-derived by the drift guard.
+/// deterministic.
 fn measure_incremental(workload: &str, history: &History<i64>) -> Row {
     let prefixes = history.all_prefixes();
     let events = (prefixes.len() - 1).max(1) as u128;

@@ -63,10 +63,11 @@ use rlt_registers::algorithm4::LamportSim;
 use rlt_registers::schedule::{random_run, WorkloadParams};
 use rlt_spec::{History, HistoryBuilder, OpId, Operation, ProcessId, RegisterId};
 
-/// Parameters of the tracked `BENCH_checkers.json` workloads, shared by
-/// `checkers_summary` (which measures them) and `state_drift_guard` (which
-/// recomputes their deterministic state counters in CI). Changing any of these
-/// redefines what the tracked rows mean — regenerate the JSON in the same commit.
+/// Parameters of the tracked `BENCH_checkers.json` workloads, which
+/// `checkers_summary` measures and the `checkers` bench group shares. CI diffs
+/// every deterministic field of the regenerated file against the tracked one, so
+/// changing any of these redefines what the tracked rows mean — regenerate the
+/// JSON in the same commit.
 pub mod tracked {
     /// Seed of the single-history workloads (`lamport_history`,
     /// `multi_register_3x`, `distinct_value_register`).
@@ -224,7 +225,7 @@ pub fn multi_register_workload(k: usize, decisions: usize, seed: u64) -> History
 /// memo hits over multi-word keys), the distinct values keep the interning table at
 /// one id per write, and the first burst *is* the root DFS frontier. Linearizable
 /// by construction: order each burst with the read's value last. Used by the
-/// `memo_arena` row of `BENCH_checkers.json` and the drift guard.
+/// `memo_arena` row of `BENCH_checkers.json`.
 #[must_use]
 pub fn distinct_value_workload(ops: usize, burst: usize, seed: u64) -> History<i64> {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -6,8 +6,8 @@ use rlt_spec::{DEFAULT_ENUMERATION_WORK_LIMIT, DEFAULT_STATE_LIMIT};
 /// Configuration for a checking service instance.
 ///
 /// The checking knobs (`state_budget`, `enumeration_work_cap`, `witness`)
-/// configure the warm [`Checker`]/[`IncrementalChecker`] sessions the
-/// service pools, so every verdict the service produces is bit-identical to a
+/// configure the service's shared [`Checker`] and its [`IncrementalChecker`]
+/// sessions, so every verdict the service produces is bit-identical to a
 /// direct library call under the same knobs. The service knobs (`max_ops`,
 /// `aggregate_state_budget`, ...) bound what the front end accepts.
 ///

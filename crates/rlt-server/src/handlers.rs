@@ -17,9 +17,14 @@
 //! | GET    | `/metrics[?deterministic=1]` | —            | counters (+ gauges)     |
 //! | GET    | `/health`                 | —               | `{"status":"ok"}`       |
 //!
+//! The full `/metrics` gauges are `uptime_secs`, `checks_per_sec`,
+//! `arenas_warm` (idle scratch arenas of the service's shared checker),
+//! `sessions_live` and `in_flight_cost`.
+//!
 //! Errors: `400` (malformed body, with the wire grammar's line number in the
-//! message), `404` (unknown session or path), `405` (known path, wrong method),
-//! `429` (oversized history or aggregate state budget exhausted).
+//! message, or for session events the op the session rejects), `404` (unknown
+//! session or path), `405` (known path, wrong method), `429` (oversized history
+//! or aggregate state budget exhausted).
 
 use crate::service::{CheckService, ServiceError};
 use httpd::{Request, Response};

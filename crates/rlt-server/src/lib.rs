@@ -14,9 +14,11 @@
 //!
 //! * [`config::AppConfig`] — every knob in one struct;
 //! * [`handlers`] — per-resource HTTP handlers, no logic beyond routing;
-//! * [`service::CheckService`] — the warm state and the real work: a pool of
-//!   configured [`Checker`] sessions, live incremental sessions, an
-//!   interned-verdict cache, aggregate-state-budget backpressure, metrics.
+//! * [`service::CheckService`] — the warm state and the real work: one shared
+//!   configured [`Checker`] (no checker pool: its scratch pool gives each
+//!   concurrent check a warm arena), live monitoring sessions, each a bare
+//!   [`IncrementalChecker`], an interned-verdict cache,
+//!   aggregate-state-budget backpressure, metrics.
 //!
 //! # Guarantees
 //!

@@ -5,9 +5,9 @@
 //! of the request stream alone (every per-check statistic is bit-identical
 //! across thread policies, and the HLL merge is an element-wise max —
 //! commutative, associative, idempotent — so concurrent merge order cannot
-//! change it). The gauges (throughput, uptime, pool occupancy) are not, so
-//! [`Metrics::deterministic_json`] renders only the reproducible subset and the
-//! CI smoke run diffs exactly that across `RLT_THREADS` settings.
+//! change it). The gauges (throughput, uptime, warm arenas, live sessions) are
+//! not, so [`Metrics::deterministic_json`] renders only the reproducible subset
+//! and the CI smoke run diffs exactly that across `RLT_THREADS` settings.
 
 use parking_lot::Mutex;
 use rlt_spec::StateSketch;
@@ -131,11 +131,12 @@ impl Metrics {
     }
 
     /// Full metrics JSON: the deterministic counters plus wall-clock gauges
-    /// (`checks_per_sec`, uptime, pool occupancy supplied by the caller).
+    /// (`checks_per_sec`, uptime) and the caller's occupancy gauges: idle warm
+    /// scratch arenas of the shared checker, live sessions, reserved state budget.
     #[must_use]
     pub fn full_json(
         &self,
-        checkers_warm: usize,
+        arenas_warm: usize,
         sessions_live: usize,
         in_flight_cost: u64,
     ) -> String {
@@ -145,7 +146,7 @@ impl Metrics {
             + self.session_verdicts.load(Ordering::SeqCst);
         format!(
             "{{\"counters\":{},\"gauges\":{{\"uptime_secs\":{:.3},\"checks_per_sec\":{:.1},\
-             \"checkers_warm\":{checkers_warm},\"sessions_live\":{sessions_live},\
+             \"arenas_warm\":{arenas_warm},\"sessions_live\":{sessions_live},\
              \"in_flight_cost\":{in_flight_cost}}}}}",
             self.deterministic_json(),
             elapsed,

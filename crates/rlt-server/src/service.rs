@@ -1,11 +1,14 @@
 //! The service layer: everything the HTTP handlers delegate to.
 //!
 //! [`CheckService`] owns the warm state a long-lived checking process
-//! accumulates — a pool of configured [`Checker`] sessions (scratch arenas stay
-//! allocated across requests), the live [`IncrementalChecker`] monitoring
-//! sessions, an interned-verdict cache keyed on request bodies, the aggregate
-//! state-budget guard that sheds load, and the instance [`Metrics`]. Handlers
-//! translate HTTP to calls on this type; nothing here knows about HTTP.
+//! accumulates — one shared configured [`Checker`] (its scratch pool hands each
+//! concurrent check a warm arena), the live monitoring sessions, each a bare
+//! [`IncrementalChecker`], an interned-verdict cache keyed on request bodies, the
+//! aggregate state-budget guard that sheds load, and the instance [`Metrics`].
+//! Handlers translate HTTP to calls on this type; nothing here knows about HTTP.
+//! The service keeps no copy of what the library holds: a session's events go
+//! straight from [`parse_history`] into [`IncrementalChecker::try_extend`], whose
+//! admission check rejects what would otherwise panic the engine.
 //!
 //! `/check` is cache-first: [`CheckService::check_text`] looks the body up
 //! before parsing it, so a repeated body costs one hash and one compare of its
@@ -25,8 +28,8 @@ use crate::config::AppConfig;
 use crate::metrics::Metrics;
 use parking_lot::Mutex;
 use rlt_spec::wire::{format_history, json_escape, parse_history, verdict_to_json, WireError};
-use rlt_spec::{Checker, History, IncrementalChecker, OpKind, Operation, StateSketch, Value};
-use std::collections::{BTreeSet, HashMap};
+use rlt_spec::{Checker, History, IncrementalChecker, StateSketch, Value};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A service-layer failure, carrying the HTTP status the handlers map it to.
@@ -75,20 +78,6 @@ struct CacheEntry {
     sketch: StateSketch,
 }
 
-/// One live monitoring session: the cumulative target operation list (the
-/// grown-in-place history [`IncrementalChecker::sync_with_ops`] expects), the
-/// validation indexes that keep malformed events from panicking the engine, and
-/// the incremental session itself.
-#[derive(Debug)]
-struct SessionEntry {
-    target: Vec<Operation<Value>>,
-    /// Event times already used (invocations and responses).
-    times: BTreeSet<u64>,
-    /// Op id → index in `target`.
-    ids: HashMap<u64, usize>,
-    inc: IncrementalChecker<Value>,
-}
-
 /// RAII reservation against the aggregate state budget.
 struct BudgetGuard<'s> {
     service: &'s CheckService,
@@ -110,8 +99,8 @@ pub struct CheckService {
     /// Instance metrics; public so the load generator and tests can read
     /// counters without an HTTP round trip.
     pub metrics: Metrics,
-    checkers: Mutex<Vec<Checker<Value>>>,
-    sessions: Mutex<HashMap<u64, SessionEntry>>,
+    checker: Checker<Value>,
+    sessions: Mutex<HashMap<u64, IncrementalChecker<Value>>>,
     next_session: AtomicU64,
     /// Interned verdicts keyed by the exact request body. The std hasher is
     /// seeded per process, so clients cannot craft bodies that collide.
@@ -123,10 +112,11 @@ impl CheckService {
     /// Creates a service with no warm state yet.
     #[must_use]
     pub fn new(config: AppConfig) -> Self {
+        let checker = build_checker(&config);
         CheckService {
             config,
             metrics: Metrics::new(),
-            checkers: Mutex::new(Vec::new()),
+            checker,
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
             cache: Mutex::new(HashMap::new()),
@@ -145,31 +135,13 @@ impl CheckService {
     /// pin possible.
     #[must_use]
     pub fn build_checker(&self) -> Checker<Value> {
-        Checker::builder(Value::Init)
-            .state_budget(self.config.state_budget)
-            .enumeration_work_cap(self.config.enumeration_work_cap)
-            .witness(self.config.witness)
-            .build()
+        build_checker(&self.config)
     }
 
-    fn acquire_checker(&self) -> Checker<Value> {
-        self.checkers
-            .lock()
-            .pop()
-            .unwrap_or_else(|| self.build_checker())
-    }
-
-    fn release_checker(&self, checker: Checker<Value>) {
-        let mut pool = self.checkers.lock();
-        if pool.len() < self.config.workers.max(1) * 2 {
-            pool.push(checker);
-        }
-    }
-
-    /// Free (warm, idle) checkers currently pooled.
+    /// Warm scratch arenas idle in the shared checker's pool.
     #[must_use]
-    pub fn checkers_warm(&self) -> usize {
-        self.checkers.lock().len()
+    pub fn arenas_warm(&self) -> usize {
+        self.checker.idle_scratch_arenas()
     }
 
     /// Live monitoring sessions.
@@ -262,9 +234,7 @@ impl CheckService {
         self.metrics.check_requests.fetch_add(1, Ordering::Relaxed);
         self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
         let _budget = self.reserve(1)?;
-        let checker = self.acquire_checker();
-        let (verdict, sketch) = checker.check_sketched(&history);
-        self.release_checker(checker);
+        let (verdict, sketch) = self.checker.check_sketched(&history);
         let decision = verdict.outcome().ok();
         self.metrics.count_decision(decision);
         self.metrics.observe_sketch(&sketch);
@@ -334,22 +304,19 @@ impl CheckService {
             .check_many_histories
             .fetch_add(histories.len() as u64, Ordering::Relaxed);
         let _budget = self.reserve(histories.len() as u64)?;
-        let checker = self.acquire_checker();
-        // One pooled checker across the whole batch keeps scratch warm between
-        // histories; each solo check is bit-identical to `Checker::check_many`'s
-        // per-entry results (that equality is pinned by the library's own tests).
+        // Each solo check is bit-identical to `Checker::check_many`'s per-entry
+        // results (that equality is pinned by the library's own tests).
         let mut out = String::from("[");
         for (i, history) in histories.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let (verdict, sketch) = checker.check_sketched(history);
+            let (verdict, sketch) = self.checker.check_sketched(history);
             self.metrics.count_decision(verdict.outcome().ok());
             self.metrics.observe_sketch(&sketch);
             out.push_str(&verdict_to_json(&verdict));
         }
         out.push(']');
-        self.release_checker(checker);
         Ok(out)
     }
 
@@ -368,11 +335,10 @@ impl CheckService {
         let cap = max
             .unwrap_or(self.config.max_linearizations)
             .min(self.config.max_linearizations);
-        let checker = self.acquire_checker();
         let mut orders: Vec<Vec<u64>> = Vec::new();
         let mut work_capped = false;
         let mut truncated = false;
-        for item in checker.linearizations(&history) {
+        for item in self.checker.linearizations(&history) {
             match item {
                 Ok(order) => {
                     if orders.len() == cap {
@@ -387,7 +353,6 @@ impl CheckService {
                 }
             }
         }
-        self.release_checker(checker);
         let mut out = String::from("{\"linearizations\":[");
         for (i, order) in orders.iter().enumerate() {
             if i > 0 {
@@ -455,20 +420,15 @@ impl CheckService {
     /// initial wire-text history. Returns `(session id, ops applied)`. The seed's
     /// events count towards `session_events` only once the session exists.
     pub fn create_session(&self, initial: &str) -> Result<(u64, usize), ServiceError> {
-        let mut entry = SessionEntry {
-            target: Vec::new(),
-            times: BTreeSet::new(),
-            ids: HashMap::new(),
-            inc: self.build_checker().incremental(),
-        };
+        let mut session = self.checker.incremental();
         let applied = if initial.trim().is_empty() {
             0
         } else {
-            let (applied, seeded) = self.apply_events(&mut entry, initial);
+            let (applied, seeded) = self.apply_events(&mut session, initial);
             seeded?;
             applied
         };
-        let ops = entry.target.len();
+        let ops = session.len();
         // The limit is checked under the lock that inserts, so concurrent creates
         // can never both pass it.
         let mut sessions = self.sessions.lock();
@@ -482,7 +442,7 @@ impl CheckService {
             )));
         }
         let id = self.next_session.fetch_add(1, Ordering::SeqCst);
-        sessions.insert(id, entry);
+        sessions.insert(id, session);
         drop(sessions);
         self.metrics
             .sessions_created
@@ -496,141 +456,64 @@ impl CheckService {
     /// `POST /sessions/{id}/events`: applies wire-text events (new operations
     /// and completions of pending ones) to a session. Returns the session's
     /// total operation count. On error the events before the offending one stay
-    /// applied, synced and counted.
+    /// applied and counted.
     pub fn session_events(&self, id: u64, body: &str) -> Result<usize, ServiceError> {
         let mut sessions = self.sessions.lock();
-        let entry = sessions.get_mut(&id).ok_or_else(|| {
+        let session = sessions.get_mut(&id).ok_or_else(|| {
             self.metrics.not_found.fetch_add(1, Ordering::Relaxed);
             ServiceError::NotFound(format!("no session {id}"))
         })?;
-        let (applied, result) = self.apply_events(entry, body);
+        let (applied, result) = self.apply_events(session, body);
         self.metrics
             .session_events
             .fetch_add(applied, Ordering::Relaxed);
-        result.map(|()| entry.target.len())
+        result.map(|()| session.len())
     }
 
-    /// Parses one events body and merges it into the session's target list,
-    /// validating everything that would otherwise panic the engine (duplicate
-    /// ids, reused event times, contradictory completions), then syncs the
-    /// incremental session. Events apply in order; on error the already-applied
-    /// prefix stays (the error names the offending op) and is synced too.
-    /// Returns the number of events applied, for the caller to count, beside
-    /// the outcome.
+    /// Parses one events body, checks `max_ops`, and extends the session with
+    /// [`IncrementalChecker::try_extend`], whose rejection names the offending
+    /// op. Returns the number of events applied, for the caller to count.
     fn apply_events(
         &self,
-        entry: &mut SessionEntry,
+        session: &mut IncrementalChecker<Value>,
         body: &str,
     ) -> (u64, Result<(), ServiceError>) {
+        let parse_err = |message: String| {
+            self.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
+            ServiceError::Parse(message)
+        };
         let parsed = match parse_history(body) {
             Ok(parsed) => parsed,
-            Err(e) => {
-                self.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-                return (0, Err(ServiceError::Parse(e.to_string())));
-            }
+            Err(e) => return (0, Err(parse_err(e.to_string()))),
         };
-        let ops = parsed.operations();
-        if entry.target.len() + ops.len() > self.config.max_ops {
+        let grown = session.len() + parsed.len();
+        if grown > self.config.max_ops {
             self.metrics
                 .rejected_oversize
                 .fetch_add(1, Ordering::Relaxed);
             return (
                 0,
                 Err(ServiceError::Oversize(format!(
-                    "session would grow to {} operations, limit is {}",
-                    entry.target.len() + ops.len(),
+                    "session would grow to {grown} operations, limit is {}",
                     self.config.max_ops
                 ))),
             );
         }
-        let mut applied = 0u64;
-        let result = ops.iter().try_for_each(|op| {
-            applied += u64::from(self.merge_event(entry, op)?);
-            Ok(())
-        });
-        entry.inc.sync_with_ops(&entry.target);
-        (applied, result)
-    }
-
-    /// Merges one event into the session's target list. `Ok(false)` is an
-    /// idempotent repeat of an event already recorded.
-    fn merge_event(
-        &self,
-        entry: &mut SessionEntry,
-        op: &Operation<Value>,
-    ) -> Result<bool, ServiceError> {
-        let parse_err = |m: String| {
-            self.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-            ServiceError::Parse(m)
-        };
-        if let Some(&i) = entry.ids.get(&op.id.0) {
-            let existing = &entry.target[i];
-            if existing == op {
-                return Ok(false);
-            }
-            let Some(resp) = op.responded_at else {
-                return Err(parse_err(format!(
-                    "op{} disagrees with its already-recorded invocation",
-                    op.id.0
-                )));
-            };
-            if existing.responded_at.is_some() {
-                return Err(parse_err(format!("op{} is already completed", op.id.0)));
-            }
-            let agrees = existing.process == op.process
-                && existing.register == op.register
-                && existing.invoked_at == op.invoked_at
-                && match (&existing.kind, &op.kind) {
-                    (OpKind::Write(a), OpKind::Write(b)) => a == b,
-                    (OpKind::Read(_), OpKind::Read(_)) => true,
-                    _ => false,
-                };
-            if !agrees {
-                return Err(parse_err(format!(
-                    "completion of op{} contradicts its pending invocation",
-                    op.id.0
-                )));
-            }
-            if !entry.times.insert(resp.0) {
-                return Err(parse_err(format!(
-                    "response time t{} of op{} is already used",
-                    resp.0, op.id.0
-                )));
-            }
-            entry.target[i] = op.clone();
-        } else {
-            if !entry.times.insert(op.invoked_at.0) {
-                return Err(parse_err(format!(
-                    "invocation time t{} of op{} is already used",
-                    op.invoked_at.0, op.id.0
-                )));
-            }
-            if let Some(resp) = op.responded_at {
-                if !entry.times.insert(resp.0) {
-                    entry.times.remove(&op.invoked_at.0);
-                    return Err(parse_err(format!(
-                        "response time t{} of op{} is already used",
-                        resp.0, op.id.0
-                    )));
-                }
-            }
-            entry.ids.insert(op.id.0, entry.target.len());
-            entry.target.push(op.clone());
-        }
-        Ok(true)
+        let (applied, result) = session.try_extend(&parsed);
+        (applied, result.map_err(parse_err))
     }
 
     /// `GET /sessions/{id}/verdict`: the session's incremental verdict as JSON —
     /// `{"verdict":<batch-identical verdict>,"incremental":{...counters...}}`.
     pub fn session_verdict(&self, id: u64) -> Result<String, ServiceError> {
         let mut sessions = self.sessions.lock();
-        let entry = sessions.get_mut(&id).ok_or_else(|| {
+        let session = sessions.get_mut(&id).ok_or_else(|| {
             self.metrics.not_found.fetch_add(1, Ordering::Relaxed);
             ServiceError::NotFound(format!("no session {id}"))
         })?;
         let _budget = self.reserve(1)?;
-        let verdict = entry.inc.verdict();
-        let sketch = entry.inc.state_sketch();
+        let verdict = session.verdict();
+        let sketch = session.state_sketch();
         self.metrics
             .session_verdicts
             .fetch_add(1, Ordering::Relaxed);
@@ -660,11 +543,11 @@ impl CheckService {
     /// text — what a differential client replays through the library directly.
     pub fn session_history(&self, id: u64) -> Result<String, ServiceError> {
         let sessions = self.sessions.lock();
-        let entry = sessions.get(&id).ok_or_else(|| {
+        let session = sessions.get(&id).ok_or_else(|| {
             self.metrics.not_found.fetch_add(1, Ordering::Relaxed);
             ServiceError::NotFound(format!("no session {id}"))
         })?;
-        Ok(format_history(entry.inc.history()))
+        Ok(format_history(session.history()))
     }
 
     /// `DELETE /sessions/{id}`.
@@ -683,12 +566,21 @@ impl CheckService {
             self.metrics.deterministic_json()
         } else {
             self.metrics.full_json(
-                self.checkers_warm(),
+                self.arenas_warm(),
                 self.sessions_live(),
                 self.in_flight_cost(),
             )
         }
     }
+}
+
+/// A checker with `config`'s knobs; see [`CheckService::build_checker`].
+fn build_checker(config: &AppConfig) -> Checker<Value> {
+    Checker::builder(Value::Init)
+        .state_budget(config.state_budget)
+        .enumeration_work_cap(config.enumeration_work_cap)
+        .witness(config.witness)
+        .build()
 }
 
 #[cfg(test)]
@@ -755,7 +647,7 @@ mod tests {
             .expect_err("op2 reuses t1");
         assert_eq!(
             rejected.message(),
-            "invocation time t1 of op2 is already used"
+            "duplicate event time `t1` of operation `op2`"
         );
         // op1 is applied, visible and counted as soon as the call returns.
         assert_eq!(counted_events(&service), 2);
@@ -763,6 +655,29 @@ mod tests {
         assert!(history.contains("op1 p0 R0 write 2 @ t3..t4"), "{history}");
         assert_eq!(service.session_events(id, "").expect("empty body"), 2);
         assert_eq!(counted_events(&service), 2);
+    }
+
+    /// A body may list pending ops out of invocation order; the session applies
+    /// them in event order, and a later body must still extend it.
+    #[test]
+    fn pending_ops_listed_out_of_invocation_order_survive_a_later_body() {
+        let service = CheckService::new(AppConfig::default());
+        let (id, _) = service.create_session("").expect("empty session");
+        service
+            .session_events(id, "op1 p1 R0 write 2 @ t5..\nop0 p0 R0 write 1 @ t3..\n")
+            .expect("two pending writes");
+        let ops = service
+            .session_events(id, "op2 p2 R0 read 2 @ t7..t8\n")
+            .expect("a later read");
+        assert_eq!(ops, 3);
+        let history = parse_history(&service.session_history(id).expect("live session"))
+            .expect("the session's history parses");
+        let expected = verdict_to_json(&service.build_checker().check(&history));
+        let served = service.session_verdict(id).expect("live session");
+        assert!(
+            served.starts_with(&format!("{{\"verdict\":{expected},")),
+            "{served}"
+        );
     }
 
     #[test]

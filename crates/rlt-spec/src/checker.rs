@@ -22,10 +22,13 @@
 //! Beyond configuration, a `Checker` is a *session*: it owns a pool of
 //! [`SearchScratch`](crate::engine::SearchScratch) arenas that are reused across
 //! [`Checker::check`] calls and across the histories of a [`Checker::check_many`]
-//! batch, so small-history workloads stop paying per-call allocation, and (under
-//! [`ThreadPolicy::Fixed`]) it owns the thread pool its batches fan out on. Enumeration is
-//! exposed as the *streaming* [`Checker::linearizations`] iterator, which runs the
-//! underlying search exactly as far as the consumer pulls.
+//! batch, so small-history workloads stop paying per-call allocation. A fresh
+//! checker's pool starts empty, so a new `Checker` per call is the cold-arena
+//! baseline. The checker owns no threads: a batch fans out on whatever rayon pool
+//! is current, so a caller wanting a fixed width builds one with
+//! `rayon::ThreadPoolBuilder` and calls [`Checker::check_many`] inside its
+//! `install`. Enumeration is exposed as the *streaming* [`Checker::linearizations`]
+//! iterator, which runs the underlying search exactly as far as the consumer pulls.
 
 use crate::engine::{
     CheckOutcome, Engine, EnumerationLimitExceeded, Linearizations, MemoStats, ScratchPool,
@@ -38,7 +41,6 @@ use crate::op::Operation;
 use crate::sequential::SeqHistory;
 use crate::value::RegisterValue;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// How a [`Checker::check_many`] batch spreads its histories over threads.
 ///
@@ -47,16 +49,14 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ThreadPolicy {
     /// Fan the batch across whatever rayon pool is current at the call site (the
-    /// global pool, or the pool of an enclosing `install`). This is the default and
-    /// composes with callers that already manage pools.
+    /// global pool, or the pool of an enclosing `install`, which is how a caller
+    /// picks a fixed width). This is the default and composes with callers that
+    /// already manage pools.
     #[default]
     Auto,
     /// Check the batch's histories one after another on the calling thread: the
     /// definitional baseline the parallel batches are diffed against.
     Sequential,
-    /// Fan the batch out on a dedicated pool of exactly `n` logical threads, built
-    /// lazily on first use and owned by the checker.
-    Fixed(usize),
 }
 
 /// Search statistics of one check (or one family check).
@@ -206,7 +206,6 @@ pub struct CheckerBuilder<V> {
     enumeration_work_cap: u64,
     threads: ThreadPolicy,
     witness: bool,
-    scratch_reuse: bool,
 }
 
 impl<V: RegisterValue> CheckerBuilder<V> {
@@ -247,22 +246,12 @@ impl<V: RegisterValue> CheckerBuilder<V> {
         self
     }
 
-    /// Whether the checker keeps its search scratch arenas (taken/vals/stack/memo
-    /// buffers) warm across calls (default: `true`). Turning this off makes every
-    /// check allocate from scratch — only useful for measuring what reuse saves (see
-    /// the `checker_reuse` bench group).
-    #[must_use]
-    pub fn scratch_reuse(mut self, reuse: bool) -> Self {
-        self.scratch_reuse = reuse;
-        self
-    }
-
     /// Finishes the builder as an [`IncrementalChecker`] session: append operations
     /// (and completions) as they happen and ask for a verdict after any prefix,
     /// paying amortized sublinear per-op cost instead of a full re-check. Verdicts
     /// are bit-identical to [`Checker::check`] on the same complete history at every
-    /// thread policy; the thread policy and scratch-reuse settings are therefore
-    /// irrelevant to the session and ignored. See [`crate::incremental`] for the
+    /// thread policy; the thread policy is therefore irrelevant to the session and
+    /// ignored. See [`crate::incremental`] for the
     /// reuse/invalidation rule and a live-monitor example.
     #[must_use]
     pub fn build_incremental(self) -> IncrementalChecker<V> {
@@ -278,9 +267,7 @@ impl<V: RegisterValue> CheckerBuilder<V> {
             enumeration_work_cap: self.enumeration_work_cap,
             threads: self.threads,
             witness: self.witness,
-            scratch_reuse: self.scratch_reuse,
             scratch: ScratchPool::new(),
-            pool: OnceLock::new(),
         }
     }
 }
@@ -289,7 +276,7 @@ impl<V: RegisterValue> CheckerBuilder<V> {
 /// value): see the [module docs](crate::checker) for the full story.
 ///
 /// Construct with [`Checker::new`] (defaults) or [`Checker::builder`] (budgets,
-/// thread policy, witness recording, scratch reuse), then call:
+/// thread policy, witness recording), then call:
 ///
 /// * [`Checker::check`] — one history, typed [`Verdict`];
 /// * [`Checker::check_many`] — a batch, fanned across the thread policy's pool, each
@@ -304,14 +291,12 @@ pub struct Checker<V> {
     enumeration_work_cap: u64,
     threads: ThreadPolicy,
     witness: bool,
-    scratch_reuse: bool,
     scratch: ScratchPool,
-    pool: OnceLock<rayon::ThreadPool>,
 }
 
 impl<V: RegisterValue> Checker<V> {
     /// A checker with default configuration: default budgets, [`ThreadPolicy::Auto`],
-    /// witnesses recorded, scratch reused.
+    /// witnesses recorded.
     #[must_use]
     pub fn new(init: V) -> Self {
         Checker::builder(init).build()
@@ -326,7 +311,6 @@ impl<V: RegisterValue> Checker<V> {
             enumeration_work_cap: DEFAULT_ENUMERATION_WORK_LIMIT,
             threads: ThreadPolicy::Auto,
             witness: true,
-            scratch_reuse: true,
         }
     }
 
@@ -370,14 +354,8 @@ impl<V: RegisterValue> Checker<V> {
     /// also hold a direct `check` result can compare them bit-for-bit.
     #[must_use]
     pub fn check_sketched(&self, history: &History<V>) -> (Verdict<V>, StateSketch) {
-        let fresh = ScratchPool::new();
-        let scratch = if self.scratch_reuse {
-            &self.scratch
-        } else {
-            &fresh
-        };
         let engine = Engine::new(history, &self.init);
-        let outcome = engine.check_with(self.state_budget, scratch);
+        let outcome = engine.check_with(self.state_budget, &self.scratch);
         let verdict = Verdict::from_outcome(&outcome, self.witness, |order| {
             order_to_seq(history, engine.ops(), order)
         });
@@ -389,8 +367,8 @@ impl<V: RegisterValue> Checker<V> {
     /// changes wall-clock time, never outcomes.
     ///
     /// Under [`ThreadPolicy::Auto`] the batch is spread over as many threads as the
-    /// current rayon pool is wide, under [`ThreadPolicy::Fixed`] over the checker's
-    /// own width: each call spawns that many threads minus one, scoped to the call,
+    /// current rayon pool is wide (call it inside a pool's `install` for a fixed
+    /// width): each call spawns that many threads minus one, scoped to the call,
     /// and the calling thread works alongside them, every thread taking the next
     /// unchecked history until none is left. The spawns are a fixed cost per call
     /// (on a 2-vCPU x86-64 host a width-2 `par_map` of trivial items takes about
@@ -405,9 +383,6 @@ impl<V: RegisterValue> Checker<V> {
         match self.threads {
             ThreadPolicy::Sequential => histories.iter().map(|h| self.check(h)).collect(),
             ThreadPolicy::Auto => rayon::par_map(histories, |h| self.check(h)),
-            ThreadPolicy::Fixed(n) => self
-                .fixed_pool(n)
-                .install(|| rayon::par_map(histories, |h| self.check(h))),
         }
     }
 
@@ -434,15 +409,6 @@ impl<V: RegisterValue> Checker<V> {
             .iter()
             .map(|order| order_to_seq(history, engine.ops(), order))
             .collect())
-    }
-
-    fn fixed_pool(&self, threads: usize) -> &rayon::ThreadPool {
-        self.pool.get_or_init(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("build the checker's fixed-width thread pool")
-        })
     }
 }
 
@@ -481,6 +447,13 @@ mod tests {
         b.write(ProcessId(0), R, 1i64);
         b.read(ProcessId(1), R, 1i64);
         b.build()
+    }
+
+    fn fixed_width_pool(threads: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("build pool")
     }
 
     fn stale_history() -> History<i64> {
@@ -546,13 +519,11 @@ mod tests {
             .threads(ThreadPolicy::Sequential)
             .build()
             .check(&h);
-        for policy in [
-            ThreadPolicy::Auto,
-            ThreadPolicy::Fixed(2),
-            ThreadPolicy::Fixed(4),
-        ] {
-            let verdict = Checker::builder(0i64).threads(policy).build().check(&h);
-            assert_eq!(verdict, sequential, "{policy:?}");
+        let auto = Checker::builder(0i64).threads(ThreadPolicy::Auto).build();
+        assert_eq!(auto.check(&h), sequential);
+        for width in [2, 4] {
+            let verdict = fixed_width_pool(width).install(|| auto.check(&h));
+            assert_eq!(verdict, sequential, "width {width}");
         }
     }
 
@@ -567,16 +538,17 @@ mod tests {
                 b.build()
             })
             .collect();
-        for policy in [
-            ThreadPolicy::Auto,
-            ThreadPolicy::Sequential,
-            ThreadPolicy::Fixed(2),
-        ] {
+        for policy in [ThreadPolicy::Auto, ThreadPolicy::Sequential] {
             let checker = Checker::builder(0i64).threads(policy).build();
             let batch = checker.check_many(&histories);
             for (i, h) in histories.iter().enumerate() {
                 assert_eq!(batch[i], checker.check(h), "{policy:?} history {i}");
             }
+        }
+        let checker = Checker::new(0i64);
+        let batch = fixed_width_pool(2).install(|| checker.check_many(&histories));
+        for (i, h) in histories.iter().enumerate() {
+            assert_eq!(batch[i], checker.check(h), "2-wide pool history {i}");
         }
     }
 
@@ -606,7 +578,7 @@ mod tests {
         // report bit-identical stats: the memo table's logical geometry is
         // deterministic, so probe counts cannot depend on buffer warmth.
         assert_eq!(warm.check(&h).stats(), first.stats());
-        let cold = Checker::builder(0i64).scratch_reuse(false).build();
+        let cold = Checker::new(0i64);
         assert_eq!(cold.check(&h).stats(), first.stats());
     }
 
@@ -619,9 +591,6 @@ mod tests {
         assert!(warm >= 1, "checks must park their arenas");
         let _ = checker.check(&stale_history());
         assert_eq!(checker.idle_scratch_arenas(), warm, "arenas are reused");
-        let cold = Checker::builder(0i64).scratch_reuse(false).build();
-        let _ = cold.check(&seq_history());
-        assert_eq!(cold.idle_scratch_arenas(), 0);
     }
 
     #[test]

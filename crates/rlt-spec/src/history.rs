@@ -1,4 +1,5 @@
-//! Concurrent histories of register operations and prefix extraction.
+//! Concurrent histories of register operations, prefix extraction, and the one
+//! validator of the history rules.
 
 use crate::ids::{OpId, ProcessId, RegisterId, Time};
 use crate::op::{OpKind, Operation};
@@ -28,36 +29,15 @@ impl<V: Clone> History<V> {
     ///
     /// # Panics
     ///
-    /// Panics if two operations share an [`OpId`], if any response time precedes its own
-    /// invocation time, if two events share a time, if an event is later than
-    /// [`Time::LAST`], or if a completed read has no return value (`OpKind::Read(None)`
-    /// with a response time).
+    /// Panics with the history validator's message if an operation breaks a
+    /// history rule: a response at or before its invocation, an event after
+    /// [`Time::LAST`], a completed read without a value, or a reused id or time.
     #[must_use]
     pub fn from_operations(ops: Vec<Operation<V>>) -> Self {
-        let mut ids = BTreeSet::new();
-        let mut times = BTreeSet::new();
+        let mut validator = Validator::default();
         for op in &ops {
-            assert!(ids.insert(op.id), "duplicate operation id {:?}", op.id);
-            assert_event_times(op);
-            assert!(
-                times.insert(op.invoked_at),
-                "duplicate event time {:?}",
-                op.invoked_at
-            );
-            if let Some(r) = op.responded_at {
-                assert!(
-                    r > op.invoked_at,
-                    "operation {:?} responds at {:?} before its invocation {:?}",
-                    op.id,
-                    r,
-                    op.invoked_at
-                );
-                assert!(times.insert(r), "duplicate event time {:?}", r);
-                assert!(
-                    !matches!(op.kind, OpKind::Read(None)),
-                    "completed read {:?} has no return value",
-                    op.id
-                );
+            if let Err(message) = validator.admit(op) {
+                panic!("{message}");
             }
         }
         History { ops }
@@ -73,9 +53,8 @@ impl<V: Clone> History<V> {
         &self.ops
     }
 
-    /// Appends an operation without re-validating the whole history. The caller
-    /// (the incremental session) upholds `from_operations`' invariants itself:
-    /// fresh id, fresh event times, response after invocation.
+    /// Appends an operation the caller has already admitted through the
+    /// history validator (the wire parser, the incremental session).
     pub(crate) fn push_unchecked(&mut self, op: Operation<V>) {
         self.ops.push(op);
     }
@@ -223,17 +202,63 @@ impl<V: Clone + Eq> History<V> {
     }
 }
 
-/// Asserts that no event of `op` is later than [`Time::LAST`], which leaves a
-/// witness the tick after the last event for the responses of pending operations.
-pub(crate) fn assert_event_times<V>(op: &Operation<V>) {
-    let last = op.responded_at.unwrap_or(op.invoked_at).max(op.invoked_at);
-    assert!(
-        last <= Time::LAST,
-        "operation {:?} has an event at {:?}, after the last event time {:?}",
-        op.id,
-        last,
-        Time::LAST
-    );
+/// The history validator: the rules of Section 2, admitted one operation at a
+/// time. A response comes after its invocation, no event is later than
+/// [`Time::LAST`] (a witness responds pending operations the tick after the last
+/// event), a completed read carries a value, and ids and event times are fresh.
+/// [`History::from_operations`], [`parse_history`](crate::wire::parse_history) and
+/// [`IncrementalChecker::try_extend`](crate::IncrementalChecker::try_extend) all
+/// check through [`Validator::check`]; a broken rule comes back as its message.
+#[derive(Debug, Default)]
+pub(crate) struct Validator {
+    ids: BTreeSet<OpId>,
+    times: BTreeSet<Time>,
+}
+
+impl Validator {
+    /// Admits `op`, remembering its id and event times.
+    pub(crate) fn admit<V>(&mut self, op: &Operation<V>) -> Result<(), String> {
+        if !self.ids.insert(op.id) {
+            return Err(format!("duplicate operation id `{}`", op.id));
+        }
+        Self::check(op, |t| self.times.insert(t))
+    }
+
+    /// Every rule but the fresh id, for a caller that keeps its own record of
+    /// ids and event times (an incremental session, whose recorded ids may
+    /// repeat or complete): `fresh_time` is asked about the invocation, then
+    /// the response time.
+    pub(crate) fn check<V>(
+        op: &Operation<V>,
+        mut fresh_time: impl FnMut(Time) -> bool,
+    ) -> Result<(), String> {
+        let id = op.id;
+        let inv = op.invoked_at;
+        if let Some(resp) = op.responded_at.filter(|&r| r <= inv) {
+            return Err(format!(
+                "operation `{id}`: response time `{resp}` does not follow invocation time `{inv}`"
+            ));
+        }
+        let last = op.responded_at.unwrap_or(inv);
+        if last > Time::LAST {
+            return Err(format!(
+                "operation `{id}` has an event at `{last}`, after the last event time `{}`: \
+                 it leaves a witness no tick after the last event",
+                Time::LAST
+            ));
+        }
+        if op.is_complete() && matches!(op.kind, OpKind::Read(None)) {
+            return Err(format!(
+                "completed read `{id}` has no return value: `?` marks a pending read"
+            ));
+        }
+        for t in std::iter::once(inv).chain(op.responded_at) {
+            if !fresh_time(t) {
+                return Err(format!("duplicate event time `{t}` of operation `{id}`"));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl<V: fmt::Debug> fmt::Display for History<V> {

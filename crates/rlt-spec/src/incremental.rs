@@ -52,7 +52,17 @@
 //!   register is re-searched.
 //! * **Out-of-order events** (an append whose invocation, or a completion whose
 //!   response, is not after every event already recorded) are accepted but expensive:
-//!   the history is revalidated and the session mirror fully rebuilt.
+//!   the session mirror is fully rebuilt.
+//!
+//! # The event contract
+//!
+//! Every event passes the history validator [`History::from_operations`] runs,
+//! plus one session rule: a recorded id may only repeat its op exactly (a no-op)
+//! or complete it while pending, agreeing on process, register, invocation time
+//! and written value. [`IncrementalChecker::append`] and `sync_with_ops` panic on
+//! a rejected event; [`IncrementalChecker::try_extend`] applies a batch up to its
+//! first rejected op and returns the message, so a service can feed it untrusted
+//! input. Only an event at or before the latest recorded time pays a lookup.
 //!
 //! Per-register searches run with private full budgets; verdict time replays the
 //! batch engine's shared-budget accounting in register order and falls back to one
@@ -87,7 +97,7 @@
 //! assert!(!monitor.verdict().is_linearizable());
 //! ```
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::checker::{order_to_seq, CheckStats, Verdict};
@@ -96,16 +106,16 @@ use crate::engine::{
     CheckOutcome, Engine, LocalOp, ScratchPool, SearchScratch, SearchStats, StateSketch,
     SubProblem, WORD_BITS,
 };
-use crate::history::{assert_event_times, History};
-use crate::ids::{OpId, RegisterId};
+use crate::history::{History, Validator};
+use crate::ids::{OpId, RegisterId, Time};
 use crate::op::{OpKind, Operation};
 use crate::sequential::SeqHistory;
 use crate::value::RegisterValue;
 
 /// Multiplicative hasher for [`OpId`]s: the id is a single `u64`, so a Fibonacci
 /// multiply mixes it far cheaper than SipHash while keeping high bits well spread
-/// for the table's mask. Duplicate-id detection runs once per appended op — on the
-/// hot monitoring path — which is why the default DoS-resistant hasher is overkill.
+/// for the table's mask. The id lookup runs once per admitted op — on the hot
+/// monitoring path — which is why the default DoS-resistant hasher is overkill.
 #[derive(Debug, Default)]
 struct OpIdHasher(u64);
 
@@ -123,15 +133,26 @@ impl Hasher for OpIdHasher {
     }
 }
 
-type OpIdSet = HashSet<OpId, BuildHasherDefault<OpIdHasher>>;
+/// Each recorded op's id, mapped to its index in the session's history.
+type OpIndex = HashMap<OpId, usize, BuildHasherDefault<OpIdHasher>>;
 
-/// One diffed event of a [`sync_with_ops`](IncrementalChecker::sync_with_ops) call:
-/// an index into the target slice, invoked or completed. The buffer holding these
-/// lives on the session so a per-delivery monitor poll allocates nothing.
+/// One event of a [`sync_with_ops`](IncrementalChecker::sync_with_ops) diff or a
+/// [`try_extend`](IncrementalChecker::try_extend) batch: an index into the slice
+/// being applied, invoked or completed. The buffer holding these lives on the
+/// session so a per-delivery monitor poll allocates nothing.
 #[derive(Debug, Clone, Copy)]
 enum SyncEvent {
     Invoke(usize),
     Complete(usize),
+}
+
+/// How an admitted op enters the session: an exact repeat (nothing to apply), a
+/// new op, or the completion of the pending op at a history index.
+#[derive(Debug, Clone, Copy)]
+enum Admitted {
+    Repeat,
+    New,
+    Completes(usize),
 }
 
 /// Cumulative counters of one [`IncrementalChecker`] session. Deterministic: a
@@ -329,9 +350,7 @@ struct RegisterSession {
     frozen_taken_completed: usize,
     /// Local bitset of completed member ops — the preds row of a safely appended op.
     completed_mask: Vec<u64>,
-    /// Max invocation tick over members, and max response tick over completed
-    /// members (0 when none; real events are never at tick 0).
-    max_inv: u64,
+    /// Max response tick over completed members (0 when none).
     max_resp: u64,
 }
 
@@ -356,7 +375,6 @@ impl RegisterSession {
             freeze_completed: 0,
             frozen_taken_completed: 0,
             completed_mask: vec![0],
-            max_inv: 0,
             max_resp: 0,
         }
     }
@@ -375,15 +393,13 @@ impl RegisterSession {
         self.cached.as_ref().is_some_and(|c| c.order.is_some())
     }
 
-    /// Recomputes the derived fields (`completed_mask`, `max_inv`, `max_resp`) from
-    /// the current subproblem; used after a full rebuild of `sub`.
+    /// Recomputes the derived fields (`completed_mask`, `max_resp`) from the
+    /// current subproblem; used after a full rebuild of `sub`.
     fn rederive<V: RegisterValue>(&mut self, history: &History<V>, filtered: &[usize]) {
         self.completed_mask = vec![0; self.sub.words];
-        self.max_inv = 0;
         self.max_resp = 0;
         for (local, lop) in self.sub.ops.iter().enumerate() {
             let op = &history.operations()[filtered[lop.global as usize]];
-            self.max_inv = self.max_inv.max(op.invoked_at.0);
             if lop.completed {
                 let resp = op.responded_at.expect("completed op has a response");
                 self.max_resp = self.max_resp.max(resp.0);
@@ -422,10 +438,9 @@ pub struct IncrementalChecker<V> {
     regs: Vec<RegisterSession>,
     /// History indices of pending ops, ascending.
     pending: Vec<usize>,
-    seen_ids: OpIdSet,
-    /// Reused buffer of [`sync_with_ops`] event diffs (empty between calls).
-    ///
-    /// [`sync_with_ops`]: IncrementalChecker::sync_with_ops
+    ids: OpIndex,
+    /// Reused buffer of the events [`replay`](Self::replay) applies (empty
+    /// between calls).
     sync_events: Vec<(u64, SyncEvent)>,
     /// Scratch arenas for the full-fallback engine runs.
     pool: ScratchPool,
@@ -450,7 +465,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
             registers: Vec::new(),
             regs: Vec::new(),
             pending: Vec::new(),
-            seen_ids: OpIdSet::default(),
+            ids: OpIndex::default(),
             sync_events: Vec::new(),
             pool: ScratchPool::new(),
             cached_verdict: None,
@@ -480,7 +495,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
             self.pool.release(sess.scratch);
         }
         self.pending.clear();
-        self.seen_ids.clear();
+        self.ids.clear();
         self.cached_verdict = None;
         self.stats = IncrementalStats::default();
     }
@@ -505,35 +520,26 @@ impl<V: RegisterValue> IncrementalChecker<V> {
 
     /// Appends one operation, or — when `op.id` matches a pending operation already
     /// in the session — applies its completion in place (the op must then agree with
-    /// the pending one on process, register, invocation, and written value).
+    /// the pending one on process, register, invocation, and written value). An
+    /// exact repeat of a recorded operation changes nothing.
     ///
     /// Events arriving in time order (every new invocation and every response after
     /// all events so far) take the incremental fast path. Out-of-order events are
-    /// accepted but trigger a full revalidation and mirror rebuild.
+    /// accepted but trigger a full mirror rebuild.
     ///
     /// # Panics
     ///
-    /// Panics on the same malformed inputs [`History::from_operations`] rejects:
-    /// duplicate op ids, duplicate event times, a response at or before its own
-    /// invocation, an event later than [`Time::LAST`](crate::Time::LAST), or a
-    /// completed read with no return value — and on a completion that contradicts
-    /// its pending op.
+    /// Panics with the message [`try_extend`](IncrementalChecker::try_extend)
+    /// would return: on the malformed inputs [`History::from_operations`] rejects
+    /// (a response at or before its own invocation, an event later than
+    /// [`Time::LAST`], a completed read with no return value, a reused event
+    /// time) and on an op that contradicts the recorded op with its id.
     pub fn append(&mut self, op: Operation<V>) {
-        assert!(
-            op.is_pending() || !matches!(op.kind, OpKind::Read(None)),
-            "completed read {:?} has no return value",
-            op.id
-        );
-        assert_event_times(&op);
-        self.cached_verdict = None;
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|&i| self.history.operations()[i].id == op.id)
-        {
-            self.apply_completion(pos, op);
-        } else {
-            self.append_new(op);
+        match self.admit(&op) {
+            Ok(Admitted::Repeat) => {}
+            Ok(Admitted::New) => self.append_new(op),
+            Ok(Admitted::Completes(idx)) => self.apply_completion(idx, op),
+            Err(message) => panic!("{message}"),
         }
     }
 
@@ -543,6 +549,38 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         for op in ops {
             self.append(op);
         }
+    }
+
+    /// The fallible [`append`](IncrementalChecker::append) of a whole batch, for
+    /// untrusted input such as a request body from
+    /// [`parse_history`](crate::wire::parse_history). Admits each op in batch
+    /// order under `append`'s rules (an exact repeat is skipped and not counted),
+    /// then applies the ops before the first rejected one in event-time order,
+    /// exactly as [`sync_with_ops`](IncrementalChecker::sync_with_ops) applies a
+    /// diff. Returns how many ops were applied, and the rejected op's message.
+    /// Never panics.
+    pub fn try_extend(&mut self, batch: &History<V>) -> (u64, Result<(), String>) {
+        let ops = batch.operations();
+        let mut events = std::mem::take(&mut self.sync_events);
+        let mut applied = 0;
+        let mut result = Ok(());
+        for (j, op) in ops.iter().enumerate() {
+            match self.admit(op) {
+                Ok(Admitted::Repeat) => continue,
+                Ok(Admitted::New) => events.push((op.invoked_at.0, SyncEvent::Invoke(j))),
+                Ok(Admitted::Completes(_)) => {}
+                Err(message) => {
+                    result = Err(message);
+                    break;
+                }
+            }
+            if let Some(resp) = op.responded_at {
+                events.push((resp.0, SyncEvent::Complete(j)));
+            }
+            applied += 1;
+        }
+        self.replay(ops, events);
+        (applied, result)
     }
 
     /// Brings the session up to date with `target`, which must be the session's
@@ -562,8 +600,8 @@ impl<V: RegisterValue> IncrementalChecker<V> {
     /// [`sync_with`](IncrementalChecker::sync_with) on a raw operation slice — the
     /// same grown-in-place contract without materializing a validated [`History`]
     /// first. A live monitor polling a cluster's in-place operation record skips
-    /// the per-poll clone-and-revalidate entirely; the session validates the diff
-    /// it applies (and falls back to a full revalidation on out-of-order events).
+    /// the per-poll clone-and-revalidate entirely; the session admits each event of
+    /// the diff it applies, as [`append`](IncrementalChecker::append) does.
     pub fn sync_with_ops(&mut self, target_ops: &[Operation<V>]) {
         let have = self.history.len();
         assert!(
@@ -581,7 +619,6 @@ impl<V: RegisterValue> IncrementalChecker<V> {
             "incremental session: target history diverged from the session's prefix"
         );
         let mut events = std::mem::take(&mut self.sync_events);
-        events.clear();
         for &idx in &self.pending {
             let theirs = &target_ops[idx];
             assert_eq!(
@@ -599,46 +636,78 @@ impl<V: RegisterValue> IncrementalChecker<V> {
                 events.push((resp.0, SyncEvent::Complete(i)));
             }
         }
+        self.replay(target_ops, events);
+    }
+
+    // -- event application ---------------------------------------------------
+
+    /// Appends `events` over `ops` in event-time order, an invocation as the op's
+    /// pending form and a completion as the op itself, then hands the emptied
+    /// buffer back: the application path of `sync_with_ops` and `try_extend`.
+    fn replay(&mut self, ops: &[Operation<V>], mut events: Vec<(u64, SyncEvent)>) {
         events.sort_unstable_by_key(|&(t, _)| t);
         for &(_, ev) in &events {
             match ev {
                 SyncEvent::Invoke(i) => {
-                    let mut op = target_ops[i].clone();
+                    let mut op = ops[i].clone();
                     op.responded_at = None;
                     if matches!(op.kind, OpKind::Read(_)) {
                         op.kind = OpKind::Read(None);
                     }
                     self.append(op);
                 }
-                SyncEvent::Complete(i) => self.append(target_ops[i].clone()),
+                SyncEvent::Complete(i) => self.append(ops[i].clone()),
             }
         }
         events.clear();
         self.sync_events = events;
     }
 
-    // -- event application ---------------------------------------------------
+    /// Checks `op` under the event contract (see the [module docs](self)). An
+    /// event time after the latest recorded one is fresh without a lookup.
+    fn admit(&self, op: &Operation<V>) -> Result<Admitted, String> {
+        let ops = self.history.operations();
+        let used = |t| {
+            ops.iter()
+                .any(|o| o.invoked_at == t || o.responded_at == Some(t))
+        };
+        let fresh = |t: Time| t.0 > self.max_time || !used(t);
+        let Some(&idx) = self.ids.get(&op.id) else {
+            Validator::check(op, fresh)?;
+            return Ok(Admitted::New);
+        };
+        let recorded = &ops[idx];
+        let id = op.id;
+        if recorded == op {
+            return Ok(Admitted::Repeat);
+        }
+        if op.is_pending() {
+            return Err(format!("`{id}` disagrees with its recorded invocation"));
+        }
+        if recorded.is_complete() {
+            return Err(format!("`{id}` is already completed"));
+        }
+        let agrees = recorded.process == op.process
+            && recorded.register == op.register
+            && recorded.invoked_at == op.invoked_at
+            && match (&recorded.kind, &op.kind) {
+                (OpKind::Write(a), OpKind::Write(b)) => a == b,
+                (OpKind::Read(_), OpKind::Read(_)) => true,
+                _ => false,
+            };
+        if !agrees {
+            return Err(format!("completion of `{id}` contradicts its invocation"));
+        }
+        // The invocation is the pending op's own event; only the response is new.
+        Validator::check(op, |t| t == op.invoked_at || fresh(t))?;
+        Ok(Admitted::Completes(idx))
+    }
 
     fn append_new(&mut self, op: Operation<V>) {
-        assert!(
-            self.seen_ids.insert(op.id),
-            "duplicate operation id {:?}",
-            op.id
-        );
-        if let Some(resp) = op.responded_at {
-            assert!(
-                resp > op.invoked_at,
-                "operation {:?} responds at {:?} before its invocation {:?}",
-                op.id,
-                resp,
-                op.invoked_at
-            );
-        }
+        self.cached_verdict = None;
         if !self.history.is_empty() && op.invoked_at.0 <= self.max_time {
-            // Out-of-order append: revalidate wholesale and rebuild the mirror.
-            let mut ops = self.history.operations().to_vec();
-            ops.push(op);
-            self.history = History::from_operations(ops);
+            // Out-of-order append: rebuild the mirror.
+            self.history.push_unchecked(op);
             self.stats.ops_appended += 1;
             self.full_rebuild();
             return;
@@ -658,6 +727,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         if op.is_pending() {
             self.pending.push(idx);
         }
+        self.ids.insert(op.id, idx);
         let register = op.register;
         let is_write = op.is_write();
         let is_complete = op.is_complete();
@@ -673,51 +743,25 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         }
     }
 
-    fn apply_completion(&mut self, pending_pos: usize, op: Operation<V>) {
-        let idx = self.pending[pending_pos];
-        let existing = &self.history.operations()[idx];
-        assert_eq!(existing.process, op.process, "completion changes process");
-        assert_eq!(
-            existing.register, op.register,
-            "completion changes register"
-        );
-        assert_eq!(
-            existing.invoked_at, op.invoked_at,
-            "completion changes invocation time"
-        );
-        let resp = op
-            .responded_at
-            .expect("completion event must carry a response time");
-        assert!(
-            resp > op.invoked_at,
-            "operation {:?} responds at {:?} before its invocation {:?}",
-            op.id,
-            resp,
-            op.invoked_at
-        );
-        let is_write = match (&existing.kind, &op.kind) {
-            (OpKind::Write(a), OpKind::Write(b)) => {
-                assert!(a == b, "completion changes the written value");
-                true
-            }
-            (OpKind::Read(_), OpKind::Read(Some(_))) => false,
-            _ => panic!("completion changes the operation kind"),
-        };
+    fn apply_completion(&mut self, idx: usize, op: Operation<V>) {
+        self.cached_verdict = None;
+        let resp = op.responded_at.expect("an admitted completion responds");
         if resp.0 <= self.max_time {
-            // A response landing before an already-recorded event: revalidate
-            // wholesale and rebuild the mirror.
-            let mut ops = self.history.operations().to_vec();
-            ops[idx] = op;
-            self.history = History::from_operations(ops);
-            self.pending.remove(pending_pos);
+            // A response landing before an already-recorded event: rebuild the
+            // mirror.
+            *self.history.op_mut(idx) = op;
             self.stats.completions += 1;
             self.full_rebuild();
             return;
         }
+        let pending_pos = self
+            .pending
+            .binary_search(&idx)
+            .expect("an admitted completion completes a pending op");
         self.pending.remove(pending_pos);
         self.max_time = resp.0;
         let register = op.register;
-        if is_write {
+        if op.is_write() {
             // Flip the pending write in place: its response is the latest event, so
             // no precedence row changes and the frozen search stays resumable.
             *self.history.op_mut(idx) = op;
@@ -748,7 +792,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         // *interior* position when any filtered op was invoked after it.
         let read_value = match &op.kind {
             OpKind::Read(Some(v)) => v.clone(),
-            _ => unreachable!("checked above"),
+            _ => unreachable!("an admitted completed read has a value"),
         };
         let inv = op.invoked_at.0;
         *self.history.op_mut(idx) = op;
@@ -859,7 +903,6 @@ impl<V: RegisterValue> IncrementalChecker<V> {
                 .max_resp
                 .max(resp.expect("completed op has a response"));
         }
-        sess.max_inv = sess.max_inv.max(inv);
     }
 
     /// Rebuilds one register's subproblem from the canonical constructor (rows
@@ -887,11 +930,11 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         self.max_time = self.history.max_time().0;
         self.filtered.clear();
         self.pending.clear();
-        self.seen_ids.clear();
+        self.ids.clear();
         self.values = OwnedInterner::new(&self.init);
         let ops = self.history.operations();
         for (idx, op) in ops.iter().enumerate() {
-            self.seen_ids.insert(op.id);
+            self.ids.insert(op.id, idx);
             if op.is_complete() || op.is_write() {
                 let g = self.filtered.len();
                 let value = match &op.kind {
@@ -1618,6 +1661,153 @@ mod tests {
             let batch = checker.check(&history);
             assert_eq!(fine.verdict().as_verdict(), &batch, "seed {seed}");
             assert_eq!(coarse.verdict().as_verdict(), &batch, "seed {seed}");
+        }
+    }
+
+    fn event(
+        id: u64,
+        process: usize,
+        register: usize,
+        kind: OpKind<i64>,
+        inv: u64,
+        resp: Option<u64>,
+    ) -> Operation<i64> {
+        Operation {
+            id: OpId(id),
+            process: ProcessId(process),
+            register: RegisterId(register),
+            kind,
+            invoked_at: Time(inv),
+            responded_at: resp.map(Time),
+        }
+    }
+
+    /// The recorded ops of [`seeded_session`]: a completed write `op0`, a pending
+    /// write `op1` and a completed read `op2`, at t1..t5.
+    fn recorded() -> Vec<Operation<i64>> {
+        vec![
+            event(0, 0, 0, OpKind::Write(1), 1, Some(2)),
+            event(1, 1, 0, OpKind::Write(2), 3, None),
+            event(2, 2, 0, OpKind::Read(Some(1)), 4, Some(5)),
+        ]
+    }
+
+    fn seeded_session() -> IncrementalChecker<i64> {
+        let mut session = Checker::new(0i64).incremental();
+        session.append_batch(recorded());
+        session
+    }
+
+    /// Every rejected op names itself, and a rejected batch leaves the session's
+    /// verdict and counters exactly as they were.
+    #[test]
+    fn try_extend_rejects_without_touching_the_session() {
+        let cases = [
+            (
+                "a reused invocation time",
+                event(3, 3, 0, OpKind::Write(9), 2, Some(6)),
+            ),
+            (
+                "a reused response time",
+                event(1, 1, 0, OpKind::Write(2), 3, Some(5)),
+            ),
+            (
+                "a changed process",
+                event(1, 9, 0, OpKind::Write(2), 3, Some(6)),
+            ),
+            (
+                "a changed register",
+                event(1, 1, 1, OpKind::Write(2), 3, Some(6)),
+            ),
+            (
+                "a changed invocation",
+                event(1, 1, 0, OpKind::Write(2), 0, Some(6)),
+            ),
+            (
+                "a changed written value",
+                event(1, 1, 0, OpKind::Write(7), 3, Some(6)),
+            ),
+            (
+                "a pending re-send",
+                event(1, 1, 0, OpKind::Write(7), 3, None),
+            ),
+            (
+                "a second completion",
+                event(0, 0, 0, OpKind::Write(1), 1, Some(6)),
+            ),
+        ];
+        for (what, bad) in cases {
+            let mut session = seeded_session();
+            let verdict = session.verdict();
+            let stats = session.stats();
+            let named = format!("`{}`", bad.id);
+            let (applied, result) = session.try_extend(&History::from_operations(vec![bad]));
+            let message = result.expect_err(what);
+            assert!(message.contains(&named), "{what}: {message}");
+            assert_eq!(applied, 0, "{what}");
+            assert_eq!(session.stats(), stats, "{what}");
+            assert_eq!(session.history().operations(), recorded(), "{what}");
+            assert_eq!(
+                session.verdict().as_verdict(),
+                verdict.as_verdict(),
+                "{what}"
+            );
+        }
+    }
+
+    /// An exact repeat of recorded ops applies nothing and keeps the held verdict.
+    #[test]
+    fn an_exact_repeat_applies_nothing() {
+        let mut session = seeded_session();
+        let verdict = session.verdict();
+        let stats = session.stats();
+        let (applied, result) = session.try_extend(&History::from_operations(recorded()));
+        assert_eq!((applied, result), (0, Ok(())));
+        assert_eq!(session.stats(), stats);
+        // The held verdict survives: the poll moves only the `verdicts` counter.
+        let mut held = verdict;
+        held.incremental.verdicts += 1;
+        assert_eq!(session.verdict(), held);
+    }
+
+    /// A batch holding exactly a target's diff — completions of pending ops and
+    /// new ops — applies as `sync_with` on that target does: same verdict, same
+    /// counters.
+    #[test]
+    fn try_extend_of_a_diff_matches_sync_with() {
+        let checker = Checker::new(0i64);
+        for seed in 0..16u64 {
+            let history = random_history(seed, 12, 2, 3);
+            for &cut in history.event_times().iter().step_by(3) {
+                let prefix = history.prefix_at(cut);
+                let diff: Vec<Operation<i64>> = history
+                    .operations()
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, op)| prefix.operations().get(i) != Some(op))
+                    .map(|(_, op)| op.clone())
+                    .collect();
+                let mut synced = checker.incremental();
+                let mut extended = checker.incremental();
+                for session in [&mut synced, &mut extended] {
+                    session.sync_with(&prefix);
+                    session.verdict();
+                }
+                synced.sync_with(&history);
+                let batch = History::from_operations(diff);
+                let (applied, result) = extended.try_extend(&batch);
+                assert_eq!((applied, result), (batch.len() as u64, Ok(())));
+                assert_eq!(
+                    extended.verdict(),
+                    synced.verdict(),
+                    "seed {seed} cut {cut:?}"
+                );
+                assert_eq!(
+                    extended.history(),
+                    synced.history(),
+                    "seed {seed} cut {cut:?}"
+                );
+            }
         }
     }
 

@@ -23,19 +23,19 @@
 //! completes every pending operation one tick after the last event, so
 //! `t18446744073709551615` is rejected.
 //!
-//! [`parse_history`] pre-validates everything [`History::from_operations`]
-//! asserts (duplicate ids, duplicate event times, response ≤ invocation, an
-//! event after [`Time::LAST`], a completed read without a value) and reports
-//! those as line-numbered [`WireError`]s instead of panicking, so a service can
-//! feed untrusted request bodies straight into it.
+//! [`parse_history`] admits each parsed line through the one history validator
+//! [`History::from_operations`] also runs (a response after its invocation, no
+//! event after [`Time::LAST`], a completed read with a value, fresh ids and event
+//! times) and reports the first broken rule as a line-numbered [`WireError`]
+//! instead of panicking, so a service can feed untrusted request bodies straight
+//! into it.
 
 use crate::checker::Verdict;
-use crate::history::History;
+use crate::history::{History, Validator};
 use crate::ids::{OpId, ProcessId, RegisterId, Time};
 use crate::op::{OpKind, Operation};
 use crate::sequential::SeqHistory;
 use crate::value::Value;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// A line-numbered wire-format parse error.
@@ -128,13 +128,13 @@ pub fn format_history(history: &History<Value>) -> String {
 
 /// Parses the wire text grammar into a [`History`].
 ///
-/// Blank lines and lines starting with `#` are ignored. Every constraint
-/// [`History::from_operations`] would assert is checked here first and reported
-/// as a line-numbered [`WireError`], so this never panics on malformed input.
+/// Blank lines and lines starting with `#` are ignored. Each operation is
+/// admitted through the history validator as it is parsed, so the first line
+/// that breaks a rule [`History::from_operations`] would assert is reported as a
+/// line-numbered [`WireError`]: this never panics on malformed input.
 pub fn parse_history(text: &str) -> Result<History<Value>, WireError> {
-    let mut ops: Vec<Operation<Value>> = Vec::new();
-    let mut ids: BTreeSet<u64> = BTreeSet::new();
-    let mut times: BTreeSet<u64> = BTreeSet::new();
+    let mut history = History::new();
+    let mut validator = Validator::default();
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -170,14 +170,6 @@ pub fn parse_history(text: &str) -> Result<History<Value>, WireError> {
         } else {
             Some(parse_prefixed(resp, "t", "response time").map_err(&err)?)
         };
-        let last = resp.unwrap_or(inv).max(inv);
-        if last > Time::LAST.0 {
-            return Err(err(format!(
-                "event time `t{last}` leaves a witness no tick after the last event: \
-                 event times run up to `t{}`",
-                Time::LAST.0
-            )));
-        }
         let kind = match verb {
             "write" => OpKind::Write(parse_value(value).map_err(&err)?),
             "read" if value == "?" => OpKind::Read(None),
@@ -188,37 +180,18 @@ pub fn parse_history(text: &str) -> Result<History<Value>, WireError> {
                 )))
             }
         };
-        if resp.is_some() && matches!(kind, OpKind::Read(None)) {
-            return Err(err(format!(
-                "completed read `op{id}` has no return value: `?` marks a pending read"
-            )));
-        }
-        if !ids.insert(id) {
-            return Err(err(format!("duplicate operation id `op{id}`")));
-        }
-        if !times.insert(inv) {
-            return Err(err(format!("duplicate event time `t{inv}`")));
-        }
-        if let Some(r) = resp {
-            if r <= inv {
-                return Err(err(format!(
-                    "response time `t{r}` does not follow invocation time `t{inv}`"
-                )));
-            }
-            if !times.insert(r) {
-                return Err(err(format!("duplicate event time `t{r}`")));
-            }
-        }
-        ops.push(Operation {
+        let op = Operation {
             id: OpId(id),
             process: ProcessId(process as usize),
             register: RegisterId(register as usize),
             kind,
             invoked_at: Time(inv),
             responded_at: resp.map(Time),
-        });
+        };
+        validator.admit(&op).map_err(err)?;
+        history.push_unchecked(op);
     }
-    Ok(History::from_operations(ops))
+    Ok(history)
 }
 
 /// Escapes `s` for embedding between the quotes of a JSON string literal:

@@ -5,8 +5,9 @@
 //! [`Checker::check_many`], which fans whole histories across a pool. The contract is
 //! that thread policy is *unobservable* in results: every batch entry — verdict,
 //! witness, and statistics — is bit-identical to a solo [`Checker::check`] of the
-//! same history under [`ThreadPolicy::Sequential`], [`ThreadPolicy::Auto`] on pools
-//! of any width, and [`ThreadPolicy::Fixed`] at any width. These tests diff the
+//! same history under [`ThreadPolicy::Sequential`] and [`ThreadPolicy::Auto`] on
+//! pools of any width (a fixed width is `Auto` inside that pool's `install`). These
+//! tests diff the
 //! batches against solo checks on the seeded corpus the engine-vs-reference
 //! differential suite uses, plus a tiny-budget corpus whose checks run dry
 //! mid-search, and pin that enumeration and family reports ignore pool width.
@@ -35,25 +36,15 @@ fn checker(policy: ThreadPolicy, budget: u64) -> Checker<i64> {
 }
 
 /// Runs `histories` through `check_many` at state budget `budget` under every
-/// thread policy — `Sequential`, `Fixed(2)`, `Fixed(4)` and `Auto` inside 2- and
-/// 4-wide pools — and diffs each batch entry against a solo [`Checker::check`] of
-/// the same history.
+/// thread policy — `Sequential`, and `Auto` inside 2- and 4-wide pools — and diffs
+/// each batch entry against a solo [`Checker::check`] of the same history.
 fn assert_batches_match_solo(histories: &[History<i64>], budget: u64) {
     let solo_checker = checker(ThreadPolicy::Sequential, budget);
     let solo: Vec<_> = histories.iter().map(|h| solo_checker.check(h)).collect();
-    let mut batches: Vec<_> = [
-        ThreadPolicy::Sequential,
-        ThreadPolicy::Fixed(2),
-        ThreadPolicy::Fixed(4),
-    ]
-    .into_iter()
-    .map(|policy| {
-        (
-            format!("{policy:?}"),
-            checker(policy, budget).check_many(histories),
-        )
-    })
-    .collect();
+    let mut batches = vec![(
+        "Sequential".to_string(),
+        checker(ThreadPolicy::Sequential, budget).check_many(histories),
+    )];
     for threads in [2usize, 4] {
         let auto = checker(ThreadPolicy::Auto, budget);
         batches.push((
@@ -104,14 +95,14 @@ fn batch_verdicts_match_individual_verdicts_at_any_width() {
         .collect();
     let solo_checker = checker(ThreadPolicy::Sequential, u64::MAX);
     let solo: Vec<_> = histories.iter().map(|h| solo_checker.check(h)).collect();
-    for policy in [
-        ThreadPolicy::Sequential,
-        ThreadPolicy::Auto,
-        ThreadPolicy::Fixed(2),
-        ThreadPolicy::Fixed(4),
-    ] {
+    for policy in [ThreadPolicy::Sequential, ThreadPolicy::Auto] {
         let batch = checker(policy, u64::MAX).check_many(&histories);
         assert_eq!(batch, solo, "batch diverged under {policy:?}");
+    }
+    let auto = checker(ThreadPolicy::Auto, u64::MAX);
+    for threads in [2usize, 4] {
+        let batch = pool(threads).install(|| auto.check_many(&histories));
+        assert_eq!(batch, solo, "batch diverged in a {threads}-wide pool");
     }
 }
 
