@@ -357,7 +357,7 @@ impl<V: RegisterValue> Checker<V> {
         let engine = Engine::new(history, &self.init);
         let outcome = engine.check_with(self.state_budget, &self.scratch);
         let verdict = Verdict::from_outcome(&outcome, self.witness, |order| {
-            order_to_seq(history, engine.ops(), order)
+            order_to_seq(history, |g| engine.op(g), order)
         });
         (verdict, outcome.sketch)
     }
@@ -407,23 +407,24 @@ impl<V: RegisterValue> Checker<V> {
         let orders = engine.enumerate(max_results, self.enumeration_work_cap)?;
         Ok(orders
             .iter()
-            .map(|order| order_to_seq(history, engine.ops(), order))
+            .map(|order| order_to_seq(history, |g| engine.op(g), order))
             .collect())
     }
 }
 
-/// Materializes an order of indices into `ops` as a [`SeqHistory`], giving linearized
-/// pending operations a matching response so the sequential history is well-formed.
-pub(crate) fn order_to_seq<V: RegisterValue>(
+/// Materializes an order of searched-op indices, each naming the operation `op(i)`, as
+/// a [`SeqHistory`], giving linearized pending operations a matching response so the
+/// sequential history is well-formed.
+pub(crate) fn order_to_seq<'h, V: RegisterValue + 'h>(
     history: &History<V>,
-    ops: &[&Operation<V>],
+    op: impl Fn(usize) -> &'h Operation<V>,
     order: &[usize],
 ) -> SeqHistory<V> {
     let completion_time = history.max_time().next();
     let seq_ops = order
         .iter()
         .map(|&i| {
-            let mut op = ops[i].clone();
+            let mut op = op(i).clone();
             if op.responded_at.is_none() {
                 op.responded_at = Some(completion_time);
             }

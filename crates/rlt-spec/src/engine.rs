@@ -7,7 +7,11 @@
 //!
 //! 1. **Value interning** — every distinct register value in the history (plus the
 //!    initial value) is mapped once to a dense `u32` id, so simulated register state is
-//!    a small integer and memo keys never clone `V`.
+//!    a small integer and memo keys never clone `V`. The interner, the searched op list
+//!    and the register partition form one search mirror of the history, built by the
+//!    same constructor for [`Engine::new`] and for an
+//!    [`IncrementalChecker`](crate::IncrementalChecker)'s full rebuild, which keeps
+//!    its mirror in step with its history event by event.
 //! 2. **Precedence bitsets** — the real-time relation is precomputed into per-op
 //!    predecessor bitsets (`u64` blocks). An op is a Wing–Gong candidate iff its
 //!    predecessor bits are covered by the taken set: one mask-and-compare per op
@@ -24,6 +28,8 @@
 //!    per-register witnesses into one global linearization with a k-way merge that
 //!    emits, among the register heads no unemitted op precedes, the one invoked
 //!    earliest. This turns one exponential joint search into several much smaller ones.
+//!    An incremental session merges its cached per-register witnesses with the same
+//!    function.
 //! 5. **Candidate window** — both DFS loops (the witness search and the enumeration
 //!    walk) find a frame's next candidate with one shared `next_candidate`, which
 //!    visits only untaken ops, a `taken` word at a time, so the linearized prefix is
@@ -82,10 +88,10 @@
 
 use crate::history::History;
 use crate::ids::{OpId, RegisterId, Time};
-use crate::op::{OpKind, Operation};
+use crate::mirror::{Mirror, SearchedOp};
+use crate::op::Operation;
 use crate::sequential::SeqHistory;
 use crate::value::RegisterValue;
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
@@ -94,8 +100,10 @@ use std::sync::OnceLock;
 // ---------------------------------------------------------------------------
 
 /// A multiply-rotate hasher in the style of `rustc-hash`'s `FxHasher`: not
-/// collision-resistant against adversaries, but memo keys are search-internal so the
-/// only requirement is speed and decent dispersion.
+/// collision-resistant against adversaries, but its keys are search-internal, so the
+/// only requirement is speed and decent dispersion. Its round, `fx_mix`, is the memo
+/// table's; it also keys the value interner's spill index and an incremental
+/// session's operation-id index.
 #[derive(Debug, Default, Clone)]
 pub struct FastHasher {
     hash: u64,
@@ -103,11 +111,11 @@ pub struct FastHasher {
 
 const FAST_SEED: u64 = 0x517c_c1b7_2722_0a95;
 
-impl FastHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.hash = (self.hash ^ word).rotate_left(5).wrapping_mul(FAST_SEED);
-    }
+/// One round of [`FastHasher`]. The memo table calls it directly: its register-only
+/// fast path must hash exactly like [`hash_words`] so growth rehashes agree.
+#[inline]
+fn fx_mix(h: u64, word: u64) -> u64 {
+    (h ^ word).rotate_left(5).wrapping_mul(FAST_SEED)
 }
 
 impl Hasher for FastHasher {
@@ -120,107 +128,34 @@ impl Hasher for FastHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in chunks.by_ref() {
-            self.mix(u64::from_le_bytes(c.try_into().unwrap()));
+            self.write_u64(u64::from_le_bytes(c.try_into().unwrap()));
         }
         let rest = chunks.remainder();
         if !rest.is_empty() {
             let mut word = [0u8; 8];
             word[..rest.len()].copy_from_slice(rest);
-            self.mix(u64::from_le_bytes(word));
+            self.write_u64(u64::from_le_bytes(word));
         }
     }
 
     #[inline]
     fn write_u64(&mut self, v: u64) {
-        self.mix(v);
+        self.hash = fx_mix(self.hash, v);
     }
 
     #[inline]
     fn write_u32(&mut self, v: u32) {
-        self.mix(u64::from(v));
+        self.write_u64(u64::from(v));
     }
 
     #[inline]
     fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
+        self.write_u64(v as u64);
     }
 }
 
 /// `BuildHasher` for [`FastHasher`].
 pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
-
-/// Distinct values below which the interner stays a linear-scanned dense list.
-const INTERN_LINEAR_MAX: usize = 16;
-
-/// Dense value interner. Ids are assigned in insertion order (the initial value is
-/// always id 0). Small value sets — the overwhelmingly common case: a differential
-/// corpus history touches a handful of values — are interned by linear scan over a
-/// dense list, paying neither a table allocation nor any hashing per check; past
-/// [`INTERN_LINEAR_MAX`] distinct values the interner spills into a hash map with
-/// identical id assignment.
-#[derive(Debug)]
-struct ValueInterner<'a, V> {
-    dense: Vec<&'a V>,
-    spill: Option<HashMap<&'a V, u32, FastBuildHasher>>,
-}
-
-impl<'a, V: RegisterValue> ValueInterner<'a, V> {
-    fn new() -> Self {
-        ValueInterner {
-            dense: Vec::new(),
-            spill: None,
-        }
-    }
-
-    /// Interns `v`, returning its dense id (allocating a fresh id on first sight).
-    fn intern(&mut self, v: &'a V) -> u32 {
-        if let Some(map) = &mut self.spill {
-            let next = map.len() as u32;
-            return *map.entry(v).or_insert(next);
-        }
-        if let Some(i) = self.dense.iter().position(|&seen| seen == v) {
-            return i as u32;
-        }
-        if self.dense.len() == INTERN_LINEAR_MAX {
-            let mut map: HashMap<&'a V, u32, FastBuildHasher> = HashMap::with_capacity_and_hasher(
-                2 * INTERN_LINEAR_MAX,
-                FastBuildHasher::default(),
-            );
-            for (i, &seen) in self.dense.iter().enumerate() {
-                map.insert(seen, i as u32);
-            }
-            let id = map.len() as u32;
-            map.insert(v, id);
-            self.spill = Some(map);
-            return id;
-        }
-        self.dense.push(v);
-        (self.dense.len() - 1) as u32
-    }
-
-    /// Id of an already-interned value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` was never interned.
-    fn get(&self, v: &V) -> u32 {
-        match &self.spill {
-            Some(map) => map[v],
-            None => self
-                .dense
-                .iter()
-                .position(|&seen| seen == v)
-                .expect("value was interned") as u32,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match &self.spill {
-            Some(map) => map.len(),
-            None => self.dense.len(),
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Prepared subproblems
@@ -234,9 +169,9 @@ pub(crate) fn words_for(n: usize) -> usize {
 }
 
 /// One operation of a prepared subproblem, fully interned.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LocalOp {
-    /// Index into the engine's global filtered op list.
+    /// Position in the history's searched op list.
     pub(crate) global: u32,
     /// Register slot within the subproblem (always 0 for per-register searches).
     pub(crate) slot: u32,
@@ -247,8 +182,12 @@ pub(crate) struct LocalOp {
     pub(crate) completed: bool,
 }
 
+/// Interned id of the initial value, every slot's value before any write: the
+/// interner sights it before any op.
+const INIT_ID: u32 = 0;
+
 /// A self-contained search instance over a subset of the history's operations.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct SubProblem {
     pub(crate) ops: Vec<LocalOp>,
     /// Flat predecessor matrix with `words` u64s per row: row `i` holds one bit per
@@ -260,8 +199,6 @@ pub(crate) struct SubProblem {
     pub(crate) slots: usize,
     /// Number of completed ops that a successful linearization must contain.
     pub(crate) completed: usize,
-    /// Interned initial value of every slot.
-    pub(crate) init_id: u32,
     /// `true` when every preds row contains the one before it (`row(i) ⊆ row(i+1)`),
     /// which holds whenever the ops are listed in invocation order. It lets
     /// [`next_candidate`] stop at the first untaken op with an untaken predecessor.
@@ -269,51 +206,44 @@ pub(crate) struct SubProblem {
 }
 
 impl SubProblem {
-    pub(crate) fn new<V: RegisterValue>(
-        ops: &[&Operation<V>],
+    /// The subproblem over `members`, positions in `searched` (the searched ops of
+    /// the history `ops`), with each op in slot `slot_of_register(register)`.
+    pub(crate) fn new<V>(
+        ops: &[Operation<V>],
+        searched: &[SearchedOp],
         members: &[u32],
         slot_of_register: impl Fn(RegisterId) -> u32,
-        value_id: impl Fn(&V) -> u32,
-        init_id: u32,
         slots: usize,
     ) -> Self {
-        let local_ops: Vec<LocalOp> = members
-            .iter()
-            .map(|&g| {
-                let op = ops[g as usize];
-                let (is_write, value) = match &op.kind {
-                    OpKind::Write(v) => (true, value_id(v)),
-                    OpKind::Read(Some(v)) => (false, value_id(v)),
-                    OpKind::Read(None) => unreachable!("pending reads are filtered out"),
-                };
-                LocalOp {
-                    global: g,
-                    slot: slot_of_register(op.register),
-                    value,
-                    is_write,
-                    completed: op.is_complete(),
-                }
-            })
-            .collect();
-        let n = local_ops.len();
+        let n = members.len();
+        let mut local_ops = Vec::with_capacity(n);
+        let mut by_inv: Vec<(Time, u32)> = Vec::with_capacity(n);
+        let mut by_resp: Vec<(Time, u32)> = Vec::with_capacity(n);
+        for (j, &g) in members.iter().enumerate() {
+            let SearchedOp { index, value } = searched[g as usize];
+            let op = &ops[index as usize];
+            local_ops.push(LocalOp {
+                global: g,
+                slot: slot_of_register(op.register),
+                value,
+                is_write: op.is_write(),
+                completed: op.is_complete(),
+            });
+            by_inv.push((op.invoked_at, j as u32));
+            if let Some(t) = op.responded_at {
+                by_resp.push((t, j as u32));
+            }
+        }
         let words = words_for(n).max(1);
         let mut preds = vec![0u64; n * words];
         // Sweep in invocation order, accumulating a running bitset of the ops that
         // have already responded: row(i) = { j : resp(j) < inv(i) }, i.e. "j precedes
-        // i". One sorted pass plus a bitset copy per row replaces the previous
-        // all-pairs rescan, and produces a bit-identical matrix.
-        let mut by_inv: Vec<u32> = (0..n as u32).collect();
-        by_inv.sort_unstable_by_key(|&i| ops[local_ops[i as usize].global as usize].invoked_at);
-        let mut by_resp: Vec<(Time, u32)> = local_ops
-            .iter()
-            .enumerate()
-            .filter_map(|(j, op)| ops[op.global as usize].responded_at.map(|t| (t, j as u32)))
-            .collect();
+        // i". One sorted pass plus a bitset copy per row replaces an all-pairs rescan.
+        by_inv.sort_unstable();
         by_resp.sort_unstable();
         let mut running = vec![0u64; words];
         let mut responded = 0usize;
-        for &i in &by_inv {
-            let inv = ops[local_ops[i as usize].global as usize].invoked_at;
+        for &(inv, i) in &by_inv {
             while responded < by_resp.len() && by_resp[responded].0 < inv {
                 let j = by_resp[responded].1 as usize;
                 running[j / WORD_BITS] |= 1u64 << (j % WORD_BITS);
@@ -321,7 +251,7 @@ impl SubProblem {
             }
             preds[i as usize * words..(i as usize + 1) * words].copy_from_slice(&running);
         }
-        let completed = local_ops.iter().filter(|o| o.completed).count();
+        let completed = by_resp.len();
         let monotone = (1..n).all(|i| row_contains(&preds, words, i, i - 1));
         SubProblem {
             ops: local_ops,
@@ -329,7 +259,6 @@ impl SubProblem {
             words,
             slots,
             completed,
-            init_id,
             monotone,
         }
     }
@@ -568,13 +497,6 @@ fn write_key(out: &mut Vec<u64>, taken: &[u64], vals: &[u32], compact: bool) {
     if let [last] = pairs.remainder() {
         out.push(u64::from(*last));
     }
-}
-
-/// One round of the [`FastHasher`] mix, exposed for the memo table's register-only
-/// fast path (which must hash exactly like [`hash_words`] so growth rehashes agree).
-#[inline]
-fn fx_mix(h: u64, word: u64) -> u64 {
-    (h ^ word).rotate_left(5).wrapping_mul(FAST_SEED)
 }
 
 /// Mixes a key's words with the [`FastHasher`] rounds and spreads the result so both
@@ -1005,7 +927,7 @@ pub(crate) fn search_witness(
     taken.clear();
     taken.resize(words, 0);
     vals.clear();
-    vals.resize(sub.slots, sub.init_id);
+    vals.resize(sub.slots, INIT_ID);
     order.clear();
     // Size the memo table for a burst of nodes (sequential-ish histories then never
     // rehash). The logical size is deterministic — [`memo_size_class`] mirrors the
@@ -1195,59 +1117,6 @@ pub(crate) fn resume_witness(
     witness
 }
 
-/// The k-way witness merge behind [`Engine::check`]'s multi-register tail, as a free
-/// function over global op indices so the incremental session can merge without an
-/// [`Engine`]: `times(g)` returns the op's `(invocation, response)` pair, the
-/// response as a raw tick with pending ops mapped to `u64::MAX`. See
-/// [`Engine::check`] for why the merge always succeeds on well-formed inputs.
-///
-/// A register's head op is *ready* when no unemitted op responded before it was
-/// invoked (checked in O(k) via suffix minima of response times); among ready heads
-/// the earliest invocation wins, ties to the lowest register index.
-pub(crate) fn merge_witness_orders(
-    per_register_orders: &[Vec<usize>],
-    times: impl Fn(usize) -> (Time, u64),
-) -> Option<Vec<usize>> {
-    let k = per_register_orders.len();
-    let total: usize = per_register_orders.iter().map(Vec::len).sum();
-    // suffix_min_resp[r][p] = earliest response among orders[r][p..], pending ops
-    // counting as never-responding.
-    let suffix_min_resp: Vec<Vec<u64>> = per_register_orders
-        .iter()
-        .map(|order| {
-            let mut mins = vec![u64::MAX; order.len() + 1];
-            for p in (0..order.len()).rev() {
-                mins[p] = mins[p + 1].min(times(order[p]).1);
-            }
-            mins
-        })
-        .collect();
-    let mut pos = vec![0usize; k];
-    let mut merged = Vec::with_capacity(total);
-    for _ in 0..total {
-        let mut best: Option<(Time, usize)> = None;
-        'regs: for (r, order) in per_register_orders.iter().enumerate() {
-            let Some(&head) = order.get(pos[r]) else {
-                continue;
-            };
-            let inv = times(head).0;
-            for (r2, mins) in suffix_min_resp.iter().enumerate() {
-                // Skip the head itself when scanning its own register's suffix.
-                if mins[pos[r2] + usize::from(r2 == r)] < inv.0 {
-                    continue 'regs;
-                }
-            }
-            if best.is_none_or(|(b, _)| inv < b) {
-                best = Some((inv, r));
-            }
-        }
-        let (_, r) = best?;
-        merged.push(per_register_orders[r][pos[r]]);
-        pos[r] += 1;
-    }
-    Some(merged)
-}
-
 /// One step outcome of a resumable enumeration walk.
 #[derive(Debug)]
 enum WalkStep {
@@ -1286,7 +1155,7 @@ impl OrderWalk {
         let n = sub.ops.len();
         OrderWalk {
             taken: vec![0u64; words_for(n)],
-            vals: vec![sub.init_id; sub.slots],
+            vals: vec![INIT_ID; sub.slots],
             taken_completed: 0,
             order: Vec::with_capacity(n),
             stack: vec![Frame {
@@ -1562,10 +1431,41 @@ impl ProductWalk {
 // The engine
 // ---------------------------------------------------------------------------
 
+/// The engine's one sequential search over a history's per-register subproblems
+/// (`mirror`'s registers, in order): one arena, one shared budget of `state_limit`
+/// states, then [`Mirror::witness_order`]. [`Engine::check_with`] runs it over the
+/// engine's subproblems, and an incremental session's full fallback over its own.
+pub(crate) fn check_registers<'s, V: RegisterValue>(
+    mirror: &Mirror<V>,
+    ops: &[Operation<V>],
+    per_register: impl IntoIterator<Item = &'s SubProblem>,
+    state_limit: u64,
+    scratch: &ScratchPool,
+) -> CheckOutcome {
+    let mut budget = state_limit;
+    let mut stats = SearchStats::default();
+    let mut arena = scratch.acquire();
+    let mut found = Vec::new();
+    for sub in per_register {
+        match search_witness(sub, &mut budget, &mut stats, &mut arena) {
+            Some(order) => found.push((sub, order)),
+            None => {
+                scratch.release(arena);
+                return CheckOutcome::new(None, stats);
+            }
+        }
+    }
+    let per_register = found.iter().map(|(sub, order)| (*sub, order.as_slice()));
+    let order = mirror.witness_order(ops, per_register, &mut budget, &mut stats, &mut arena);
+    scratch.release(arena);
+    CheckOutcome::new(order, stats)
+}
+
 /// Outcome of [`Engine::check`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckOutcome {
-    /// A witness linearization as indices into [`Engine::ops`], if one exists.
+    /// A witness linearization as searched-op indices (see [`Engine::op`]), if one
+    /// exists.
     pub order: Option<Vec<usize>>,
     /// Search nodes visited across all per-register sub-searches.
     pub states_explored: u64,
@@ -1629,13 +1529,9 @@ pub const DEFAULT_SPLIT_THRESHOLD: u32 = 24;
 /// all linearizations) any number of times.
 #[derive(Debug)]
 pub struct Engine<'a, V> {
-    /// The relevant operations (completed, or pending writes), in history order.
-    ops: Vec<&'a Operation<V>>,
-    /// Per-register member lists (indices into `ops`), in ascending register order.
-    members: Vec<Vec<u32>>,
-    /// The registers appearing in the history, ascending.
-    registers: Vec<RegisterId>,
-    values: ValueInterner<'a, V>,
+    history: &'a History<V>,
+    /// The searched ops, the value interner and the register partition.
+    mirror: Mirror<V>,
     /// Per-register subproblems, built lazily (`OnceLock` rather than `OnceCell` so
     /// a prepared engine can be shared across pool threads).
     per_register: OnceLock<Vec<SubProblem>>,
@@ -1650,38 +1546,9 @@ impl<'a, V: RegisterValue> Engine<'a, V> {
     /// operation, and an unreturned read constrains nothing.
     #[must_use]
     pub fn new(history: &'a History<V>, init: &'a V) -> Self {
-        let ops: Vec<&Operation<V>> = history
-            .operations()
-            .iter()
-            .filter(|o| o.is_complete() || o.is_write())
-            .collect();
-
-        // Intern every value appearing in the relevant ops, plus the initial value.
-        let mut values = ValueInterner::new();
-        let init_id = values.intern(init);
-        debug_assert_eq!(init_id, 0, "the initial value is always id 0");
-        for op in &ops {
-            let v = match &op.kind {
-                OpKind::Write(v) | OpKind::Read(Some(v)) => v,
-                OpKind::Read(None) => unreachable!("pending reads are filtered out"),
-            };
-            values.intern(v);
-        }
-
-        // Partition by register, preserving history order within each register.
-        let mut registers: Vec<RegisterId> = ops.iter().map(|o| o.register).collect();
-        registers.sort_unstable();
-        registers.dedup();
-        let mut members: Vec<Vec<u32>> = vec![Vec::new(); registers.len()];
-        for (g, op) in ops.iter().enumerate() {
-            let slot = registers.binary_search(&op.register).unwrap();
-            members[slot].push(g as u32);
-        }
         Engine {
-            ops,
-            members,
-            registers,
-            values,
+            history,
+            mirror: Mirror::new(history.operations(), init),
             per_register: OnceLock::new(),
             joint: OnceLock::new(),
         }
@@ -1695,46 +1562,39 @@ impl<'a, V: RegisterValue> Engine<'a, V> {
         self
     }
 
-    /// The operations the engine searches over (completed ops and pending writes), in
-    /// history order. Witness orders index into this slice.
+    /// The searched operation at witness index `index`. The engine searches the
+    /// completed ops and the pending writes, indexed in history order; witness orders
+    /// list these indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below the number of searched operations.
     #[must_use]
-    pub fn ops(&self) -> &[&'a Operation<V>] {
-        &self.ops
+    pub fn op(&self, index: usize) -> &'a Operation<V> {
+        self.mirror.op(self.history.operations(), index)
     }
 
     /// Number of distinct values interned (including the initial value).
     #[must_use]
     pub fn interned_values(&self) -> usize {
-        self.values.len()
+        self.mirror.values.len()
     }
 
     /// The per-register subproblems, built on first use (enumeration-only callers
     /// never pay for them).
     fn per_register(&self) -> &[SubProblem] {
         self.per_register.get_or_init(|| {
-            self.members
-                .iter()
-                .map(|member_ops| {
-                    SubProblem::new(&self.ops, member_ops, |_| 0, |v| self.values.get(v), 0, 1)
-                })
+            (0..self.mirror.registers.len())
+                .map(|k| self.mirror.subproblem(self.history.operations(), k))
                 .collect()
         })
     }
 
-    /// The joint subproblem over every register (enumeration and the witness-merge
-    /// fallback), built on first use and reused across calls.
+    /// The joint subproblem over every register (enumeration), built on first use and
+    /// reused across calls.
     fn joint_subproblem(&self) -> &SubProblem {
-        self.joint.get_or_init(|| {
-            let all: Vec<u32> = (0..self.ops.len() as u32).collect();
-            SubProblem::new(
-                &self.ops,
-                &all,
-                |r| self.registers.binary_search(&r).unwrap() as u32,
-                |v| self.values.get(v),
-                0,
-                self.registers.len().max(1),
-            )
-        })
+        self.joint
+            .get_or_init(|| self.mirror.joint_subproblem(self.history.operations()))
     }
 
     /// Decides linearizability by checking each register's subhistory independently and
@@ -1755,90 +1615,19 @@ impl<'a, V: RegisterValue> Engine<'a, V> {
     /// Results are bit-identical to [`Engine::check`] — scratch is reset on every use.
     #[must_use]
     pub fn check_with(&self, state_limit: u64, scratch: &ScratchPool) -> CheckOutcome {
-        let mut budget = state_limit;
-        let mut stats = SearchStats::default();
-        let per_register = self.per_register();
-        let mut sub_orders: Vec<Vec<u32>> = Vec::with_capacity(per_register.len());
-        let mut arena = scratch.acquire();
-        for sub in per_register {
-            match search_witness(sub, &mut budget, &mut stats, &mut arena) {
-                Some(order) => sub_orders.push(order),
-                None => {
-                    scratch.release(arena);
-                    return CheckOutcome::new(None, stats);
-                }
-            }
-        }
-        let outcome = self.finish_check(&sub_orders, &mut budget, &mut stats, &mut arena);
-        scratch.release(arena);
-        outcome
-    }
-
-    /// Tail of [`Engine::check_with`] once every register has produced a witness: maps
-    /// the local witness orders to global op indices, merges them, and falls back to the
-    /// joint search on the remaining budget if the merge ever fails.
-    fn finish_check(
-        &self,
-        sub_orders: &[Vec<u32>],
-        budget: &mut u64,
-        stats: &mut SearchStats,
-        arena: &mut SearchScratch,
-    ) -> CheckOutcome {
-        let per_register = self.per_register();
-        let per_register_orders: Vec<Vec<usize>> = per_register
-            .iter()
-            .zip(sub_orders)
-            .map(|(sub, order)| {
-                order
-                    .iter()
-                    .map(|&i| sub.ops[i as usize].global as usize)
-                    .collect()
-            })
-            .collect();
-        // Single-register histories need no merge: the sub-witness is the witness.
-        let merged = match per_register_orders.len() {
-            0 => Some(Vec::new()),
-            1 => Some(per_register_orders.into_iter().next().unwrap()),
-            _ => self.merge_witnesses(&per_register_orders),
-        };
-        let order = match merged {
-            Some(order) => Some(order),
-            None => {
-                // Compositionality guarantees the merge succeeds, so this branch
-                // should be unreachable; if it ever fires (a regression in `precedes`
-                // or the partitioning), fall back to the joint search on the remaining
-                // budget rather than returning a wrong verdict. No debug_assert here:
-                // the safety net must also work in debug builds.
-                let joint = self.joint_subproblem();
-                search_witness(joint, budget, stats, arena)
-                    .map(|order| order.iter().map(|&i| i as usize).collect())
-            }
-        };
-        CheckOutcome::new(order, *stats)
-    }
-
-    /// Merges per-register witness orders into one global order respecting both every
-    /// witness order and the global real-time relation. Returns `None` if no such
-    /// order exists (impossible for correct inputs; see [`Engine::check`]).
-    ///
-    /// This is a k-way pointer merge: a register's head op is *ready* when no
-    /// unemitted op responded before it was invoked (checked in O(k) via suffix
-    /// minima of response times), and among ready heads the earliest invocation wins,
-    /// ties to the lowest register. Readiness of the head with the minimal unemitted
-    /// response time is guaranteed, so the merge always progresses on well-formed
-    /// witness orders — and it replaces the previous all-pairs `precedes` scan plus
-    /// Kahn topological sort, which dominated multi-register check time.
-    fn merge_witnesses(&self, per_register_orders: &[Vec<usize>]) -> Option<Vec<usize>> {
-        merge_witness_orders(per_register_orders, |g| {
-            let op = self.ops[g];
-            (op.invoked_at, op.responded_at.map_or(u64::MAX, |t| t.0))
-        })
+        check_registers(
+            &self.mirror,
+            self.history.operations(),
+            self.per_register(),
+            state_limit,
+            scratch,
+        )
     }
 
     /// Enumerates every linearization order of the history, up to `max_results`,
     /// visiting at most `work_limit` search nodes.
     ///
-    /// Orders index into [`Engine::ops`]. The sequence of orders produced — values
+    /// Orders list searched-op indices (see [`Engine::op`]). The sequence of orders produced — values
     /// and emission order both — matches the original recursive joint enumerator
     /// exactly. This is the eager form of [`Linearizations`]: it drains the same
     /// streaming core until `max_results` orders exist, the space is exhausted, or
@@ -1932,7 +1721,7 @@ impl EnumCore {
     /// succeeds when the consumer wants only a few orders, exactly as the pre-product
     /// enumerator did. Total work stays within 2x the cap.
     fn start<V: RegisterValue>(&mut self, engine: &Engine<'_, V>) {
-        if engine.registers.len() <= 1 {
+        if engine.mirror.registers.len() <= 1 {
             self.stage = EnumStage::Joint {
                 walk: OrderWalk::new(engine.joint_subproblem()),
                 node_cap: self.work_limit,
@@ -1967,7 +1756,7 @@ impl EnumCore {
         };
     }
 
-    /// Pulls the next linearization order (as indices into [`Engine::ops`]), running
+    /// Pulls the next linearization order (as searched-op indices), running
     /// the underlying DFS exactly until it is found. Yields
     /// `Err(EnumerationLimitExceeded)` once — and then fuses — if the cumulative node
     /// count exceeds the work cap.
@@ -2033,7 +1822,6 @@ impl EnumCore {
 /// `Err(`[`EnumerationLimitExceeded`]`)` and then fuses.
 #[derive(Debug)]
 pub struct Linearizations<'a, V> {
-    history: &'a History<V>,
     engine: Engine<'a, V>,
     core: EnumCore,
 }
@@ -2043,7 +1831,6 @@ impl<'a, V: RegisterValue> Linearizations<'a, V> {
     /// `work_limit` search nodes). No search work happens until the first pull.
     pub(crate) fn new(history: &'a History<V>, init: &'a V, work_limit: u64) -> Self {
         Linearizations {
-            history,
             engine: Engine::new(history, init),
             core: EnumCore::new(work_limit),
         }
@@ -2066,12 +1853,12 @@ impl<'a, V: RegisterValue> Linearizations<'a, V> {
     /// Panics if `order` contains an id that does not occur in the history.
     #[must_use]
     pub fn materialize(&self, order: &[OpId]) -> SeqHistory<V> {
-        let completion_time = self.history.max_time().next();
+        let history = self.engine.history;
+        let completion_time = history.max_time().next();
         let ops = order
             .iter()
             .map(|id| {
-                let mut op = self
-                    .history
+                let mut op = history
                     .get(*id)
                     .expect("order ids come from this history")
                     .clone();
@@ -2090,7 +1877,7 @@ impl<V: RegisterValue> Iterator for Linearizations<'_, V> {
 
     fn next(&mut self) -> Option<Self::Item> {
         match self.core.next_order(&self.engine)? {
-            Ok(order) => Some(Ok(order.iter().map(|&g| self.engine.ops()[g].id).collect())),
+            Ok(order) => Some(Ok(order.iter().map(|&g| self.engine.op(g).id).collect())),
             Err(err) => Some(Err(err)),
         }
     }
@@ -2177,7 +1964,7 @@ mod tests {
         assert_eq!(order.len(), 4);
         // Real-time: every op here is sequential, so the merge must reproduce history
         // order exactly.
-        let invs: Vec<_> = order.iter().map(|&i| engine.ops()[i].invoked_at).collect();
+        let invs: Vec<_> = order.iter().map(|&i| engine.op(i).invoked_at).collect();
         let mut sorted = invs.clone();
         sorted.sort();
         assert_eq!(invs, sorted);

@@ -9,7 +9,11 @@
 //! [`IncrementalChecker`] session keeps the whole pipeline alive across appends:
 //!
 //! * the growing [`History`] itself (ops complete in place),
-//! * the value interner (first-sight dense ids, identical to the engine's),
+//! * the engine's search mirror of it — the searched ops, the value interner
+//!   (first-sight dense ids) and the register partition — of the engine's own type,
+//!   built by the engine's constructor on a full rebuild and extended in place by
+//!   every other event, so a session's ids and partition are the engine's by
+//!   construction,
 //! * one persistent subproblem per register — op list, precedence bitsets, and
 //!   completed counts extended in O(words) per appended op,
 //! * one persistent [`SearchScratch`] per register holding the **frozen DFS** of the
@@ -66,7 +70,10 @@
 //!
 //! Per-register searches run with private full budgets; verdict time replays the
 //! batch engine's shared-budget accounting in register order and falls back to one
-//! full re-check the moment the replay detects the shared budget would have run dry.
+//! full re-check the moment the replay detects the shared budget would have run dry:
+//! the engine's sequential search, run over the session's own subproblems. The
+//! cached per-register witnesses merge into the global witness through the engine's
+//! one merge function.
 //!
 //! # Live-monitor example
 //!
@@ -98,43 +105,22 @@
 //! ```
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::checker::{order_to_seq, CheckStats, Verdict};
 use crate::engine::{
-    memo_size_class, merge_witness_orders, resume_witness, row_contains, search_witness, words_for,
-    CheckOutcome, Engine, LocalOp, ScratchPool, SearchScratch, SearchStats, StateSketch,
+    check_registers, memo_size_class, resume_witness, row_contains, search_witness, words_for,
+    CheckOutcome, FastBuildHasher, LocalOp, ScratchPool, SearchScratch, SearchStats, StateSketch,
     SubProblem, WORD_BITS,
 };
 use crate::history::{History, Validator};
-use crate::ids::{OpId, RegisterId, Time};
+use crate::ids::{OpId, Time};
+use crate::mirror::Mirror;
 use crate::op::{OpKind, Operation};
 use crate::sequential::SeqHistory;
 use crate::value::RegisterValue;
 
-/// Multiplicative hasher for [`OpId`]s: the id is a single `u64`, so a Fibonacci
-/// multiply mixes it far cheaper than SipHash while keeping high bits well spread
-/// for the table's mask. The id lookup runs once per admitted op — on the hot
-/// monitoring path — which is why the default DoS-resistant hasher is overkill.
-#[derive(Debug, Default)]
-struct OpIdHasher(u64);
-
-impl Hasher for OpIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("OpId hashes as a single u64");
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
 /// Each recorded op's id, mapped to its index in the session's history.
-type OpIndex = HashMap<OpId, usize, BuildHasherDefault<OpIdHasher>>;
+type OpIndex = HashMap<OpId, usize, FastBuildHasher>;
 
 /// One event of a [`sync_with_ops`](IncrementalChecker::sync_with_ops) diff or a
 /// [`try_extend`](IncrementalChecker::try_extend) batch: an index into the slice
@@ -264,56 +250,6 @@ impl<V> IncrementalVerdict<V> {
     }
 }
 
-/// Owned mirror of the engine's value interner: dense first-sight ids over the
-/// filtered op list, the initial value always id 0. Also remembers each id's
-/// first-sight filtered position, which decides whether a mid-list read insert
-/// preserves the engine's id assignment.
-#[derive(Debug)]
-struct OwnedInterner<V> {
-    values: Vec<V>,
-    /// Filtered position of each id's first sight; `usize::MAX` for the initial
-    /// value (interned before any op).
-    first_pos: Vec<usize>,
-}
-
-impl<V: RegisterValue> OwnedInterner<V> {
-    fn new(init: &V) -> Self {
-        OwnedInterner {
-            values: vec![init.clone()],
-            first_pos: vec![usize::MAX],
-        }
-    }
-
-    fn lookup(&self, value: &V) -> Option<u32> {
-        self.values
-            .iter()
-            .position(|v| v == value)
-            .map(|i| i as u32)
-    }
-
-    fn get(&self, value: &V) -> u32 {
-        self.lookup(value).expect("value was interned")
-    }
-
-    /// Clears back to only the initial value, keeping both allocations.
-    fn reset(&mut self, init: &V) {
-        self.values.clear();
-        self.first_pos.clear();
-        self.values.push(init.clone());
-        self.first_pos.push(usize::MAX);
-    }
-
-    /// Interns `value`, recording `pos` as its first sight if it is new.
-    fn intern_at(&mut self, value: &V, pos: usize) -> u32 {
-        if let Some(id) = self.lookup(value) {
-            return id;
-        }
-        self.values.push(value.clone());
-        self.first_pos.push(pos);
-        (self.values.len() - 1) as u32
-    }
-}
-
 /// Cached result of one register's last completed search: the local witness order
 /// (or `None` for an exhaustive failure) and the exact [`SearchStats`] a
 /// from-scratch private-budget search of the *current* subproblem would produce —
@@ -329,8 +265,6 @@ struct RegCache {
 /// geometry the invalidation rule compares against.
 #[derive(Debug)]
 struct RegisterSession {
-    /// Global (filtered-list) indices of this register's ops, ascending.
-    members: Vec<u32>,
     sub: SubProblem,
     scratch: SearchScratch,
     /// The last completed search. While it succeeded, `scratch` holds its live
@@ -355,19 +289,20 @@ struct RegisterSession {
 }
 
 impl RegisterSession {
-    fn empty() -> Self {
+    /// An empty session wrapping an existing arena (possibly warm from the pool);
+    /// with nothing cached, the arena's frozen state is ignored until the first fresh
+    /// search reinitializes it.
+    fn with_scratch(scratch: SearchScratch) -> Self {
         RegisterSession {
-            members: Vec::new(),
             sub: SubProblem {
                 ops: Vec::new(),
                 preds: Vec::new(),
                 words: 1,
                 slots: 1,
                 completed: 0,
-                init_id: 0,
                 monotone: true,
             },
-            scratch: SearchScratch::default(),
+            scratch,
             cached: None,
             freeze_words: 0,
             freeze_memo_class: 0,
@@ -379,33 +314,9 @@ impl RegisterSession {
         }
     }
 
-    /// An empty session wrapping an existing arena (possibly warm from the pool);
-    /// with nothing cached, the arena's frozen state is ignored until the first fresh
-    /// search reinitializes it.
-    fn with_scratch(scratch: SearchScratch) -> Self {
-        let mut sess = Self::empty();
-        sess.scratch = scratch;
-        sess
-    }
-
     /// Whether `scratch` holds the live frozen stack of a cached successful search.
     fn resumable(&self) -> bool {
         self.cached.as_ref().is_some_and(|c| c.order.is_some())
-    }
-
-    /// Recomputes the derived fields (`completed_mask`, `max_resp`) from the
-    /// current subproblem; used after a full rebuild of `sub`.
-    fn rederive<V: RegisterValue>(&mut self, history: &History<V>, filtered: &[usize]) {
-        self.completed_mask = vec![0; self.sub.words];
-        self.max_resp = 0;
-        for (local, lop) in self.sub.ops.iter().enumerate() {
-            let op = &history.operations()[filtered[lop.global as usize]];
-            if lop.completed {
-                let resp = op.responded_at.expect("completed op has a response");
-                self.max_resp = self.max_resp.max(resp.0);
-                self.completed_mask[local / WORD_BITS] |= 1u64 << (local % WORD_BITS);
-            }
-        }
     }
 }
 
@@ -429,12 +340,10 @@ pub struct IncrementalChecker<V> {
     history: History<V>,
     /// Largest event tick recorded so far (0 when empty).
     max_time: u64,
-    /// History indices of the filtered (complete-or-write) ops, in history order —
-    /// the mirror of the engine's global op list.
-    filtered: Vec<usize>,
-    values: OwnedInterner<V>,
-    /// Sorted register ids, parallel to `regs`.
-    registers: Vec<RegisterId>,
+    /// The search mirror of `history` — searched ops, value interner, register
+    /// partition — kept in step with it event by event.
+    mirror: Mirror<V>,
+    /// One session per register, parallel to `mirror.registers`.
     regs: Vec<RegisterSession>,
     /// History indices of pending ops, ascending.
     pending: Vec<usize>,
@@ -442,7 +351,7 @@ pub struct IncrementalChecker<V> {
     /// Reused buffer of the events [`replay`](Self::replay) applies (empty
     /// between calls).
     sync_events: Vec<(u64, SyncEvent)>,
-    /// Scratch arenas for the full-fallback engine runs.
+    /// Scratch arenas for new registers and the full-fallback searches.
     pool: ScratchPool,
     /// The last verdict, held until the next event invalidates it. A live monitor
     /// polls after every delivery but the history only changes on invocations and
@@ -453,16 +362,13 @@ pub struct IncrementalChecker<V> {
 
 impl<V: RegisterValue> IncrementalChecker<V> {
     pub(crate) fn from_config(init: V, state_budget: u64, witness: bool) -> Self {
-        let values = OwnedInterner::new(&init);
         IncrementalChecker {
+            mirror: Mirror::new(&[], &init),
             init,
             state_budget,
             witness,
             history: History::new(),
             max_time: 0,
-            filtered: Vec::new(),
-            values,
-            registers: Vec::new(),
             regs: Vec::new(),
             pending: Vec::new(),
             ids: OpIndex::default(),
@@ -482,15 +388,13 @@ impl<V: RegisterValue> IncrementalChecker<V> {
     /// Clears the session back to an empty history, keeping its configuration and
     /// warm buffers: register scratch arenas (frozen stacks, memo tables) are parked
     /// in the session's pool and handed back to the next run's registers, and the
-    /// history/interner/index vectors keep their capacity. A monitor restarting on a
-    /// fresh run pays no cold allocations, but the session is observably identical
+    /// history and id index keep their capacity. A monitor restarting on a
+    /// fresh run pays for no cold arenas, but the session is observably identical
     /// to a freshly built one — verdicts, counters, everything.
     pub fn reset(&mut self) {
         self.history.clear_ops();
         self.max_time = 0;
-        self.filtered.clear();
-        self.values.reset(&self.init);
-        self.registers.clear();
+        self.mirror = Mirror::new(&[], &self.init);
         for sess in self.regs.drain(..) {
             self.pool.release(sess.scratch);
         }
@@ -705,256 +609,151 @@ impl<V: RegisterValue> IncrementalChecker<V> {
 
     fn append_new(&mut self, op: Operation<V>) {
         self.cached_verdict = None;
-        if !self.history.is_empty() && op.invoked_at.0 <= self.max_time {
-            // Out-of-order append: rebuild the mirror.
-            self.history.push_unchecked(op);
-            self.stats.ops_appended += 1;
-            self.full_rebuild();
-            return;
-        }
         let idx = self.history.len();
-        self.max_time = op.responded_at.map_or(op.invoked_at.0, |t| t.0);
-        let interned = if op.is_complete() || op.is_write() {
-            let g = self.filtered.len() as u32;
-            let value = match &op.kind {
-                OpKind::Write(v) | OpKind::Read(Some(v)) => v,
-                OpKind::Read(None) => unreachable!("pending reads are not filtered"),
-            };
-            Some((g, self.values.intern_at(value, g as usize)))
-        } else {
-            None
-        };
+        let in_order = self.history.is_empty() || op.invoked_at.0 > self.max_time;
+        let last_event = op.responded_at.unwrap_or(op.invoked_at).0;
+        let searched = op.is_complete() || op.is_write();
         if op.is_pending() {
             self.pending.push(idx);
         }
         self.ids.insert(op.id, idx);
-        let register = op.register;
-        let is_write = op.is_write();
-        let is_complete = op.is_complete();
-        let inv = op.invoked_at.0;
-        let resp = op.responded_at.map(|t| t.0);
-        // Push before extending the register: a rebuild inside `extend_register`
-        // re-reads every filtered op, the new one included, from the history.
         self.history.push_unchecked(op);
         self.stats.ops_appended += 1;
-        if let Some((g, id)) = interned {
-            self.filtered.push(idx);
-            self.extend_register(register, g, id, is_write, is_complete, inv, resp);
+        if !in_order {
+            return self.full_rebuild();
+        }
+        self.max_time = last_event;
+        if searched {
+            self.add_searched(self.mirror.searched.len(), idx);
         }
     }
 
     fn apply_completion(&mut self, idx: usize, op: Operation<V>) {
         self.cached_verdict = None;
-        let resp = op.responded_at.expect("an admitted completion responds");
-        if resp.0 <= self.max_time {
-            // A response landing before an already-recorded event: rebuild the
-            // mirror.
-            *self.history.op_mut(idx) = op;
-            self.stats.completions += 1;
-            self.full_rebuild();
-            return;
-        }
+        let resp = op.responded_at.expect("an admitted completion responds").0;
         let pending_pos = self
             .pending
             .binary_search(&idx)
             .expect("an admitted completion completes a pending op");
         self.pending.remove(pending_pos);
-        self.max_time = resp.0;
-        let register = op.register;
-        if op.is_write() {
-            // Flip the pending write in place: its response is the latest event, so
-            // no precedence row changes and the frozen search stays resumable.
-            *self.history.op_mut(idx) = op;
-            let g = self.filtered.partition_point(|&h| h < idx);
-            debug_assert_eq!(self.filtered[g], idx);
-            let k = self
-                .registers
-                .binary_search(&register)
-                .expect("pending write's register has a session");
-            let sess = &mut self.regs[k];
-            let local = sess
-                .members
-                .binary_search(&(g as u32))
-                .expect("pending write is a member");
-            sess.sub.ops[local].completed = true;
-            sess.sub.completed += 1;
-            if sess.resumable() && sess.scratch.frozen_taken(local) {
-                // The frozen search had taken this write while pending; its flip
-                // raises the completed count of the frozen order.
-                sess.frozen_taken_completed += 1;
-            }
-            sess.completed_mask[local / WORD_BITS] |= 1u64 << (local % WORD_BITS);
-            sess.max_resp = sess.max_resp.max(resp.0);
-            self.stats.completions += 1;
-            return;
-        }
-        // Pending read completing: the one event that joins the filtered list at an
-        // *interior* position when any filtered op was invoked after it.
-        let read_value = match &op.kind {
-            OpKind::Read(Some(v)) => v.clone(),
-            _ => unreachable!("an admitted completed read has a value"),
-        };
-        let inv = op.invoked_at.0;
+        let is_write = op.is_write();
         *self.history.op_mut(idx) = op;
-        let p = self.filtered.partition_point(|&h| h < idx);
-        if p == self.filtered.len() {
-            let id = self.values.intern_at(&read_value, p);
-            self.filtered.push(idx);
-            self.extend_register(register, p as u32, id, false, true, inv, Some(resp.0));
-            self.stats.completions += 1;
-            return;
-        }
-        // Mid-list insert. The engine interns values in filtered order; if this
-        // read's value would now be sighted first at position `p`, every later id
-        // shifts and the mirror must be rebuilt.
-        let id_stable = match self.values.lookup(&read_value) {
-            Some(0) => true, // the initial value is always id 0
-            Some(id) => self.values.first_pos[id as usize] < p,
-            None => false,
-        };
         self.stats.completions += 1;
-        if !id_stable {
-            self.full_rebuild();
+        if resp <= self.max_time {
+            // A response landing before an already-recorded event.
+            return self.full_rebuild();
+        }
+        self.max_time = resp;
+        let p = self
+            .mirror
+            .searched
+            .partition_point(|s| (s.index as usize) < idx);
+        if !is_write {
+            // Pending read completing: the one event that joins the searched list at
+            // an *interior* position when any searched op was invoked after it.
+            return self.add_searched(p, idx);
+        }
+        // Flip the pending write in place: its response is the latest event, so no
+        // precedence row changes and the frozen search stays resumable.
+        let register = self.history.operations()[idx].register;
+        let k = self
+            .mirror
+            .registers
+            .binary_search(&register)
+            .expect("pending write's register has a session");
+        let local = self.mirror.members[k]
+            .binary_search(&(p as u32))
+            .expect("pending write is a member");
+        let sess = &mut self.regs[k];
+        sess.sub.ops[local].completed = true;
+        sess.sub.completed += 1;
+        if sess.resumable() && sess.scratch.frozen_taken(local) {
+            // The frozen search had taken this write while pending; its flip raises
+            // the completed count of the frozen order.
+            sess.frozen_taken_completed += 1;
+        }
+        sess.completed_mask[local / WORD_BITS] |= 1u64 << (local % WORD_BITS);
+        sess.max_resp = sess.max_resp.max(resp);
+    }
+
+    /// Records history op `idx` as searched op `p` in the mirror and in its register's
+    /// subproblem. Fast path, O(words): the op lands last in the searched list, the
+    /// bitset stride holds, and every completed member responded before it was
+    /// invoked, so its preds row is the completed mask. Otherwise the register is
+    /// rebuilt, dropping its cache — or the whole mirror, when a mid-list insert
+    /// would shift the interned ids.
+    fn add_searched(&mut self, p: usize, idx: usize) {
+        let ops = self.history.operations();
+        let Some((k, new_register)) = self.mirror.insert(ops, p, idx) else {
+            return self.full_rebuild();
+        };
+        if new_register {
+            self.regs
+                .insert(k, RegisterSession::with_scratch(self.pool.acquire()));
+        }
+        let op = &ops[idx];
+        let last = p + 1 == self.mirror.searched.len();
+        let sess = &mut self.regs[k];
+        let n = sess.sub.ops.len();
+        if last
+            && words_for(n + 1) <= sess.sub.words
+            && (op.invoked_at.0 > sess.max_resp || sess.sub.completed == 0)
+        {
+            sess.sub.ops.push(LocalOp {
+                global: p as u32,
+                slot: 0,
+                value: self.mirror.searched[p].value,
+                is_write: op.is_write(),
+                completed: op.is_complete(),
+            });
+            sess.sub.preds.extend_from_slice(&sess.completed_mask);
+            // Rows hold only completed members, so the completed mask contains the
+            // row before it and the rows stay exactly as monotone as they were.
+            debug_assert!(n == 0 || row_contains(&sess.sub.preds, sess.sub.words, n, n - 1));
+            if let Some(resp) = op.responded_at {
+                sess.sub.completed += 1;
+                sess.completed_mask[n / WORD_BITS] |= 1u64 << (n % WORD_BITS);
+                sess.max_resp = sess.max_resp.max(resp.0);
+            }
             return;
         }
-        for fp in &mut self.values.first_pos {
-            if *fp != usize::MAX && *fp >= p {
-                *fp += 1;
-            }
-        }
-        for sess in &mut self.regs {
-            for m in &mut sess.members {
-                if *m >= p as u32 {
-                    *m += 1;
-                }
-            }
-            for lop in &mut sess.sub.ops {
+        if !last {
+            for lop in self.regs.iter_mut().flat_map(|sess| &mut sess.sub.ops) {
                 if lop.global >= p as u32 {
                     lop.global += 1;
                 }
             }
         }
-        self.filtered.insert(p, idx);
-        let k = match self.registers.binary_search(&register) {
-            Ok(k) => k,
-            Err(pos) => {
-                self.registers.insert(pos, register);
-                self.regs
-                    .insert(pos, RegisterSession::with_scratch(self.pool.acquire()));
-                pos
-            }
-        };
-        let sess = &mut self.regs[k];
-        let q = sess.members.partition_point(|&m| m < p as u32);
-        sess.members.insert(q, p as u32);
         self.rebuild_register(k);
     }
 
-    /// Appends filtered op `g` to its register's subproblem. Fast path: O(words) —
-    /// push the op, copy the completed mask as its precedence row. Rebuild path
-    /// (word-count growth, or a completed read whose old invocation predates a
-    /// member's response): re-derive the register from scratch, dropping its cache.
-    #[allow(clippy::too_many_arguments)]
-    fn extend_register(
-        &mut self,
-        register: RegisterId,
-        g: u32,
-        value_id: u32,
-        is_write: bool,
-        completed: bool,
-        inv: u64,
-        resp: Option<u64>,
-    ) {
-        let k = match self.registers.binary_search(&register) {
-            Ok(k) => k,
-            Err(pos) => {
-                self.registers.insert(pos, register);
-                self.regs
-                    .insert(pos, RegisterSession::with_scratch(self.pool.acquire()));
-                pos
-            }
-        };
-        let sess = &mut self.regs[k];
-        let n = sess.sub.ops.len();
-        if words_for(n + 1) > sess.sub.words || (inv <= sess.max_resp && sess.sub.completed > 0) {
-            // Either the bitset stride grows (every row restrides) or a completed
-            // member responded after this op's invocation (its preds row is not the
-            // completed mask — only late-completing reads can get here).
-            sess.members.push(g);
-            self.rebuild_register(k);
-            return;
-        }
-        sess.members.push(g);
-        sess.sub.ops.push(LocalOp {
-            global: g,
-            slot: 0,
-            value: value_id,
-            is_write,
-            completed,
-        });
-        sess.sub.preds.extend_from_slice(&sess.completed_mask);
-        // Rows hold only completed members, so the completed mask contains the row
-        // before it and the rows stay exactly as monotone as they were.
-        debug_assert!(n == 0 || row_contains(&sess.sub.preds, sess.sub.words, n, n - 1));
-        if completed {
-            sess.sub.completed += 1;
-            sess.completed_mask[n / WORD_BITS] |= 1u64 << (n % WORD_BITS);
-            sess.max_resp = sess
-                .max_resp
-                .max(resp.expect("completed op has a response"));
-        }
-    }
-
-    /// Rebuilds one register's subproblem from the canonical constructor (rows
+    /// Rebuilds register `k`'s subproblem with the mirror's constructor (rows
     /// included) and drops its cache. The scratch is kept for its warm buffers.
     fn rebuild_register(&mut self, k: usize) {
-        let Self {
-            history,
-            filtered,
-            values,
-            regs,
-            ..
-        } = self;
-        let sess = &mut regs[k];
-        let all: Vec<&Operation<V>> = filtered.iter().map(|&i| &history.operations()[i]).collect();
-        sess.sub = SubProblem::new(&all, &sess.members, |_| 0, |v| values.get(v), 0, 1);
-        sess.rederive(history, filtered);
+        let ops = self.history.operations();
+        let sess = &mut self.regs[k];
+        sess.sub = self.mirror.subproblem(ops, k);
+        sess.completed_mask = vec![0; sess.sub.words];
+        sess.max_resp = 0;
+        for (local, lop) in sess.sub.ops.iter().enumerate() {
+            if let Some(resp) = self.mirror.op(ops, lop.global as usize).responded_at {
+                sess.max_resp = sess.max_resp.max(resp.0);
+                sess.completed_mask[local / WORD_BITS] |= 1u64 << (local % WORD_BITS);
+            }
+        }
         sess.cached = None;
     }
 
-    /// Rebuilds the whole mirror — filtered list, interner, registers, subproblems —
-    /// from the history, dropping every cache. The rare slow path behind
-    /// out-of-order events and interner id shifts.
+    /// Rebuilds the whole mirror — searched ops, interner, registers, subproblems —
+    /// from the history with the engine's constructor, dropping every cache. The rare
+    /// slow path behind out-of-order events and interner id shifts.
     fn full_rebuild(&mut self) {
         self.stats.full_rebuilds += 1;
         self.max_time = self.history.max_time().0;
-        self.filtered.clear();
-        self.pending.clear();
-        self.ids.clear();
-        self.values = OwnedInterner::new(&self.init);
-        let ops = self.history.operations();
-        for (idx, op) in ops.iter().enumerate() {
-            self.ids.insert(op.id, idx);
-            if op.is_complete() || op.is_write() {
-                let g = self.filtered.len();
-                let value = match &op.kind {
-                    OpKind::Write(v) | OpKind::Read(Some(v)) => v,
-                    OpKind::Read(None) => unreachable!("pending reads are not filtered"),
-                };
-                self.values.intern_at(value, g);
-                self.filtered.push(idx);
-            }
-            if op.is_pending() {
-                self.pending.push(idx);
-            }
-        }
-        let mut registers: Vec<RegisterId> =
-            self.filtered.iter().map(|&i| ops[i].register).collect();
-        registers.sort_unstable();
-        registers.dedup();
+        self.mirror = Mirror::new(self.history.operations(), &self.init);
         let mut old_scratch: Vec<SearchScratch> = self.regs.drain(..).map(|s| s.scratch).collect();
-        self.registers = registers;
         self.regs = self
+            .mirror
             .registers
             .iter()
             .map(|_| {
@@ -962,17 +761,9 @@ impl<V: RegisterValue> IncrementalChecker<V> {
                 RegisterSession::with_scratch(scratch)
             })
             .collect();
-        for (g, &idx) in self.filtered.iter().enumerate() {
-            let k = self
-                .registers
-                .binary_search(&ops[idx].register)
-                .expect("register collected above");
-            self.regs[k].members.push(g as u32);
-        }
         for k in 0..self.regs.len() {
             self.rebuild_register(k);
         }
-        // rebuild_register bumps nothing else: caches are already clear.
     }
 
     // -- verdicts ------------------------------------------------------------
@@ -1120,7 +911,6 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         // budget would have run dry, run one full re-check instead of guessing.
         let mut consumed = 0u64;
         let mut stats = SearchStats::default();
-        let mut failed = false;
         for sess in &self.regs {
             let Some(cache) = &sess.cached else {
                 return self.full_fallback();
@@ -1131,12 +921,8 @@ impl<V: RegisterValue> IncrementalChecker<V> {
             consumed += cache.stats.states_explored;
             stats.absorb(&cache.stats);
             if cache.order.is_none() {
-                failed = true;
-                break;
+                return self.finish(CheckOutcome::new(None, stats));
             }
-        }
-        if failed {
-            return self.finish(None, stats);
         }
         // Decision-only fast path: with at most one register there is nothing to
         // merge (a lone witness order is trivially a global order), and with
@@ -1146,77 +932,56 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         if !self.witness && self.regs.len() <= 1 {
             // Any order stands for "found": with witness recording off it is
             // never materialized.
-            return self.finish(Some(Vec::new()), stats);
+            return self.finish(CheckOutcome::new(Some(Vec::new()), stats));
         }
-        let per_register_orders: Vec<Vec<usize>> = self
-            .regs
-            .iter()
-            .map(|sess| {
-                let cache = sess.cached.as_ref().expect("ensured above");
-                cache
-                    .order
-                    .as_ref()
-                    .expect("no register failed")
-                    .iter()
-                    .map(|&i| sess.sub.ops[i as usize].global as usize)
-                    .collect()
-            })
-            .collect();
-        let merged = match per_register_orders.len() {
-            0 => Some(Vec::new()),
-            1 => Some(per_register_orders.into_iter().next().unwrap()),
-            _ => {
-                let ops = self.filtered_ops();
-                merge_witness_orders(&per_register_orders, |g| {
-                    let op = ops[g];
-                    (op.invoked_at, op.responded_at.map_or(u64::MAX, |t| t.0))
-                })
-            }
-        };
-        let Some(order) = merged else {
-            // Compositionality guarantees the merge succeeds; if it ever fails the
-            // batch checker would fall back to the joint search — which the full
-            // re-check below reproduces exactly (its per-register searches re-derive
-            // the cached results, the merge fails again, and the joint search runs
-            // on the same remaining budget).
-            return self.full_fallback();
-        };
-        self.finish(Some(order), stats)
+        let per_register = self.regs.iter().map(|sess| {
+            let cache = sess.cached.as_ref().expect("ensured above");
+            (
+                &sess.sub,
+                cache.order.as_deref().expect("no register failed"),
+            )
+        });
+        // The merge's joint-search fallback, should it ever run, picks up the
+        // shared budget exactly where the batch checker's would.
+        let mut budget = self.state_budget - consumed;
+        let explored = stats.states_explored;
+        let order = self.mirror.witness_order(
+            self.history.operations(),
+            per_register,
+            &mut budget,
+            &mut stats,
+            &mut SearchScratch::default(),
+        );
+        self.stats.incremental_states += stats.states_explored - explored;
+        self.finish(CheckOutcome::new(order, stats))
     }
 
-    fn filtered_ops(&self) -> Vec<&Operation<V>> {
-        self.filtered
-            .iter()
-            .map(|&i| &self.history.operations()[i])
-            .collect()
-    }
-
-    /// The session's verdict from a search `order` over [`Self::filtered_ops`], if
-    /// one was found, and the search statistics.
-    fn finish(&self, order: Option<Vec<usize>>, stats: SearchStats) -> IncrementalVerdict<V> {
-        let outcome = CheckOutcome::new(order, stats);
+    /// The session's verdict from a search outcome over the mirror's searched ops.
+    fn finish(&self, outcome: CheckOutcome) -> IncrementalVerdict<V> {
+        let ops = self.history.operations();
         IncrementalVerdict {
             verdict: Verdict::from_outcome(&outcome, self.witness, |order| {
-                order_to_seq(&self.history, &self.filtered_ops(), order)
+                order_to_seq(&self.history, |g| self.mirror.op(ops, g), order)
             }),
             incremental: self.stats,
         }
     }
 
-    /// One full re-check of the accumulated history through the batch engine —
-    /// definitionally bit-identical to `Checker::check`. The escape hatch for
-    /// budget-replay misses and limit-hit register searches.
+    /// One full re-check of the accumulated history: the batch engine's sequential
+    /// search over the session's own per-register subproblems, with the shared
+    /// budget — definitionally bit-identical to `Checker::check`. The escape hatch
+    /// for budget-replay misses and limit-hit register searches.
     fn full_fallback(&mut self) -> IncrementalVerdict<V> {
         self.stats.full_fallbacks += 1;
-        let engine = Engine::new(&self.history, &self.init);
-        let outcome = engine.check_with(self.state_budget, &self.pool);
+        let outcome = check_registers(
+            &self.mirror,
+            self.history.operations(),
+            self.regs.iter().map(|sess| &sess.sub),
+            self.state_budget,
+            &self.pool,
+        );
         self.stats.incremental_states += outcome.states_explored;
-        IncrementalVerdict {
-            verdict: Verdict::from_outcome(&outcome, self.witness, |order| {
-                order_to_seq(&self.history, engine.ops(), order)
-            }),
-            incremental: self.stats,
-        }
+        self.finish(outcome)
     }
 }
 
@@ -1224,7 +989,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
 mod tests {
     use super::*;
     use crate::checker::{Checker, CheckerBuilder};
-    use crate::ids::{ProcessId, Time};
+    use crate::ids::{ProcessId, RegisterId, Time};
 
     struct Lcg(u64);
 
@@ -1310,7 +1075,8 @@ mod tests {
 
     /// Grows `history` one event at a time through `sync_with` and asserts the
     /// incremental verdict is bit-identical (decision, witness, and counters) to a
-    /// batch `Checker::check` of the same prefix.
+    /// batch `Checker::check` of the same prefix, and the session's mirror equal to
+    /// a fresh build.
     fn assert_equiv_at_every_prefix(
         history: &History<i64>,
         config: impl Fn() -> CheckerBuilder<i64>,
@@ -1319,6 +1085,7 @@ mod tests {
         let mut session = config().build_incremental();
         for prefix in history.all_prefixes() {
             session.sync_with(&prefix);
+            assert_fresh_mirror(&session);
             let incremental = session.verdict();
             let batch = checker.check(&prefix);
             assert_eq!(
@@ -1363,6 +1130,14 @@ mod tests {
             assert_equiv_at_every_prefix(&history, || {
                 Checker::builder(0i64).witness(false)
             });
+        }
+
+        #[test]
+        fn incremental_matches_batch_with_many_values(seed in 0u64..1_000_000) {
+            // Up to 64 values: sessions cross the interner's 16-value spill while
+            // mid-list read completions shift ids and force full rebuilds.
+            let history = random_history(seed, 40, 2, 64);
+            assert_equiv_at_every_prefix(&history, || Checker::builder(0i64));
         }
     }
 
@@ -1565,34 +1340,35 @@ mod tests {
         assert!(incremental.is_linearizable());
     }
 
-    /// Every register's incrementally kept `monotone` flag, asserted equal to the
-    /// flag `SubProblem::new` computes over the same members.
-    fn monotone_flags(session: &IncrementalChecker<i64>) -> Vec<bool> {
+    /// Asserts the session's whole mirror equals a fresh build from its history —
+    /// the searched ops, each interned id with its first sight, the registers and
+    /// their members — and each register's subproblem equals a fresh one: ops,
+    /// preds rows, completed count and `monotone` flag. Returns the flags.
+    fn assert_fresh_mirror(session: &IncrementalChecker<i64>) -> Vec<bool> {
         let ops = session.history.operations();
-        let all: Vec<&Operation<i64>> = session.filtered.iter().map(|&i| &ops[i]).collect();
-        session
-            .regs
-            .iter()
-            .zip(&session.registers)
-            .map(|(sess, register)| {
-                let fresh =
-                    SubProblem::new(&all, &sess.members, |_| 0, |v| session.values.get(v), 0, 1);
-                assert_eq!(
-                    sess.sub.monotone,
-                    fresh.monotone,
-                    "{register:?} after {} ops:\n{}",
-                    session.len(),
-                    session.history
-                );
-                sess.sub.monotone
+        let fresh = Mirror::new(ops, &session.init);
+        let (mirror, at) = (&session.mirror, &session.history);
+        let n = session.len();
+        assert_eq!(mirror.searched, fresh.searched, "after {n} ops:\n{at}");
+        assert_eq!(mirror.values, fresh.values, "after {n} ops:\n{at}");
+        assert_eq!(mirror.registers, fresh.registers, "after {n} ops:\n{at}");
+        assert_eq!(mirror.members, fresh.members, "after {n} ops:\n{at}");
+        assert_eq!(session.regs.len(), fresh.registers.len());
+        let subs = session.regs.iter().map(|sess| &sess.sub);
+        subs.enumerate()
+            .map(|(k, sub)| {
+                let register = fresh.registers[k];
+                let fresh_sub = fresh.subproblem(ops, k);
+                assert_eq!(sub, &fresh_sub, "{register:?} after {n} ops:\n{at}");
+                sub.monotone
             })
             .collect()
     }
 
-    /// The `monotone` flag stays equal to a fresh build after every event: fast-path
-    /// appends, a pending-write flip, a mid-list read completion (register rebuild)
-    /// and an out-of-order append (full rebuild), which makes register 0's rows
-    /// non-monotone for good.
+    /// The mirror, and with it the `monotone` flag, stays equal to a fresh build after
+    /// every event: fast-path appends, a pending-write flip, a mid-list read
+    /// completion (register rebuild) and an out-of-order append (full rebuild), which
+    /// makes register 0's rows non-monotone for good.
     #[test]
     fn monotone_flag_matches_a_fresh_subproblem_after_every_event() {
         let op =
@@ -1624,7 +1400,7 @@ mod tests {
         let mut flags = Vec::new();
         for event in events {
             session.append(event);
-            flags.push(monotone_flags(&session));
+            flags.push(assert_fresh_mirror(&session));
         }
         assert_eq!(session.stats().full_rebuilds, 1);
         assert_eq!(flags[7], [true, true]);
@@ -1640,7 +1416,7 @@ mod tests {
             let mut session = checker.incremental();
             for prefix in history.all_prefixes() {
                 session.sync_with(&prefix);
-                monotone_flags(&session);
+                assert_fresh_mirror(&session);
             }
         }
     }

@@ -56,6 +56,7 @@ pub mod history;
 pub mod ids;
 pub mod incremental;
 pub mod linearizability;
+mod mirror;
 pub mod op;
 pub mod reference;
 pub mod sequential;

@@ -118,7 +118,7 @@ fn multi_register_enumeration_matches_reference_exactly() {
             .enumerate(10_000, u64::MAX)
             .expect("within work cap")
             .iter()
-            .map(|order| order.iter().map(|&i| engine.ops()[i].id).collect())
+            .map(|order| order.iter().map(|&i| engine.op(i).id).collect())
             .collect();
         let reference: Vec<Vec<OpId>> = reference_enumerate_linearizations(&h, &0, 10_000)
             .iter()

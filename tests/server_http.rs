@@ -156,21 +156,74 @@ fn unknown_sessions_and_routes_get_404_wrong_methods_405() {
     handle.shutdown();
 }
 
+/// Reads one `Content-Length`-framed response off `stream`, byte by byte through
+/// its head so nothing of a later response is consumed: its head and its body.
+fn read_response(stream: &mut TcpStream) -> (String, String) {
+    let mut head = Vec::new();
+    while !head.ends_with(b"\r\n\r\n") {
+        let mut byte = [0u8];
+        stream.read_exact(&mut byte).expect("a response head");
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).expect("an ASCII head");
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|v| v.parse().ok())
+        .expect("a Content-Length header");
+    let mut body = vec![0u8; length];
+    stream.read_exact(&mut body).expect("the response body");
+    (head, String::from_utf8(body).expect("a UTF-8 body"))
+}
+
+/// Shutdown waits for a request that has started arriving. The client proves
+/// its `/check` is in flight before the test shuts down: one keep-alive
+/// `GET /health` round trip, so a worker owns the connection, carries the
+/// `/check` head and half its body in the same write. The client sends the
+/// rest only once `shutdown()` is on its way, on another thread; the worker
+/// keeps reading a started request even while stopping.
 #[test]
 fn shutdown_drains_in_flight_checks() {
     let handle = serve(AppConfig::default()).expect("bind");
     let addr = handle.addr();
     let body = format_history(&random_history(9, 24));
-    let worker = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).expect("connect");
-        client.post("/check", &body).expect("in-flight POST /check")
+    let direct = handle.service().build_checker();
+    let expected = verdict_to_json(&direct.check(&parse_history(&body).expect("parses")));
+    let (in_flight_tx, in_flight_rx) = std::sync::mpsc::channel();
+    let (stopping_tx, stopping_rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let (first, rest) = body.as_bytes().split_at(body.len() / 2);
+        let mut out = format!(
+            "GET /health HTTP/1.1\r\nHost: rlt\r\n\r\n\
+             POST /check HTTP/1.1\r\nHost: rlt\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        out.extend_from_slice(first);
+        stream
+            .write_all(&out)
+            .expect("write the health check and half a /check");
+        let (head, _) = read_response(&mut stream);
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        in_flight_tx.send(()).expect("signal the request in flight");
+        stopping_rx.recv().expect("shutdown is on its way");
+        stream
+            .write_all(rest)
+            .expect("write the rest of the /check");
+        read_response(&mut stream)
     });
-    // Shut down while the request may still be in flight: the worker's response
-    // must be a completed 200, never a dropped socket.
-    std::thread::sleep(std::time::Duration::from_millis(2));
-    handle.shutdown();
-    let resp = worker.join().expect("worker thread");
-    assert_eq!(resp.status, 200, "{}", resp.body);
+    in_flight_rx
+        .recv()
+        .expect("the client's /check is in flight");
+    let shutdown = std::thread::spawn(move || {
+        stopping_tx.send(()).expect("release the client");
+        handle.shutdown();
+    });
+    let (head, served) = client.join().expect("client thread");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}{served}");
+    assert_eq!(served, expected);
+    shutdown.join().expect("shutdown returns");
     // The listener is gone afterwards.
     assert!(Client::connect(addr)
         .and_then(|mut c| c.get("/health"))

@@ -8,7 +8,12 @@
 //! applies one or two mutations: drop, duplicate or swap lines, copy one line's
 //! time into another, set a time past the last event time, erase a completed
 //! read's value, change the process, register or value of a completion line, or
-//! re-send a line that is already recorded.
+//! re-send a line that is already recorded. Then one to four byte edits land on
+//! each body sent.
+//!
+//! A second case mutates recorded clean ABD schedules by line and by byte and
+//! sends them to `/analyze` under every cluster model: no panic, and every
+//! rejection a parse error that names a line of the body.
 
 mod common;
 
@@ -16,9 +21,11 @@ use common::random_history;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rlt_core::mp::fuzz::record_clean_corpus;
+use rlt_core::mp::AbdCluster;
 use rlt_core::server::{AppConfig, CheckService, ServiceError};
 use rlt_core::spec::wire::{format_history, parse_history, verdict_to_json};
-use rlt_core::spec::{History, Value};
+use rlt_core::spec::{History, ProcessId, Value};
 use std::sync::atomic::Ordering;
 
 fn lines(history: &History<Value>) -> Vec<String> {
@@ -122,10 +129,58 @@ fn mutate(lines: &mut Vec<String>, recorded: &[String], rng: &mut StdRng) {
     *lines = tokens.iter().map(|t| t.join(" ")).collect();
 }
 
-/// `Ok(())` if `message` is `history line N: …` for a line `N` of `body`.
-fn line_numbered(message: &str, body: &str) -> Result<(), TestCaseError> {
+/// Bytes the wire and schedule grammars are made of, for byte inserts and
+/// replacements that reach past the tokenizer.
+const GRAMMAR_BYTES: &[u8] = b" \n\t\r#.@?-:optR0123456789";
+
+/// Applies one to four byte edits to `text`: delete, insert or replace a byte,
+/// duplicate or drop a run of bytes, splice in a long digit string, or insert
+/// `⊥`. Bytes that no longer form UTF-8 decode as U+FFFD, as a lossy reader of
+/// the request body would see them.
+fn mutate_bytes(text: &str, rng: &mut StdRng) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for _ in 0..rng.gen_range(1..=4) {
+        let n = bytes.len();
+        let at = rng.gen_range(0..=n);
+        let end = rng.gen_range(at..=n.min(at + 24));
+        let byte = if rng.gen_bool(0.5) {
+            GRAMMAR_BYTES[rng.gen_range(0..GRAMMAR_BYTES.len())]
+        } else {
+            rng.gen_range(0..=u8::MAX)
+        };
+        match rng.gen_range(0..7) {
+            0 if at < n => {
+                bytes.remove(at);
+            }
+            1 => bytes.insert(at, byte),
+            2 if at < n => bytes[at] = byte,
+            3 => {
+                let run = bytes[at..end].to_vec();
+                bytes.splice(end..end, run);
+            }
+            4 => {
+                bytes.drain(at..end);
+            }
+            5 => {
+                let digits: Vec<u8> = (0..rng.gen_range(16..=40))
+                    .map(|_| rng.gen_range(b'0'..=b'9'))
+                    .collect();
+                bytes.splice(at..at, digits);
+            }
+            6 => {
+                bytes.splice(at..at, "⊥".bytes());
+            }
+            _ => {}
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// `Ok(())` if `message` is `{what} line N: …` for a line `N` of `body`.
+fn line_numbered(what: &str, message: &str, body: &str) -> Result<(), TestCaseError> {
     let line = message
-        .strip_prefix("history line ")
+        .strip_prefix(what)
+        .and_then(|rest| rest.strip_prefix(" line "))
         .and_then(|rest| rest.split_once(':'))
         .and_then(|(n, _)| n.parse::<usize>().ok());
     prop_assert!(
@@ -166,13 +221,13 @@ proptest! {
         let direct = service.build_checker();
 
         // `/check`: a parse error names its line; an answer is the library's.
-        let whole = body(&whole);
+        let whole = mutate_bytes(&body(&whole), &mut rng);
         match service.check_text(&whole) {
             Ok(json) => {
                 let parsed = parse_history(&whole).expect("an accepted body parses");
                 prop_assert_eq!(json, verdict_to_json(&direct.check(&parsed)));
             }
-            Err(ServiceError::Parse(message)) => line_numbered(&message, &whole)?,
+            Err(ServiceError::Parse(message)) => line_numbered("history", &message, &whole)?,
             Err(ServiceError::Oversize(_)) => {}
             Err(other) => prop_assert!(false, "unexpected rejection {:?}", other),
         }
@@ -187,7 +242,7 @@ proptest! {
         let split = rng.gen_range(0..=events.len());
         for chunk in [&events[..split], &events[split..]] {
             let before = errors();
-            match service.session_events(id, &body(chunk)) {
+            match service.session_events(id, &mutate_bytes(&body(chunk), &mut rng)) {
                 Ok(_) => prop_assert_eq!(errors(), before),
                 Err(ServiceError::Parse(_)) => prop_assert_eq!(errors(), before + 1),
                 Err(other) => prop_assert!(false, "unexpected rejection {:?}", other),
@@ -198,5 +253,41 @@ proptest! {
         let served = service.session_verdict(id).expect("live session");
         let expected = format!("{{\"verdict\":{},", verdict_to_json(&direct.check(&held)));
         prop_assert!(served.starts_with(&expected), "{} vs {}", served, expected);
+    }
+
+    /// Recorded clean schedules, mutated by line and by byte, never panic
+    /// `/analyze` under any cluster model, and every rejection names a line.
+    #[test]
+    fn mutated_schedules_never_panic_analyze_and_rejections_name_a_line(
+        record_seed in 0u64..1_000,
+        mutation_seed in 0u64..u64::MAX,
+    ) {
+        let schedule = record_clean_corpus(|| AbdCluster::new(5, ProcessId(0)), 1, 40, record_seed, false)
+            .remove(0);
+        let mut rng = StdRng::seed_from_u64(mutation_seed);
+        let mut steps: Vec<String> = schedule.to_string().lines().map(str::to_string).collect();
+        for _ in 0..rng.gen_range(0..=2) {
+            let n = steps.len();
+            match rng.gen_range(0..3) {
+                0 if n > 0 => {
+                    steps.remove(rng.gen_range(0..n));
+                }
+                1 if n > 0 => {
+                    let line = steps[rng.gen_range(0..n)].clone();
+                    steps.insert(rng.gen_range(0..=n), line);
+                }
+                2 if n > 1 => steps.swap(rng.gen_range(0..n), rng.gen_range(0..n)),
+                _ => {}
+            }
+        }
+        let text = mutate_bytes(&body(&steps), &mut rng);
+        let service = CheckService::new(AppConfig::default());
+        for model in [None, Some("abd"), Some("faulty-abd"), Some("mw-abd"), Some("faulty-mw-abd")] {
+            match service.analyze_text(model, &text) {
+                Ok(_) => {}
+                Err(ServiceError::Parse(message)) => line_numbered("schedule", &message, &text)?,
+                Err(other) => prop_assert!(false, "{:?}: unexpected rejection {:?}", model, other),
+            }
+        }
     }
 }
