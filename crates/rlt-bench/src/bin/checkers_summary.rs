@@ -14,9 +14,12 @@
 //!   history), and the `memo_arena` row (large-key many-distinct-value workload).
 //!   Every row carries a `threads` field plus the memo-table counters
 //!   (`memo_probes` / `memo_hits` / `memo_arena_hwm`); every check runs on one
-//!   thread, so only the `engine_batch` rows have `threads` above 1. Every field
-//!   but `mean_wall_nanos` and `iterations` is deterministic, and CI diffs the
-//!   regenerated file against the tracked one with those two masked.
+//!   thread, so only the `engine_batch` rows have `threads` above 1. A second
+//!   array, `enumeration_rows`, pins the enumeration walks: orders emitted and
+//!   enumeration nodes visited by `Checker::linearizations` drains (single-register
+//!   and product walks, full and first-64) and by the Theorem 13 family check.
+//!   Every field but `mean_wall_nanos` and `iterations` is deterministic, and CI
+//!   diffs the regenerated file against the tracked one with those two masked.
 //! * `BENCH_game.json` — experiment E2: cost of 10-round Figure 1/2 games per
 //!   register mode and process count, plus full termination experiments.
 //! * `BENCH_abd.json` — experiments E3 (ABD write+read round-trip cost as the
@@ -42,6 +45,7 @@ use rlt_bench::{
     stream_checker,
 };
 use rlt_game::{run_game, termination_experiment, GameConfig};
+use rlt_registers::counterexample::theorem13_family;
 use rlt_sim::RegisterMode;
 use rlt_spec::reference::reference_check_linearizable;
 use rlt_spec::{Checker, History, MemoStats, DEFAULT_STATE_LIMIT};
@@ -63,6 +67,22 @@ const REFERENCE_CEILING: usize = 80;
 
 /// Pool widths measured by the E11 batch rows.
 const THREAD_COUNTS: &[usize] = &[1, 2, 4];
+
+/// Orders pulled by the partial enumeration rows: the checking service's default
+/// `max_linearizations`.
+const ENUMERATION_PREFIX: usize = 64;
+
+/// Enumeration rows: workload, decisions (per register for the multi-register
+/// series), and how many orders to pull (`None` drains the whole space). The
+/// single-register histories take the joint walk, the multi-register ones the
+/// lazy interleaving product.
+const ENUMERATION_SIZES: &[(&str, usize, Option<usize>)] = &[
+    ("lamport_history", 80, None),
+    ("lamport_history", 160, None),
+    ("multi_register_3x", 12, None),
+    ("multi_register_3x", 40, Some(ENUMERATION_PREFIX)),
+    ("multi_register_3x", 80, Some(ENUMERATION_PREFIX)),
+];
 
 // Workload geometry (sizes, seeds, thresholds) lives in `rlt_bench::tracked`.
 
@@ -355,7 +375,92 @@ fn checker_rows() -> Vec<Row> {
     rows
 }
 
-fn write_checkers_json(rows: &[Row], out_path: &str) {
+/// One enumeration row: orders emitted and enumeration nodes visited (the
+/// `nodes_visited` work counter), and whether the work cap stopped the walk.
+struct EnumerationRow {
+    workload: String,
+    ops: usize,
+    orders: usize,
+    enumeration_nodes: u64,
+    work_capped: bool,
+    mean_wall_nanos: u128,
+    iterations: u64,
+}
+
+/// Pulls up to `limit` orders (all of them for `None`) from
+/// `Checker::linearizations`: the orders pulled, the nodes visited, and whether
+/// the work cap tripped.
+fn drain_linearizations(history: &History<i64>, limit: Option<usize>) -> (usize, u64, bool) {
+    let checker = Checker::new(0i64);
+    let mut lins = checker.linearizations(history);
+    let mut orders = 0;
+    let mut capped = false;
+    while limit.is_none_or(|l| orders < l) {
+        match lins.next() {
+            Some(Ok(_)) => orders += 1,
+            Some(Err(_)) => {
+                capped = true;
+                break;
+            }
+            None => break,
+        }
+    }
+    (orders, lins.nodes_visited(), capped)
+}
+
+fn enumeration_rows() -> Vec<EnumerationRow> {
+    let mut rows = Vec::new();
+    for &(series, decisions, limit) in ENUMERATION_SIZES {
+        let history = if series == "lamport_history" {
+            lamport_workload(WORKLOAD_PROCESSES, decisions, WORKLOAD_SEED)
+        } else {
+            multi_register_workload(MULTI_REGISTERS, decisions, WORKLOAD_SEED)
+        };
+        let (orders, enumeration_nodes, work_capped) = drain_linearizations(&history, limit);
+        let (mean_wall_nanos, iterations, _) =
+            mean_time(|| drain_linearizations(&history, limit).0 == orders);
+        let suffix = limit.map_or(String::new(), |l| format!("/first_{l}"));
+        rows.push(EnumerationRow {
+            workload: format!("{series}/{decisions}{suffix}"),
+            ops: history.len(),
+            orders,
+            enumeration_nodes,
+            work_capped,
+            mean_wall_nanos,
+            iterations,
+        });
+    }
+    // The Theorem 13 family (Figure 4), timed with its construction: base
+    // linearizations examined, and every enumeration node the base and extension
+    // streams visited.
+    let probe = theorem13_family();
+    let (mean_wall_nanos, iterations, _) = mean_time(|| !theorem13_family().report.admits);
+    rows.push(EnumerationRow {
+        workload: "theorem13_family/check_write_strong".to_string(),
+        ops: probe.base.len(),
+        orders: probe.report.base_linearizations.len(),
+        enumeration_nodes: probe.report.stats.enumeration_nodes,
+        work_capped: false,
+        mean_wall_nanos,
+        iterations,
+    });
+    for r in &rows {
+        eprintln!(
+            "{:>15} {}: {} ops, {} orders, {} nodes, {:.3} ms/iter over {} iters{}",
+            "enumeration",
+            r.workload,
+            r.ops,
+            r.orders,
+            r.enumeration_nodes,
+            r.mean_wall_nanos as f64 / 1e6,
+            r.iterations,
+            if r.work_capped { " (WORK CAPPED)" } else { "" }
+        );
+    }
+    rows
+}
+
+fn write_checkers_json(rows: &[Row], enumeration: &[EnumerationRow], out_path: &str) {
     // Hand-rolled JSON: the workspace deliberately has no serialization dependency.
     let mut json = String::from(
         "{\n  \"experiment\": \"E10-E11-checker-and-parallel-scaling\",\n  \"rows\": [\n",
@@ -382,6 +487,23 @@ fn write_checkers_json(rows: &[Row], out_path: &str) {
             r.iterations,
             r.limit_hit,
             if i + 1 < rows.len() { "," } else { "" }
+        );
+    }
+    json.push_str("  ],\n  \"enumeration_rows\": [\n");
+    for (i, r) in enumeration.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"workload\": \"{}\", \"ops\": {}, \"orders\": {}, \
+             \"enumeration_nodes\": {}, \"work_capped\": {}, \
+             \"mean_wall_nanos\": {}, \"iterations\": {}}}{}",
+            r.workload,
+            r.ops,
+            r.orders,
+            r.enumeration_nodes,
+            r.work_capped,
+            r.mean_wall_nanos,
+            r.iterations,
+            if i + 1 < enumeration.len() { "," } else { "" }
         );
     }
     json.push_str("  ]\n}\n");
@@ -488,7 +610,8 @@ fn main() {
     let abd_path = args.next().unwrap_or_else(|| "BENCH_abd.json".into());
 
     let rows = checker_rows();
-    write_checkers_json(&rows, &checkers_path);
+    let enumeration = enumeration_rows();
+    write_checkers_json(&rows, &enumeration, &checkers_path);
     write_game_json(&game_path);
     rlt_bench::abd_summary::write_abd_json(&abd_path);
 }

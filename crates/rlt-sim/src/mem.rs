@@ -244,21 +244,10 @@ impl<V: Clone + Eq + fmt::Debug + Ord + std::hash::Hash> SharedMem<V> {
         self.modes.insert(register, mode);
     }
 
-    /// Replaces the read resolver.
-    pub fn set_resolver(&mut self, resolver: Box<dyn ReadResolver<V>>) {
-        self.resolver = resolver;
-    }
-
     /// The mode of a register.
     #[must_use]
     pub fn mode_of(&self, register: RegisterId) -> RegisterMode {
         *self.modes.get(&register).unwrap_or(&self.default_mode)
-    }
-
-    /// The initial value shared by every register.
-    #[must_use]
-    pub fn initial_value(&self) -> &V {
-        &self.init
     }
 
     /// Starts a write operation; the write takes effect only when finished.
@@ -590,12 +579,6 @@ impl<V: Clone + Eq + fmt::Debug + Ord + std::hash::Hash> SharedMem<V> {
     #[must_use]
     pub fn history(&self) -> History<V> {
         self.builder.snapshot()
-    }
-
-    /// Number of operations recorded so far (pending or complete).
-    #[must_use]
-    pub fn op_count(&self) -> usize {
-        self.builder.snapshot().len()
     }
 }
 

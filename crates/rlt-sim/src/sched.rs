@@ -314,12 +314,6 @@ impl<V: Clone + Eq + fmt::Debug + Ord + std::hash::Hash> Scheduler<V> {
     pub fn coin(&self) -> &CoinSource {
         &self.coin
     }
-
-    /// Consumes the scheduler and returns the memory (and its full history).
-    #[must_use]
-    pub fn into_mem(self) -> SharedMem<V> {
-        self.mem
-    }
 }
 
 #[cfg(test)]

@@ -357,7 +357,7 @@ impl<V: RegisterValue> Checker<V> {
         let engine = Engine::new(history, &self.init);
         let outcome = engine.check_with(self.state_budget, &self.scratch);
         let verdict = Verdict::from_outcome(&outcome, self.witness, |order| {
-            order_to_seq(history, |g| engine.op(g), order)
+            order_to_seq(history, order.iter().map(|&g| engine.op(g)))
         });
         (verdict, outcome.sketch)
     }
@@ -407,24 +407,24 @@ impl<V: RegisterValue> Checker<V> {
         let orders = engine.enumerate(max_results, self.enumeration_work_cap)?;
         Ok(orders
             .iter()
-            .map(|order| order_to_seq(history, |g| engine.op(g), order))
+            .map(|order| order_to_seq(history, order.iter().map(|&g| engine.op(g))))
             .collect())
     }
 }
 
-/// Materializes an order of searched-op indices, each naming the operation `op(i)`, as
-/// a [`SeqHistory`], giving linearized pending operations a matching response so the
-/// sequential history is well-formed.
+/// Materializes `ops` of `history`, given in linearization order, as a
+/// [`SeqHistory`]: each op is cloned, and a linearized pending op is given the
+/// response `history.max_time().next()` so the sequential history is well-formed.
+/// Every witness and every enumerated linearization is built here.
 pub(crate) fn order_to_seq<'h, V: RegisterValue + 'h>(
     history: &History<V>,
-    op: impl Fn(usize) -> &'h Operation<V>,
-    order: &[usize],
+    ops: impl IntoIterator<Item = &'h Operation<V>>,
 ) -> SeqHistory<V> {
     let completion_time = history.max_time().next();
-    let seq_ops = order
-        .iter()
-        .map(|&i| {
-            let mut op = op(i).clone();
+    let seq_ops = ops
+        .into_iter()
+        .map(|op| {
+            let mut op = op.clone();
             if op.responded_at.is_none() {
                 op.responded_at = Some(completion_time);
             }

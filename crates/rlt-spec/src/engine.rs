@@ -30,10 +30,13 @@
 //!    earliest. This turns one exponential joint search into several much smaller ones.
 //!    An incremental session merges its cached per-register witnesses with the same
 //!    function.
-//! 5. **Candidate window** — both DFS loops (the witness search and the enumeration
-//!    walk) find a frame's next candidate with one shared `next_candidate`, which
-//!    visits only untaken ops, a `taken` word at a time, so the linearized prefix is
-//!    never rescanned. When the subproblem lists its ops in invocation order its preds
+//! 5. **One walk, one candidate window** — the witness search, its incremental
+//!    resume and the enumeration walk are visit rules on one DFS, `Walk`, which owns
+//!    the taken bitset, the register state, the partial order and the frame stack,
+//!    and asks its rule on entering each configuration whether to descend, prune or
+//!    stop. It finds a frame's next candidate with `next_candidate`, which visits
+//!    only untaken ops, a `taken` word at a time, so the linearized prefix is never
+//!    rescanned. When the subproblem lists its ops in invocation order its preds
 //!    rows are nested (`row(i) ⊆ row(i+1)`), and the scan stops at the first untaken
 //!    op with an untaken predecessor: every later op has that predecessor too. Both
 //!    cuts skip only non-candidates, so the search visits the same nodes in the same
@@ -86,6 +89,7 @@
 //! the reported [`MemoStats`] — slot probes, hits, arena high-water — are
 //! bit-identical whether the scratch is cold or reused.
 
+use crate::checker::order_to_seq;
 use crate::history::History;
 use crate::ids::{OpId, RegisterId, Time};
 use crate::mirror::{Mirror, SearchedOp};
@@ -562,14 +566,14 @@ impl Default for MemoTable {
 
 impl MemoTable {
     /// Resets the table for one sub-search over keys of `taken_words` bitset words
-    /// and `slot_count` register slots. The logical size is a deterministic function
-    /// of `capacity_hint` so probe counts never depend on how warm the buffers are;
-    /// physical buffers only ever grow by the shortfall.
-    fn begin(&mut self, taken_words: usize, slot_count: usize, capacity_hint: usize) {
+    /// and `slot_count` register slots, with `size` logical slots (a power of two,
+    /// [`memo_size_class`]). The logical size is deterministic so probe counts never
+    /// depend on how warm the buffers are; physical buffers only ever grow by the
+    /// shortfall.
+    fn begin(&mut self, taken_words: usize, slot_count: usize, size: usize) {
         self.taken_words = taken_words.max(1);
         self.vals_words = slot_count.div_ceil(2).max(1);
         self.compact = self.compaction_enabled && taken_words > 1;
-        let size = (capacity_hint * 2).next_power_of_two().max(16);
         if self.slots.len() < size {
             if self.slots.capacity() < size {
                 self.reallocations += 1;
@@ -777,8 +781,8 @@ impl MemoTable {
 // Reusable search scratch
 // ---------------------------------------------------------------------------
 
-/// Reusable buffers of one witness search: the taken bitset, the simulated register
-/// state, the partial linearization order, the explicit DFS frame stack, and the
+/// Reusable buffers of one witness search: the DFS walk (taken bitset, simulated
+/// register state, partial linearization order, explicit DFS frame stack) and the
 /// arena-backed memo table (open addressing over packed keys in a `u64` bump arena —
 /// zero allocations per node; see the module docs for the layout).
 ///
@@ -786,13 +790,11 @@ impl MemoTable {
 /// the allocations (arena, slot array, stack) warm. Scratch contents never influence
 /// results — every buffer is reset on entry and the memo table's logical geometry is
 /// deterministic — so reuse is invisible to verdicts, witnesses, and statistics,
-/// memo probe counts included.
+/// memo probe counts included. Between searches the walk stays frozen where the last
+/// search stopped, which is what an incremental session resumes.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
-    taken: Vec<u64>,
-    vals: Vec<u32>,
-    order: Vec<u32>,
-    stack: Vec<Frame>,
+    walk: Walk,
     memo: MemoTable,
 }
 
@@ -803,13 +805,23 @@ impl SearchScratch {
         self.memo.len as u64
     }
 
-    /// Whether op `i` is taken in the frozen configuration (false when out of
-    /// range). Lets the incremental session maintain the frozen order's completed
-    /// count across pending-write flips without recounting on resume.
-    pub(crate) fn frozen_taken(&self, i: usize) -> bool {
-        self.taken
+    /// Number of completed ops in the frozen walk's order.
+    pub(crate) fn frozen_completed(&self) -> usize {
+        self.walk.taken_completed
+    }
+
+    /// Records that op `i` of the walked subproblem completed in place (a pending
+    /// write's response): if the frozen walk has it taken, the walk's
+    /// completed-taken count rises with it.
+    pub(crate) fn complete_in_place(&mut self, i: usize) {
+        let walk = &mut self.walk;
+        if walk
+            .taken
             .get(i / WORD_BITS)
             .is_some_and(|w| w & (1u64 << (i % WORD_BITS)) != 0)
+        {
+            walk.taken_completed += 1;
+        }
     }
 }
 
@@ -863,7 +875,7 @@ pub(crate) fn default_scratch_pool() -> &'static ScratchPool {
 }
 
 // ---------------------------------------------------------------------------
-// Iterative searches
+// The walk
 // ---------------------------------------------------------------------------
 
 /// A frame of the explicit DFS stack. The frame owns the op that was applied to enter
@@ -880,6 +892,102 @@ struct Frame {
 }
 
 const NO_OP: u32 = u32::MAX;
+
+/// What a visit rule tells the [`Walk`] on entering a configuration.
+enum Visit<T> {
+    /// Scan this configuration's candidates.
+    Descend,
+    /// Skip this configuration's subtree.
+    Prune,
+    /// Stop the walk here with `T`; the next [`Walk::run`] resumes with this
+    /// configuration's candidate scan.
+    Stop(T),
+}
+
+/// The one Wing–Gong depth-first search over a subproblem: the taken bitset, the
+/// simulated register state, the partial order, the frame stack, the number of
+/// completed ops taken, and whether the top frame still owes its entry visit. Every
+/// search drives it through [`Walk::run`] with its own visit rule: the witness
+/// search (budget, success test, memo insert), its incremental resume (the same
+/// rule, re-entered at a frozen success), and [`OrderWalk`] (node cap, emit).
+/// Candidates come from [`next_candidate`].
+#[derive(Debug, Default)]
+struct Walk {
+    taken: Vec<u64>,
+    vals: Vec<u32>,
+    order: Vec<u32>,
+    stack: Vec<Frame>,
+    /// Completed ops in `order`.
+    taken_completed: usize,
+    /// Whether the top frame still owes its entry visit.
+    entering: bool,
+}
+
+impl Walk {
+    /// Resets the walk to the empty configuration of `sub`, its entry visit owed.
+    fn reset(&mut self, sub: &SubProblem) {
+        self.taken.clear();
+        self.taken.resize(words_for(sub.ops.len()), 0);
+        self.vals.clear();
+        self.vals.resize(sub.slots, INIT_ID);
+        self.order.clear();
+        self.stack.clear();
+        self.stack.push(Frame {
+            creator: NO_OP,
+            restore: 0,
+            scan: 0,
+        });
+        self.taken_completed = 0;
+        self.entering = true;
+    }
+
+    /// Runs the DFS from the current configuration, calling `visit` on entering each
+    /// configuration, until a visit stops it (its value is returned) or every
+    /// configuration has been walked (`None`).
+    #[inline]
+    fn run<T>(&mut self, sub: &SubProblem, mut visit: impl FnMut(&Walk) -> Visit<T>) -> Option<T> {
+        while let Some(top) = self.stack.len().checked_sub(1) {
+            let mut scan = self.stack[top].scan as usize;
+            if std::mem::take(&mut self.entering) {
+                match visit(self) {
+                    Visit::Descend => {}
+                    Visit::Prune => scan = sub.ops.len(),
+                    Visit::Stop(out) => return Some(out),
+                }
+            }
+            if let Some(i) = next_candidate(sub, &self.taken, &self.vals, scan) {
+                self.stack[top].scan = (i + 1) as u32;
+                let op = sub.ops[i];
+                let restore = self.vals[op.slot as usize];
+                self.taken[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
+                self.taken_completed += usize::from(op.completed);
+                if op.is_write {
+                    self.vals[op.slot as usize] = op.value;
+                }
+                self.order.push(i as u32);
+                self.stack.push(Frame {
+                    creator: i as u32,
+                    restore,
+                    scan: 0,
+                });
+                self.entering = true;
+            } else {
+                let done = self.stack.pop().expect("non-empty stack");
+                if done.creator != NO_OP {
+                    let c = done.creator as usize;
+                    let op = sub.ops[c];
+                    self.taken[c / WORD_BITS] &= !(1u64 << (c % WORD_BITS));
+                    self.taken_completed -= usize::from(op.completed);
+                    if op.is_write {
+                        self.vals[op.slot as usize] = done.restore;
+                    }
+                    self.order.pop();
+                }
+            }
+        }
+        None
+    }
+}
 
 /// Statistics of one sub-search.
 #[derive(Debug, Default, Clone, Copy)]
@@ -906,9 +1014,6 @@ impl SearchStats {
 /// `(taken, state)` keys. `budget` is shared across sub-searches so the global
 /// state-limit semantics match the original joint checker. All working buffers live
 /// in `scratch`, reset on entry — reuse across searches is invisible to results.
-///
-/// [`OrderWalk`] drives the same DFS without memoization and with its own success
-/// handling; both take each frame's next op from [`next_candidate`].
 pub(crate) fn search_witness(
     sub: &SubProblem,
     budget: &mut u64,
@@ -916,130 +1021,64 @@ pub(crate) fn search_witness(
     scratch: &mut SearchScratch,
 ) -> Option<Vec<u32>> {
     let n = sub.ops.len();
-    let words = words_for(n);
-    let SearchScratch {
-        taken,
-        vals,
-        order,
-        stack,
-        memo,
-    } = scratch;
-    taken.clear();
-    taken.resize(words, 0);
-    vals.clear();
-    vals.resize(sub.slots, INIT_ID);
-    order.clear();
-    // Size the memo table for a burst of nodes (sequential-ish histories then never
-    // rehash). The logical size is deterministic — [`memo_size_class`] mirrors the
-    // resulting slot-array size for the incremental session's invalidation rule —
-    // and a warm arena only skips the *physical* allocation.
-    let memo_cap = (n * 4).clamp(16, 1024);
-    memo.begin(words, sub.slots, memo_cap);
-    stack.clear();
-    stack.push(Frame {
-        creator: NO_OP,
-        restore: 0,
-        scan: 0,
-    });
-    let witness = drive_search(sub, budget, stats, taken, vals, order, stack, memo, 0, true);
+    scratch.walk.reset(sub);
+    // The logical table size is deterministic — the incremental session compares
+    // [`memo_size_class`] across appends for its invalidation rule — and a warm
+    // arena only skips the *physical* allocation.
+    scratch
+        .memo
+        .begin(words_for(n), sub.slots, memo_size_class(n));
+    let witness = witness_walk(sub, budget, stats, scratch);
     scratch.memo.drain_into(stats);
     witness
 }
 
-/// The slot-array size [`MemoTable::begin`] picks for a plain witness search over an
-/// `n`-op subproblem (the capacity hint above doubled, rounded up to a power of two).
-/// The incremental session compares this class across appends: a search resumed on a
+/// The memo slot-array size of a witness search over an `n`-op subproblem: room for a
+/// burst of nodes (sequential-ish histories then never rehash), a power of two. The
+/// incremental session compares this class across appends: a search resumed on a
 /// grown subproblem keeps the frozen table, which is only bit-compatible with a
 /// from-scratch search while the class is unchanged.
 pub(crate) fn memo_size_class(n: usize) -> usize {
-    ((n * 4).clamp(16, 1024) * 2).next_power_of_two().max(16)
+    ((n * 4).clamp(16, 1024) * 2).next_power_of_two()
 }
 
-/// The core DFS loop over an already-prepared configuration: `taken` / `vals` /
-/// `order` / `stack` describe the current node (with `taken_completed` completed ops
-/// taken), and `entering` says whether that node still owes its entry bookkeeping
-/// (state accounting, budget, success test, memo insert). [`search_witness`]
-/// starts it from the empty configuration; [`resume_witness`] re-enters it at a
-/// frozen search's success configuration. Memo counters stay in `memo`; the caller
-/// drains or assigns them.
-#[allow(clippy::too_many_arguments)]
-fn drive_search(
+/// The witness search's visit rule, run on the scratch's walk from wherever it
+/// stands: count the state, charge the budget, stop at the first configuration with
+/// every completed op taken, and prune a configuration the memo table has seen.
+/// Memo counters stay in the table; the caller drains or assigns them.
+fn witness_walk(
     sub: &SubProblem,
     budget: &mut u64,
     stats: &mut SearchStats,
-    taken: &mut [u64],
-    vals: &mut [u32],
-    order: &mut Vec<u32>,
-    stack: &mut Vec<Frame>,
-    memo: &mut MemoTable,
-    mut taken_completed: usize,
-    mut entering: bool,
+    scratch: &mut SearchScratch,
 ) -> Option<Vec<u32>> {
-    let n = sub.ops.len();
-    let mut witness = None;
-
-    while let Some(frame) = stack.last_mut() {
-        if entering {
-            entering = false;
-            stats.states_explored += 1;
-            if *budget == 0 {
-                stats.limit_hit = true;
-                break;
-            }
-            *budget -= 1;
-            if taken_completed == sub.completed {
-                // Clone rather than take: the scratch keeps its warm buffer for the
-                // next search, and one witness allocation per sub-search is noise.
-                witness = Some(order.clone());
-                break;
-            }
-            if !memo.insert(taken, vals) {
-                stats.states_memoized += 1;
-                stats.memo.hits += 1;
-                frame.scan = n as u32; // force an immediate pop
-            }
+    let SearchScratch { walk, memo } = scratch;
+    walk.run(sub, |walk| {
+        stats.states_explored += 1;
+        if *budget == 0 {
+            stats.limit_hit = true;
+            return Visit::Stop(None);
         }
-        if let Some(i) = next_candidate(sub, taken, vals, frame.scan as usize) {
-            frame.scan = (i + 1) as u32;
-            let op = sub.ops[i];
-            let restore = vals[op.slot as usize];
-            taken[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
-            if op.completed {
-                taken_completed += 1;
-            }
-            if op.is_write {
-                vals[op.slot as usize] = op.value;
-            }
-            order.push(i as u32);
-            stack.push(Frame {
-                creator: i as u32,
-                restore,
-                scan: 0,
-            });
-            entering = true;
+        *budget -= 1;
+        if walk.taken_completed == sub.completed {
+            // Clone rather than take: the scratch keeps its warm buffer for the
+            // next search, and one witness allocation per sub-search is noise.
+            return Visit::Stop(Some(walk.order.clone()));
+        }
+        if memo.insert(&walk.taken, &walk.vals) {
+            Visit::Descend
         } else {
-            let done = *stack.last().expect("non-empty stack");
-            stack.pop();
-            if done.creator != NO_OP {
-                let c = done.creator as usize;
-                let op = sub.ops[c];
-                taken[c / WORD_BITS] &= !(1u64 << (c % WORD_BITS));
-                if op.completed {
-                    taken_completed -= 1;
-                }
-                if op.is_write {
-                    vals[op.slot as usize] = done.restore;
-                }
-                order.pop();
-            }
+            stats.states_memoized += 1;
+            stats.memo.hits += 1;
+            Visit::Prune
         }
-    }
-    witness
+    })
+    .flatten()
 }
 
-/// Re-enters [`drive_search`] at the success configuration a previous witness search
-/// over a prefix of `sub` left frozen in `scratch`, instead of re-deriving the whole
-/// DFS trajectory from the empty configuration.
+/// Re-enters the witness search at the success configuration a previous witness
+/// search over a prefix of `sub` left frozen in `scratch`, instead of re-deriving the
+/// whole DFS trajectory from the empty configuration.
 ///
 /// Correctness (the incremental session's invalidation rule — see
 /// [`crate::incremental`]): when every op added since the freeze sits at the end of
@@ -1050,62 +1089,33 @@ fn drive_search(
 /// all-completed-taken configuration where that search stopped. A from-scratch
 /// search of the grown subproblem therefore replays the frozen trajectory verbatim
 /// and first diverges at the frozen success configuration; re-entering there with
-/// `entering = true` reproduces the remainder bit-exactly, counters included. (The
-/// frozen success configuration was never memo-inserted — success breaks out before
-/// the insert, and no earlier configuration shares its taken set — so re-running its
-/// entry bookkeeping, memo insert included, is exactly what the from-scratch search
-/// does on arrival.) The caller must additionally ensure the grown subproblem keeps
-/// the frozen taken-word count and [`memo_size_class`], otherwise the frozen table's
-/// geometry no longer matches a from-scratch run.
+/// its entry visit owed again reproduces the remainder bit-exactly, counters
+/// included. (The frozen success configuration was never memo-inserted — success
+/// stops before the insert, and no earlier configuration shares its taken set — so
+/// re-running its entry visit, memo insert included, is exactly what the
+/// from-scratch search does on arrival.) The caller must additionally ensure the
+/// grown subproblem keeps the frozen taken-word count and [`memo_size_class`],
+/// otherwise the frozen table's geometry no longer matches a from-scratch run, and
+/// must report pending writes that completed in place through
+/// [`SearchScratch::complete_in_place`].
 ///
 /// On entry `stats` must hold the frozen search's final statistics and `budget` its
 /// remaining private budget; both are rewound by one state here so the re-entered
-/// configuration's entry bookkeeping counts once, not twice. `taken_completed` is the
-/// number of completed ops in the frozen order — the caller maintains it across
-/// pending-op completions so resumption costs O(1) bookkeeping, not an O(order)
-/// recount. Memo counters are *assigned* (not drained) at the end: the live table's
-/// probe count and arena already include the frozen prefix.
+/// configuration's entry visit counts once, not twice. Memo counters are *assigned*
+/// (not drained) at the end: the live table's probe count and arena already include
+/// the frozen prefix.
 pub(crate) fn resume_witness(
     sub: &SubProblem,
-    taken_completed: usize,
     budget: &mut u64,
     stats: &mut SearchStats,
     scratch: &mut SearchScratch,
 ) -> Option<Vec<u32>> {
-    let n = sub.ops.len();
-    debug_assert_eq!(scratch.taken.len(), words_for(n));
-    let SearchScratch {
-        taken,
-        vals,
-        order,
-        stack,
-        memo,
-    } = scratch;
-    debug_assert!(!stack.is_empty(), "no frozen search to resume");
-    debug_assert_eq!(
-        taken_completed,
-        order
-            .iter()
-            .filter(|&&i| sub.ops[i as usize].completed)
-            .count(),
-        "caller-maintained taken_completed diverged from the frozen order"
-    );
-    // Rewind one state: re-entering the frozen configuration re-runs entry
-    // bookkeeping the frozen search already accounted for.
+    debug_assert_eq!(scratch.walk.taken.len(), words_for(sub.ops.len()));
+    debug_assert!(!scratch.walk.stack.is_empty(), "no frozen search to resume");
     stats.states_explored -= 1;
     *budget += 1;
-    let witness = drive_search(
-        sub,
-        budget,
-        stats,
-        taken,
-        vals,
-        order,
-        stack,
-        memo,
-        taken_completed,
-        true,
-    );
+    scratch.walk.entering = true;
+    let witness = witness_walk(sub, budget, stats, scratch);
     stats.memo.probes = scratch.memo.probes;
     stats.memo.arena_high_water = stats
         .memo
@@ -1132,96 +1142,45 @@ enum WalkStep {
 /// Resumable depth-first enumeration of **every** linearization order of one
 /// subproblem, recording an order at each node where all completed ops are linearized
 /// — the same node set (and the same pre-order emission sequence) as the original
-/// recursive enumerator. Each [`OrderWalk::next_order`] call runs the DFS exactly
+/// recursive enumerator. Each [`OrderWalk::next_order`] call runs the [`Walk`] exactly
 /// until the next order is found, so a caller that stops early pays only for the
 /// prefix of the walk it consumed — this is the engine of the lazy
-/// [`Linearizations`] iterator.
-///
-/// Candidates come from [`next_candidate`], the same scan [`search_witness`] uses.
+/// [`Linearizations`] iterator. Its visit rule counts nodes against the cap and emits
+/// without memoizing.
 #[derive(Debug)]
 struct OrderWalk {
-    taken: Vec<u64>,
-    vals: Vec<u32>,
-    taken_completed: usize,
-    order: Vec<u32>,
-    stack: Vec<Frame>,
-    entering: bool,
+    walk: Walk,
     /// Nodes visited so far (monotone across `next_order` calls).
     nodes: u64,
 }
 
 impl OrderWalk {
     fn new(sub: &SubProblem) -> Self {
-        let n = sub.ops.len();
-        OrderWalk {
-            taken: vec![0u64; words_for(n)],
-            vals: vec![INIT_ID; sub.slots],
-            taken_completed: 0,
-            order: Vec::with_capacity(n),
-            stack: vec![Frame {
-                creator: NO_OP,
-                restore: 0,
-                scan: 0,
-            }],
-            entering: true,
-            nodes: 0,
-        }
+        let mut walk = Walk::default();
+        walk.reset(sub);
+        OrderWalk { walk, nodes: 0 }
     }
 
     /// Resumes the DFS until the next linearization order is recorded. Visiting more
     /// than `node_cap` nodes in total aborts with [`WalkStep::CapExceeded`].
     fn next_order(&mut self, sub: &SubProblem, node_cap: u64) -> WalkStep {
-        while let Some(frame) = self.stack.last_mut() {
-            if self.entering {
-                self.entering = false;
-                self.nodes += 1;
-                if self.nodes > node_cap {
-                    return WalkStep::CapExceeded;
-                }
-                if self.taken_completed == sub.completed {
-                    // Emit and resume from this frame's candidate scan on the next
-                    // call: enumeration keeps exploring past a recorded order (orders
+        let nodes = &mut self.nodes;
+        self.walk
+            .run(sub, |walk| {
+                *nodes += 1;
+                if *nodes > node_cap {
+                    Visit::Stop(WalkStep::CapExceeded)
+                } else if walk.taken_completed == sub.completed {
+                    // Emit; the next call resumes with this configuration's candidate
+                    // scan: enumeration keeps exploring past a recorded order (orders
                     // that additionally linearize pending writes are distinct and
                     // also valid).
-                    return WalkStep::Order(self.order.clone());
+                    Visit::Stop(WalkStep::Order(walk.order.clone()))
+                } else {
+                    Visit::Descend
                 }
-            }
-            if let Some(i) = next_candidate(sub, &self.taken, &self.vals, frame.scan as usize) {
-                frame.scan = (i + 1) as u32;
-                let op = sub.ops[i];
-                let restore = self.vals[op.slot as usize];
-                self.taken[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
-                if op.completed {
-                    self.taken_completed += 1;
-                }
-                if op.is_write {
-                    self.vals[op.slot as usize] = op.value;
-                }
-                self.order.push(i as u32);
-                self.stack.push(Frame {
-                    creator: i as u32,
-                    restore,
-                    scan: 0,
-                });
-                self.entering = true;
-            } else {
-                let done = *self.stack.last().unwrap();
-                self.stack.pop();
-                if done.creator != NO_OP {
-                    let c = done.creator as usize;
-                    let op = sub.ops[c];
-                    self.taken[c / WORD_BITS] &= !(1u64 << (c % WORD_BITS));
-                    if op.completed {
-                        self.taken_completed -= 1;
-                    }
-                    if op.is_write {
-                        self.vals[op.slot as usize] = done.restore;
-                    }
-                    self.order.pop();
-                }
-            }
-        }
-        WalkStep::Done
+            })
+            .unwrap_or(WalkStep::Done)
     }
 }
 
@@ -1247,8 +1206,8 @@ fn enumerate_all_orders(sub: &SubProblem, work_limit: u64) -> Result<(Vec<Vec<u3
 
 /// Prefix trie over one register's linearization orders, keyed by **global** op
 /// indices. `children[node]` lists `(global op, child node)` in ascending op order —
-/// guaranteed by inserting the orders in the DFS pre-order [`enumerate_orders`] emits
-/// them in — and `accepting[node]` marks paths that are themselves complete
+/// guaranteed by inserting the orders in the DFS pre-order [`enumerate_all_orders`]
+/// emits them in — and `accepting[node]` marks paths that are themselves complete
 /// linearizations of the register (all its completed ops taken).
 #[derive(Debug)]
 struct OrderTrie {
@@ -1532,10 +1491,11 @@ pub struct Engine<'a, V> {
     history: &'a History<V>,
     /// The searched ops, the value interner and the register partition.
     mirror: Mirror<V>,
-    /// Per-register subproblems, built lazily (`OnceLock` rather than `OnceCell` so
-    /// a prepared engine can be shared across pool threads).
-    per_register: OnceLock<Vec<SubProblem>>,
-    /// Joint subproblem, built lazily and shared across `enumerate` calls.
+    /// One subproblem per register of `mirror`, in register order.
+    per_register: Vec<SubProblem>,
+    /// Joint subproblem of a history with several registers (or none), built on the
+    /// first enumeration and shared across `enumerate` calls (`OnceLock` rather than
+    /// `OnceCell` so a prepared engine can be shared across pool threads).
     joint: OnceLock<SubProblem>,
 }
 
@@ -1546,10 +1506,15 @@ impl<'a, V: RegisterValue> Engine<'a, V> {
     /// operation, and an unreturned read constrains nothing.
     #[must_use]
     pub fn new(history: &'a History<V>, init: &'a V) -> Self {
+        let ops = history.operations();
+        let mirror = Mirror::new(ops, init);
+        let per_register = (0..mirror.registers.len())
+            .map(|k| mirror.subproblem(ops, k))
+            .collect();
         Engine {
             history,
-            mirror: Mirror::new(history.operations(), init),
-            per_register: OnceLock::new(),
+            mirror,
+            per_register,
             joint: OnceLock::new(),
         }
     }
@@ -1580,21 +1545,16 @@ impl<'a, V: RegisterValue> Engine<'a, V> {
         self.mirror.values.len()
     }
 
-    /// The per-register subproblems, built on first use (enumeration-only callers
-    /// never pay for them).
-    fn per_register(&self) -> &[SubProblem] {
-        self.per_register.get_or_init(|| {
-            (0..self.mirror.registers.len())
-                .map(|k| self.mirror.subproblem(self.history.operations(), k))
-                .collect()
-        })
-    }
-
-    /// The joint subproblem over every register (enumeration), built on first use and
-    /// reused across calls.
+    /// The joint subproblem over every register (enumeration). A single register's
+    /// is its own subproblem (same members, same slot); otherwise it is built on first
+    /// use and reused across calls.
     fn joint_subproblem(&self) -> &SubProblem {
-        self.joint
-            .get_or_init(|| self.mirror.joint_subproblem(self.history.operations()))
+        match &self.per_register[..] {
+            [only] => only,
+            _ => self
+                .joint
+                .get_or_init(|| self.mirror.joint_subproblem(self.history.operations())),
+        }
     }
 
     /// Decides linearizability by checking each register's subhistory independently and
@@ -1618,7 +1578,7 @@ impl<'a, V: RegisterValue> Engine<'a, V> {
         check_registers(
             &self.mirror,
             self.history.operations(),
-            self.per_register(),
+            &self.per_register,
             state_limit,
             scratch,
         )
@@ -1729,7 +1689,7 @@ impl EnumCore {
             };
             return;
         }
-        let per_register = engine.per_register();
+        let per_register = &engine.per_register;
         let mut nodes_total = 0u64;
         let mut tries = Vec::with_capacity(per_register.len());
         for sub in per_register {
@@ -1854,21 +1814,12 @@ impl<'a, V: RegisterValue> Linearizations<'a, V> {
     #[must_use]
     pub fn materialize(&self, order: &[OpId]) -> SeqHistory<V> {
         let history = self.engine.history;
-        let completion_time = history.max_time().next();
-        let ops = order
-            .iter()
-            .map(|id| {
-                let mut op = history
-                    .get(*id)
-                    .expect("order ids come from this history")
-                    .clone();
-                if op.responded_at.is_none() {
-                    op.responded_at = Some(completion_time);
-                }
-                op
-            })
-            .collect();
-        SeqHistory::from_ops(ops)
+        order_to_seq(
+            history,
+            order
+                .iter()
+                .map(|&id| history.get(id).expect("order ids come from this history")),
+        )
     }
 }
 
@@ -1944,7 +1895,7 @@ mod tests {
         b.read(ProcessId(1), R0, 1i64);
         let h = b.build();
         let engine = Engine::new(&h, &0);
-        let per_register = engine.per_register();
+        let per_register = &engine.per_register;
         assert_eq!(per_register.len(), 2);
         assert_eq!(per_register[0].ops.len(), 2);
         assert_eq!(per_register[1].ops.len(), 1);
@@ -2178,7 +2129,7 @@ mod tests {
         // bytes, and so the hash sequence, change).
         let h = chunked_write_history(30);
         let engine = Engine::new(&h, &0);
-        let sub = &engine.per_register()[0];
+        let sub = &engine.per_register[0];
         let mut outcomes = Vec::new();
         for compaction in [true, false] {
             let mut scratch = SearchScratch::default();
@@ -2205,7 +2156,7 @@ mod tests {
         let pass = |scratch: &mut SearchScratch| {
             for h in &histories {
                 let engine = Engine::new(h, &0);
-                for sub in engine.per_register() {
+                for sub in &engine.per_register {
                     let mut budget = u64::MAX;
                     let mut stats = SearchStats::default();
                     let _ = search_witness(sub, &mut budget, &mut stats, scratch);

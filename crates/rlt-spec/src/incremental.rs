@@ -16,10 +16,12 @@
 //!   construction,
 //! * one persistent subproblem per register — op list, precedence bitsets, and
 //!   completed counts extended in O(words) per appended op,
-//! * one persistent [`SearchScratch`] per register holding the **frozen DFS** of the
-//!   last successful search: stack, taken bitset, partial order, and the arena-backed
-//!   memo table, resumed in place by [`resume_witness`](crate::engine) instead of
-//!   re-descending from the empty configuration.
+//! * one persistent [`SearchScratch`] per register holding the **frozen walk** of the
+//!   last successful search — stack, taken bitset, partial order, completed-taken
+//!   count — and its arena-backed memo table, resumed in place by
+//!   [`resume_witness`](crate::engine) instead of re-descending from the empty
+//!   configuration. The walk keeps its own completed-taken count: a pending write
+//!   completing in place is reported to it, and the session keeps no copy.
 //!
 //! [`IncrementalChecker::verdict`] is **bit-identical** to
 //! `Checker::check` on the same complete history — decision, witness, and every
@@ -206,12 +208,6 @@ impl<V> IncrementalVerdict<V> {
         &self.verdict
     }
 
-    /// Consumes the wrapper, yielding the batch-identical verdict.
-    #[must_use]
-    pub fn into_verdict(self) -> Verdict<V> {
-        self.verdict
-    }
-
     /// `true` iff the prefix was *proven* linearizable. See
     /// [`Verdict::is_linearizable`].
     #[must_use]
@@ -277,11 +273,6 @@ struct RegisterSession {
     freeze_memo_class: usize,
     freeze_len: usize,
     freeze_completed: usize,
-    /// Number of completed ops in the frozen order. Maintained across pending-write
-    /// completions (a flip of an op the frozen search took increments it) so
-    /// [`resume_witness`] re-enters in O(1) instead of recounting the order.
-    /// Meaningful only while `cached` holds a successful search.
-    frozen_taken_completed: usize,
     /// Local bitset of completed member ops — the preds row of a safely appended op.
     completed_mask: Vec<u64>,
     /// Max response tick over completed members (0 when none).
@@ -308,15 +299,9 @@ impl RegisterSession {
             freeze_memo_class: 0,
             freeze_len: 0,
             freeze_completed: 0,
-            frozen_taken_completed: 0,
             completed_mask: vec![0],
             max_resp: 0,
         }
-    }
-
-    /// Whether `scratch` holds the live frozen stack of a cached successful search.
-    fn resumable(&self) -> bool {
-        self.cached.as_ref().is_some_and(|c| c.order.is_some())
     }
 }
 
@@ -667,11 +652,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         let sess = &mut self.regs[k];
         sess.sub.ops[local].completed = true;
         sess.sub.completed += 1;
-        if sess.resumable() && sess.scratch.frozen_taken(local) {
-            // The frozen search had taken this write while pending; its flip raises
-            // the completed count of the frozen order.
-            sess.frozen_taken_completed += 1;
-        }
+        sess.scratch.complete_in_place(local);
         sess.completed_mask[local / WORD_BITS] |= 1u64 << (local % WORD_BITS);
         sess.max_resp = sess.max_resp.max(resp);
     }
@@ -782,7 +763,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
                 return;
             }
             if words_for(n) == sess.freeze_words && memo_size_class(n) == sess.freeze_memo_class {
-                if cache.order.is_none() || sess.frozen_taken_completed == sess.sub.completed {
+                if cache.order.is_none() || sess.scratch.frozen_completed() == sess.sub.completed {
                     // A completed exhaustive failure never reached an all-completed
                     // configuration, so safely appended ops never unlock: the
                     // from-scratch trajectory — counters included — is unchanged.
@@ -803,13 +784,8 @@ impl<V: RegisterValue> IncrementalChecker<V> {
                 let mut search_stats = cache.stats;
                 let mut budget = limit - frozen_states;
                 let reused = sess.scratch.memo_entries();
-                let order = resume_witness(
-                    &sess.sub,
-                    sess.frozen_taken_completed,
-                    &mut budget,
-                    &mut search_stats,
-                    &mut sess.scratch,
-                );
+                let order =
+                    resume_witness(&sess.sub, &mut budget, &mut search_stats, &mut sess.scratch);
                 stats.registers_resumed += 1;
                 stats.memo_entries_reused += reused;
                 stats.memo_entries_rebuilt += sess.scratch.memo_entries().saturating_sub(reused);
@@ -818,10 +794,6 @@ impl<V: RegisterValue> IncrementalChecker<V> {
                 if !search_stats.limit_hit {
                     sess.freeze_len = n;
                     sess.freeze_completed = sess.sub.completed;
-                    // A successful search freezes at an all-completed-taken
-                    // configuration, so the frozen order's completed count is
-                    // exactly the subproblem's.
-                    sess.frozen_taken_completed = sess.sub.completed;
                     sess.cached = Some(RegCache {
                         order,
                         stats: search_stats,
@@ -841,7 +813,6 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         } else {
             sess.freeze_len = n;
             sess.freeze_completed = sess.sub.completed;
-            sess.frozen_taken_completed = sess.sub.completed;
             sess.freeze_words = words_for(n);
             sess.freeze_memo_class = memo_size_class(n);
             sess.cached = Some(RegCache {
@@ -961,7 +932,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         let ops = self.history.operations();
         IncrementalVerdict {
             verdict: Verdict::from_outcome(&outcome, self.witness, |order| {
-                order_to_seq(&self.history, |g| self.mirror.op(ops, g), order)
+                order_to_seq(&self.history, order.iter().map(|&g| self.mirror.op(ops, g)))
             }),
             incremental: self.stats,
         }
