@@ -141,9 +141,6 @@ pub fn run_game(mode: RegisterMode, config: &GameConfig, seed: u64) -> GameOutco
     let n = config.n;
     let mut mem: SharedMem<Value> = SharedMem::new(mode, Value::Init);
     let mut coin = CoinSource::new(seed);
-    // Used only to randomize inconsequential tie-breaks, so runs differ across seeds
-    // even when the coin sequence repeats.
-    let mut _rng = StdRng::seed_from_u64(seed.wrapping_add(0x9E37_79B9));
 
     let p0 = ProcessId(0);
     let p1 = ProcessId(1);
@@ -302,12 +299,11 @@ pub fn run_game(mode: RegisterMode, config: &GameConfig, seed: u64) -> GameOutco
         });
     }
 
-    let history = mem.history();
-    let history_linearizable = if config.check_linearizability {
-        Some(Checker::new(Value::Init).check(&history).is_linearizable())
-    } else {
-        None
-    };
+    let history_linearizable = config.check_linearizability.then(|| {
+        Checker::new(Value::Init)
+            .check(&mem.history())
+            .is_linearizable()
+    });
 
     GameOutcome {
         all_returned: returned_at.iter().all(|r| r.is_some()),
@@ -315,7 +311,7 @@ pub fn run_game(mode: RegisterMode, config: &GameConfig, seed: u64) -> GameOutco
         returned_at,
         rounds,
         history_linearizable,
-        operations_recorded: history.len(),
+        operations_recorded: mem.operations().len(),
     }
 }
 

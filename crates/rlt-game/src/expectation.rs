@@ -12,6 +12,7 @@
 //!   (budget-capped) in the latter.
 
 use crate::algorithm1::{run_trials, GameConfig};
+use crate::termination::{mode_label, MODES};
 use rlt_sim::RegisterMode;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -60,11 +61,7 @@ pub fn expectation_experiment(
         .count() as f64;
     let rounds: f64 = outcomes.iter().map(|o| o.rounds_executed as f64).sum();
     ExpectationReport {
-        mode_label: match mode {
-            RegisterMode::Atomic => "atomic".to_string(),
-            RegisterMode::Linearizable => "linearizable".to_string(),
-            RegisterMode::WriteStrongLinearizable => "write strongly-linearizable".to_string(),
-        },
+        mode_label: mode_label(mode).to_string(),
         trials,
         expected_end_in_round_one: ended_round_one / trials.max(1) as f64,
         expected_rounds_executed: rounds / trials.max(1) as f64,
@@ -79,14 +76,10 @@ pub fn expectation_comparison(
     trials: u64,
     seed: u64,
 ) -> Vec<ExpectationReport> {
-    [
-        RegisterMode::Atomic,
-        RegisterMode::Linearizable,
-        RegisterMode::WriteStrongLinearizable,
-    ]
-    .into_iter()
-    .map(|mode| expectation_experiment(mode, config, trials, seed))
-    .collect()
+    MODES
+        .into_iter()
+        .map(|mode| expectation_experiment(mode, config, trials, seed))
+        .collect()
 }
 
 #[cfg(test)]

@@ -65,11 +65,19 @@ impl fmt::Display for SurvivalStats {
     }
 }
 
-fn mode_label(mode: RegisterMode) -> String {
+/// The three register modes, in the order every comparison table lists them.
+pub(crate) const MODES: [RegisterMode; 3] = [
+    RegisterMode::Atomic,
+    RegisterMode::Linearizable,
+    RegisterMode::WriteStrongLinearizable,
+];
+
+/// The label a report prints for a register mode.
+pub(crate) fn mode_label(mode: RegisterMode) -> &'static str {
     match mode {
-        RegisterMode::Atomic => "atomic".to_string(),
-        RegisterMode::Linearizable => "linearizable".to_string(),
-        RegisterMode::WriteStrongLinearizable => "write strongly-linearizable".to_string(),
+        RegisterMode::Atomic => "atomic",
+        RegisterMode::Linearizable => "linearizable",
+        RegisterMode::WriteStrongLinearizable => "write strongly-linearizable",
     }
 }
 
@@ -102,7 +110,7 @@ pub fn aggregate(mode: RegisterMode, outcomes: &[GameOutcome], max_rounds: u64) 
         })
         .collect();
     SurvivalStats {
-        mode_label: mode_label(mode),
+        mode_label: mode_label(mode).to_string(),
         trials,
         terminated_fraction,
         mean_termination_round,
@@ -140,14 +148,10 @@ pub fn compare_modes(
     trials: u64,
     seed: u64,
 ) -> Vec<(RegisterMode, SurvivalStats)> {
-    [
-        RegisterMode::Atomic,
-        RegisterMode::Linearizable,
-        RegisterMode::WriteStrongLinearizable,
-    ]
-    .into_iter()
-    .map(|mode| (mode, termination_experiment(mode, config, trials, seed)))
-    .collect()
+    MODES
+        .into_iter()
+        .map(|mode| (mode, termination_experiment(mode, config, trials, seed)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -73,7 +73,7 @@ impl<V: Clone> SharedRecorder<V> {
     /// Number of operations recorded so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().snapshot().len()
+        self.inner.lock().operations().len()
     }
 
     /// Returns `true` if nothing has been recorded.

@@ -16,10 +16,15 @@
 //!   [`RegisterMode::Linearizable`] (the adversary may pick any written value for a
 //!   finishing read; the recorded history is checked for linearizability after the fact,
 //!   which is exactly the "off-line" power the paper's Theorem 6 adversary exploits).
-//! * [`ReadResolver`] — the adversary's hook for choosing which admissible value a
-//!   finishing read returns.
+//! * [`SharedMem::finish_read_with`] — the one way a read completes: the register mode
+//!   builds the admissible [`ReadChoice`]s, the caller's chooser (the adversary) picks
+//!   one, and the chosen write is committed. `finish_read` (the last committed write),
+//!   `finish_read_as` (a dictated value, which must be admissible) and
+//!   `finish_read_preferring` (a dictated value if admissible) are choosers over it.
 //! * [`Scheduler`] / [`StepProcess`] / [`Adversary`] — a cooperative step scheduler for
-//!   running process state machines under seeded-random or scripted schedules.
+//!   running process state machines under seeded-random or scripted schedules, with one
+//!   run loop, [`Scheduler::run_until`], that consults a halting closure (e.g. a live
+//!   linearizability monitor) after every step.
 //! * [`CoinSource`] — seeded, logged coin flips visible to strong adversaries.
 //! * [`Budget`] — a deterministic cost budget (deliveries, clock steps, …) so bounded
 //!   exploration loops censor cleanly instead of hanging or depending on wall time.
@@ -55,11 +60,8 @@ pub mod sched;
 pub use budget::Budget;
 pub use clock::{TimerId, VirtualClock};
 pub use coin::{CoinSource, FlipRecord};
-pub use mem::{
-    LastCommittedResolver, PendingOp, ReadChoice, ReadResolver, RegisterMode, ScriptedResolver,
-    SharedMem,
-};
+pub use mem::{PendingOp, ReadChoice, RegisterMode, SharedMem};
 pub use sched::{
-    Adversary, MonitoredOutcome, ProcessSlot, RandomAdversary, RoundRobinAdversary, Scheduler,
-    SchedulerOutcome, StepOutcome, StepProcess,
+    Adversary, ProcessSlot, RandomAdversary, RoundRobinAdversary, Scheduler, SchedulerOutcome,
+    StepOutcome, StepProcess,
 };

@@ -12,7 +12,7 @@ use crate::coin::CoinSource;
 use crate::mem::SharedMem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rlt_spec::{History, IncrementalChecker, ProcessId};
+use rlt_spec::{History, ProcessId};
 use std::fmt;
 
 /// Result of a single process step.
@@ -141,17 +141,9 @@ pub struct SchedulerOutcome {
     pub all_done: bool,
     /// Number of steps executed.
     pub steps: u64,
-}
-
-/// Outcome of [`Scheduler::run_monitored`]: a run with a live incremental
-/// linearizability checker attached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MonitoredOutcome {
-    /// The plain run outcome (steps counted up to the halt, if any).
-    pub outcome: SchedulerOutcome,
-    /// The step count at which the monitor first rejected the history; `None` if
-    /// every checked prefix was linearizable.
-    pub violation_at_step: Option<u64>,
+    /// `true` if the run stopped because the `halt` closure of
+    /// [`Scheduler::run_until`] returned `true` after step `steps`.
+    pub halted: bool,
 }
 
 /// Drives a set of [`StepProcess`]es over a [`SharedMem`] under an [`Adversary`].
@@ -238,62 +230,34 @@ impl<V: Clone + Eq + fmt::Debug + Ord + std::hash::Hash> Scheduler<V> {
 
     /// Runs until every process terminates or `max_steps` steps have executed.
     pub fn run(&mut self, max_steps: u64) -> SchedulerOutcome {
-        while self.steps < max_steps {
-            if !self.step_once() {
-                break;
-            }
+        self.run_until(max_steps, |_| false)
+    }
+
+    /// The one run loop: runs like [`Scheduler::run`], but consults `halt` on the
+    /// memory after every step and stops at the first `true`.
+    ///
+    /// A live linearizability monitor is a `halt` closure that feeds the borrowed
+    /// [`SharedMem::operations`] to an [`IncrementalChecker`] session through
+    /// [`IncrementalChecker::sync_with_ops`], so the per-register searches resume
+    /// instead of restarting, and answers whether the verdict is non-linearizable
+    /// (`verdict_ref().outcome() == Ok(false)`): the run then halts at the first
+    /// step whose history prefix is non-linearizable.
+    ///
+    /// [`IncrementalChecker`]: rlt_spec::IncrementalChecker
+    /// [`IncrementalChecker::sync_with_ops`]: rlt_spec::IncrementalChecker::sync_with_ops
+    pub fn run_until(
+        &mut self,
+        max_steps: u64,
+        mut halt: impl FnMut(&SharedMem<V>) -> bool,
+    ) -> SchedulerOutcome {
+        let mut halted = false;
+        while !halted && self.steps < max_steps && self.step_once() {
+            halted = halt(&self.mem);
         }
         SchedulerOutcome {
             all_done: self.slots.iter().all(|s| s.done),
             steps: self.steps,
-        }
-    }
-
-    /// Runs like [`Scheduler::run`] with a live linearizability monitor attached:
-    /// after every step that grew the recorded history, the new events are fed to
-    /// `monitor` (an [`IncrementalChecker`] session, so the per-register searches
-    /// resume instead of restarting) and the run **halts at the first step whose
-    /// history prefix is non-linearizable**. The monitor keeps its session state, so
-    /// the caller can inspect [`IncrementalChecker::history`] and
-    /// [`IncrementalChecker::stats`] afterwards — or keep running.
-    pub fn run_monitored(
-        &mut self,
-        max_steps: u64,
-        monitor: &mut IncrementalChecker<V>,
-    ) -> MonitoredOutcome {
-        let event_count = |h: &History<V>| {
-            h.operations()
-                .iter()
-                .map(|o| 1 + usize::from(o.responded_at.is_some()))
-                .sum::<usize>()
-        };
-        let mut seen_events = event_count(monitor.history());
-        while self.steps < max_steps {
-            if !self.step_once() {
-                break;
-            }
-            let history = self.history();
-            let events = event_count(&history);
-            if events > seen_events {
-                seen_events = events;
-                monitor.sync_with(&history);
-                if monitor.verdict_ref().outcome() == Ok(false) {
-                    return MonitoredOutcome {
-                        outcome: SchedulerOutcome {
-                            all_done: self.slots.iter().all(|s| s.done),
-                            steps: self.steps,
-                        },
-                        violation_at_step: Some(self.steps),
-                    };
-                }
-            }
-        }
-        MonitoredOutcome {
-            outcome: SchedulerOutcome {
-                all_done: self.slots.iter().all(|s| s.done),
-                steps: self.steps,
-            },
-            violation_at_step: None,
+            halted,
         }
     }
 
@@ -396,9 +360,9 @@ mod tests {
         assert!(Checker::new(0i64).check(&h).is_linearizable());
     }
 
-    /// One process: writes 1, then reads three times in sequence. Driven over a
-    /// scripted resolver the second read goes stale, which the live monitor must
-    /// catch the moment its response lands.
+    /// One process: writes 1, then reads three times in sequence, dictating 1, then
+    /// a stale 0, then 0 again. The live monitor must catch the second read the
+    /// moment its response lands.
     #[derive(Debug)]
     struct StaleReader {
         state: u8,
@@ -417,11 +381,14 @@ mod tests {
                 1 => self.pending = Some(mem.begin_write(pid, R, 1)),
                 2 => mem.finish_write(self.pending.take().unwrap()),
                 3 | 5 | 7 => self.pending = Some(mem.begin_read(pid, R)),
-                4 | 6 => {
-                    mem.finish_read(self.pending.take().unwrap());
+                4 => {
+                    mem.finish_read_as(self.pending.take().unwrap(), &1);
+                }
+                6 => {
+                    mem.finish_read_as(self.pending.take().unwrap(), &0);
                 }
                 _ => {
-                    mem.finish_read(self.pending.take().unwrap());
+                    mem.finish_read_as(self.pending.take().unwrap(), &0);
                     return StepOutcome::Done;
                 }
             }
@@ -429,16 +396,20 @@ mod tests {
         }
     }
 
+    /// A live monitor as a `halt` closure: it syncs the session with the memory's
+    /// operations and halts at the first non-linearizable prefix.
+    fn monitor(monitor: &mut IncrementalChecker<i64>) -> impl FnMut(&SharedMem<i64>) -> bool + '_ {
+        |mem| {
+            monitor.sync_with_ops(mem.operations());
+            monitor.verdict_ref().outcome() == Ok(false)
+        }
+    }
+
     #[test]
-    fn run_monitored_halts_at_the_first_non_linearizable_prefix() {
-        use crate::mem::ScriptedResolver;
-        // The script feeds the first read the fresh value and the second a stale
-        // one; a third read is scripted but must never run.
-        let mem: SharedMem<i64> = SharedMem::with_resolver(
-            RegisterMode::Linearizable,
-            0,
-            Box::new(ScriptedResolver::strict(vec![1i64, 0i64, 0i64])),
-        );
+    fn run_until_halts_at_the_first_non_linearizable_prefix() {
+        // The first read gets the fresh value and the second a stale one; a third
+        // read is dictated but must never run.
+        let mem: SharedMem<i64> = SharedMem::new(RegisterMode::Linearizable, 0);
         let mut sched = Scheduler::new(
             mem,
             CoinSource::new(7),
@@ -452,32 +423,32 @@ mod tests {
             }),
         );
         let checker = Checker::new(0i64);
-        let mut monitor = checker.incremental();
-        let out = sched.run_monitored(10_000, &mut monitor);
+        let mut session = checker.incremental();
+        let out = sched.run_until(10_000, monitor(&mut session));
         // Halted at the stale read's response (step 6), before the third read ran.
-        assert_eq!(out.violation_at_step, Some(6));
-        assert_eq!(out.outcome.steps, 6);
-        assert!(!out.outcome.all_done);
+        assert!(out.halted);
+        assert_eq!(out.steps, 6);
+        assert!(!out.all_done);
         // The monitor saw exactly the halted history, and batch agrees with it.
         let halted = sched.history();
-        assert_eq!(monitor.history(), &halted);
+        assert_eq!(session.history(), &halted);
         assert!(!checker.check(&halted).is_linearizable());
     }
 
     #[test]
-    fn run_monitored_clean_run_matches_plain_run() {
+    fn run_until_with_a_clean_monitor_matches_plain_run() {
         let mut plain = build_scheduler(Box::new(RoundRobinAdversary::new()), 3);
         let expected = plain.run(10_000);
+        assert!(!expected.halted);
         let mut sched = build_scheduler(Box::new(RoundRobinAdversary::new()), 3);
         let checker = Checker::new(0i64);
-        let mut monitor = checker.incremental();
-        let out = sched.run_monitored(10_000, &mut monitor);
-        assert_eq!(out.violation_at_step, None);
-        assert_eq!(out.outcome, expected);
+        let mut session = checker.incremental();
+        let out = sched.run_until(10_000, monitor(&mut session));
+        assert_eq!(out, expected);
         assert_eq!(sched.history(), plain.history());
-        assert!(monitor.verdict().is_linearizable());
+        assert!(session.verdict().is_linearizable());
         // The monitor resumed per-register searches instead of restarting them.
-        assert!(monitor.stats().verdicts > 0);
+        assert!(session.stats().verdicts > 0);
     }
 
     #[test]

@@ -343,18 +343,25 @@ impl<V: Clone> HistoryBuilder<V> {
         id
     }
 
+    /// The operation `id` and the time of its response. Ids are issued 0, 1, 2, …
+    /// and ops pushed in that order, so an id is its own index.
+    fn responding(&mut self, id: OpId) -> (&mut Operation<V>, Time) {
+        let t = self.tick();
+        let op = usize::try_from(id.0)
+            .ok()
+            .and_then(|i| self.ops.get_mut(i))
+            .expect("unknown operation id");
+        debug_assert_eq!(op.id, id, "builder ops are indexed by id");
+        (op, t)
+    }
+
     /// Records the response of a pending write.
     ///
     /// # Panics
     ///
     /// Panics if `id` does not refer to a pending write in this builder.
     pub fn respond_write(&mut self, id: OpId) {
-        let t = self.tick();
-        let op = self
-            .ops
-            .iter_mut()
-            .find(|o| o.id == id)
-            .expect("unknown operation id");
+        let (op, t) = self.responding(id);
         assert!(op.is_write(), "respond_write on a read operation");
         assert!(op.responded_at.is_none(), "operation already responded");
         op.responded_at = Some(t);
@@ -366,12 +373,7 @@ impl<V: Clone> HistoryBuilder<V> {
     ///
     /// Panics if `id` does not refer to a pending read in this builder.
     pub fn respond_read(&mut self, id: OpId, value: V) {
-        let t = self.tick();
-        let op = self
-            .ops
-            .iter_mut()
-            .find(|o| o.id == id)
-            .expect("unknown operation id");
+        let (op, t) = self.responding(id);
         assert!(op.is_read(), "respond_read on a write operation");
         assert!(op.responded_at.is_none(), "operation already responded");
         op.kind = OpKind::Read(Some(value));
@@ -390,6 +392,12 @@ impl<V: Clone> HistoryBuilder<V> {
         let id = self.invoke_read(process, register);
         self.respond_read(id, value);
         id
+    }
+
+    /// The operations recorded so far, borrowed in place, in invocation order.
+    #[must_use]
+    pub fn operations(&self) -> &[Operation<V>] {
+        &self.ops
     }
 
     /// Finishes the builder and returns the history.
@@ -535,6 +543,54 @@ mod tests {
         let h = b.build();
         assert_eq!(h.registers().len(), 2);
         assert_eq!(h.on_register(RegisterId(1)).count(), 2);
+    }
+
+    #[test]
+    fn misdirected_responses_panic_with_the_builders_messages() {
+        // op0 is a pending write, op1 a pending read; op2 does not exist.
+        type Respond = fn(&mut HistoryBuilder<i64>);
+        let panic_message = |respond: Respond| -> String {
+            let mut b = HistoryBuilder::new();
+            b.invoke_write(ProcessId(0), RegisterId(0), 1);
+            b.invoke_read(ProcessId(1), RegisterId(0));
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| respond(&mut b)))
+                    .expect_err("the response must panic");
+            payload
+                .downcast_ref::<&str>()
+                .map(|m| (*m).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .expect("a text panic message")
+        };
+        let cases: [(Respond, &str); 6] = [
+            (|b| b.respond_write(OpId(2)), "unknown operation id"),
+            (|b| b.respond_read(OpId(2), 1), "unknown operation id"),
+            (
+                |b| b.respond_write(OpId(1)),
+                "respond_write on a read operation",
+            ),
+            (
+                |b| b.respond_read(OpId(0), 1),
+                "respond_read on a write operation",
+            ),
+            (
+                |b| {
+                    b.respond_write(OpId(0));
+                    b.respond_write(OpId(0));
+                },
+                "operation already responded",
+            ),
+            (
+                |b| {
+                    b.respond_read(OpId(1), 1);
+                    b.respond_read(OpId(1), 1);
+                },
+                "operation already responded",
+            ),
+        ];
+        for (respond, message) in cases {
+            assert_eq!(panic_message(respond), message);
+        }
     }
 
     #[test]

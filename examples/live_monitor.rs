@@ -9,8 +9,8 @@
 //! 1. the faulty (write-back-free) ABD cluster under the reply-withholding delivery
 //!    adversary, re-checked after every single delivery — the monitor catches the
 //!    new/old inversion the moment the stale read responds;
-//! 2. a shared-memory scheduler run over a scripted resolver that feeds a reader a
-//!    stale value, through `Scheduler::run_monitored`.
+//! 2. a shared-memory scheduler run in which a reader is handed a stale value,
+//!    through `Scheduler::run_until` with the session as its `halt` closure.
 //!
 //! Every printed number is deterministic (seeded workload, virtual time, counters),
 //! so CI diffs the output across `RLT_THREADS` settings.
@@ -21,8 +21,8 @@ use rlt_core::mp::{
     hunt_with, AbdCluster, FaultPlan, FaultScenario, FaultyAbdCluster, ReplyWithholdingAdversary,
 };
 use rlt_core::sim::{
-    CoinSource, PendingOp, RegisterMode, RoundRobinAdversary, Scheduler, ScriptedResolver,
-    SharedMem, StepOutcome, StepProcess,
+    CoinSource, PendingOp, RegisterMode, RoundRobinAdversary, Scheduler, SharedMem, StepOutcome,
+    StepProcess,
 };
 use rlt_core::spec::{Checker, ProcessId, RegisterId};
 
@@ -79,8 +79,9 @@ fn monitored_abd_run() {
     println!("  bit-identical to the batch verdict: true");
 }
 
-/// One process: write 1, then read three times. The scripted resolver hands the
-/// second read a stale 0, which the attached monitor catches at that very step.
+/// One process: write 1, then read three times, dictating what each read returns:
+/// the fresh 1, then a stale 0, which the attached monitor catches at that very
+/// step, then 0 again.
 #[derive(Debug, Default)]
 struct StaleReader {
     state: u8,
@@ -99,11 +100,14 @@ impl StepProcess<i64> for StaleReader {
             1 => self.pending = Some(mem.begin_write(pid, RegisterId(0), 1)),
             2 => mem.finish_write(self.pending.take().expect("write pending")),
             3 | 5 | 7 => self.pending = Some(mem.begin_read(pid, RegisterId(0))),
-            4 | 6 => {
-                mem.finish_read(self.pending.take().expect("read pending"));
+            4 => {
+                mem.finish_read_as(self.pending.take().expect("read pending"), &1);
+            }
+            6 => {
+                mem.finish_read_as(self.pending.take().expect("read pending"), &0);
             }
             _ => {
-                mem.finish_read(self.pending.take().expect("read pending"));
+                mem.finish_read_as(self.pending.take().expect("read pending"), &0);
                 return StepOutcome::Done;
             }
         }
@@ -112,11 +116,7 @@ impl StepProcess<i64> for StaleReader {
 }
 
 fn monitored_scheduler_run() {
-    let mem: SharedMem<i64> = SharedMem::with_resolver(
-        RegisterMode::Linearizable,
-        0,
-        Box::new(ScriptedResolver::strict(vec![1i64, 0i64, 0i64])),
-    );
+    let mem: SharedMem<i64> = SharedMem::new(RegisterMode::Linearizable, 0);
     let mut sched = Scheduler::new(
         mem,
         CoinSource::new(7),
@@ -125,18 +125,19 @@ fn monitored_scheduler_run() {
     sched.add_process(ProcessId(0), Box::<StaleReader>::default());
     let checker = Checker::new(0i64);
     let mut monitor = checker.incremental();
-    let out = sched.run_monitored(10_000, &mut monitor);
-    let at = out
-        .violation_at_step
-        .expect("the scripted stale read must be caught");
+    let out = sched.run_until(10_000, |mem| {
+        monitor.sync_with_ops(mem.operations());
+        monitor.verdict_ref().outcome() == Ok(false)
+    });
+    assert!(out.halted, "the scripted stale read must be caught");
     println!();
     println!("shared-memory scheduler with a scripted stale read:");
     println!(
-        "  halted at step {at} ({} of a possible 8 steps run), history: {} operations",
-        out.outcome.steps,
-        sched.history().len()
+        "  halted at step {steps} ({steps} of a possible 8 steps run), history: {} operations",
+        sched.mem().operations().len(),
+        steps = out.steps
     );
-    assert!(!out.outcome.all_done, "the third read must never run");
+    assert!(!out.all_done, "the third read must never run");
     assert_eq!(monitor.history(), &sched.history());
     assert!(!checker.check(&sched.history()).is_linearizable());
     println!("  monitor and batch checker agree the prefix is non-linearizable: true");

@@ -7,7 +7,8 @@ mod common;
 
 use common::random_history;
 use httpd::Client;
-use rlt_core::server::{serve, AppConfig, ServerHandle};
+use rlt_core::server::handlers::route;
+use rlt_core::server::{serve, AppConfig, CheckService, ServerHandle};
 use rlt_core::spec::wire::{format_history, parse_history, verdict_to_json};
 use rlt_core::spec::History;
 use std::io::{Read, Write};
@@ -437,4 +438,185 @@ fn analyze_maps_errors_to_400_404_405() {
     let resp = client.get("/analyze").expect("GET /analyze");
     assert_eq!(resp.status, 405, "{}", resp.body);
     handle.shutdown();
+}
+
+/// One request through the routing table, with no socket: `(status, body)`.
+fn route_text(service: &CheckService, method: &str, target: &str, body: &str) -> (u16, String) {
+    let (path, query) = match target.split_once('?') {
+        Some((path, query)) => (path, Some(query.to_string())),
+        None => (target, None),
+    };
+    let request = httpd::Request {
+        method: method.to_string(),
+        path: path.to_string(),
+        query,
+        headers: Vec::new(),
+        body: body.as_bytes().to_vec(),
+    };
+    let response = route(service, &request);
+    let body = String::from_utf8(response.body).expect("UTF-8 response body");
+    (response.status, body)
+}
+
+/// Every served JSON shape, byte for byte. A JSON writer that replaces the
+/// hand-rolled `format!` rendering must reproduce these exactly.
+#[test]
+fn served_json_shapes_are_byte_pinned() {
+    // Tagged, pair and ⊥ values, and a pending write a later read observes.
+    const CHECK: &str = "op0 p0 R0 write (5#2) @ t1..t2\nop1 p1 R0 read (5#2) @ t3..t4\n\
+                         op2 p0 R1 write [0,3] @ t5..t6\nop3 p1 R1 write ⊥ @ t7..t8\n\
+                         op4 p2 R1 read ⊥ @ t9..t10\nop5 p2 R0 write 7 @ t11..\n\
+                         op6 p1 R0 read 7 @ t12..t13\n";
+    const STALE: &str = "op0 p0 R0 write 1 @ t1..t2\nop1 p1 R0 read 0 @ t3..t4\n";
+    // Three concurrent writes: six orders.
+    const ORDERS: &str =
+        "op0 p0 R0 write 1 @ t1..t4\nop1 p1 R0 write 2 @ t2..t5\nop2 p2 R0 write 3 @ t3..t6\n";
+    const CHECK_STATS: &str = r#""stats":{"states_explored":9,"states_memoized":0,"enumeration_nodes":0,"memo_probes":7,"memo_hits":0,"memo_arena_high_water":8}"#;
+    let check_witness = concat!(
+        r#"{"decision":true,"witness":["#,
+        r#"{"op":0,"process":0,"register":0,"kind":"write","value":"(5#2)"},"#,
+        r#"{"op":1,"process":1,"register":0,"kind":"read","value":"(5#2)"},"#,
+        r#"{"op":2,"process":0,"register":1,"kind":"write","value":"[0,3]"},"#,
+        r#"{"op":3,"process":1,"register":1,"kind":"write","value":"⊥"},"#,
+        r#"{"op":4,"process":2,"register":1,"kind":"read","value":"⊥"},"#,
+        r#"{"op":5,"process":2,"register":0,"kind":"write","value":"7"},"#,
+        r#"{"op":6,"process":1,"register":0,"kind":"read","value":"7"}],"#,
+    );
+    let check = format!("{check_witness}{CHECK_STATS}}}");
+    let stale = r#"{"decision":false,"witness":null,"stats":{"states_explored":2,"states_memoized":0,"enumeration_nodes":0,"memo_probes":2,"memo_hits":0,"memo_arena_high_water":4}}"#;
+
+    let service = CheckService::new(AppConfig::default());
+    let exchanges: Vec<(&str, &str, String, u16, String)> = vec![
+        ("POST", "/check", CHECK.to_string(), 200, check.clone()),
+        (
+            "POST",
+            "/check_many",
+            format!("{CHECK}---\n{STALE}"),
+            200,
+            format!("[{check},{stale}]"),
+        ),
+        (
+            "POST",
+            "/linearizations",
+            ORDERS.to_string(),
+            200,
+            r#"{"linearizations":[[0,1,2],[0,2,1],[1,0,2],[1,2,0],[2,0,1],[2,1,0]],"count":6,"truncated":false,"work_capped":false}"#.to_string(),
+        ),
+        (
+            "POST",
+            "/linearizations?max=2",
+            ORDERS.to_string(),
+            200,
+            r#"{"linearizations":[[0,1,2],[0,2,1]],"count":2,"truncated":true,"work_capped":false}"#.to_string(),
+        ),
+        (
+            "POST",
+            "/sessions",
+            "op0 p0 R0 write 1 @ t1..t2\n".to_string(),
+            201,
+            r#"{"session":1,"ops":1}"#.to_string(),
+        ),
+        (
+            "POST",
+            "/sessions/1/events",
+            "op1 p1 R0 read 1 @ t3..t4\nop2 p1 R0 write 2 @ t5..\n".to_string(),
+            200,
+            r#"{"ops":3}"#.to_string(),
+        ),
+        (
+            "GET",
+            "/sessions/1/verdict",
+            String::new(),
+            200,
+            concat!(
+                r#"{"verdict":{"decision":true,"witness":["#,
+                r#"{"op":0,"process":0,"register":0,"kind":"write","value":"1"},"#,
+                r#"{"op":1,"process":1,"register":0,"kind":"read","value":"1"}],"#,
+                r#""stats":{"states_explored":3,"states_memoized":0,"enumeration_nodes":0,"memo_probes":2,"memo_hits":0,"memo_arena_high_water":4}},"#,
+                r#""incremental":{"ops_appended":3,"completions":2,"verdicts":1,"registers_reused":0,"registers_resumed":0,"registers_researched":1,"incremental_states":3,"full_rebuilds":0,"full_fallbacks":0}}"#,
+            )
+            .to_string(),
+        ),
+        // The offending token carries a quote, a backslash and a control byte.
+        (
+            "POST",
+            "/check",
+            "op0 p0 R0 write [a\"\\\u{1},1] @ t1..t2\n".to_string(),
+            400,
+            r#"{"error":"history line 1: bad pair component `a\"\\\u0001` in `[a\"\\\u0001,1]`"}"#.to_string(),
+        ),
+        (
+            "GET",
+            "/nope",
+            String::new(),
+            404,
+            r#"{"error":"no such resource `/nope`"}"#.to_string(),
+        ),
+        (
+            "GET",
+            "/check",
+            String::new(),
+            405,
+            r#"{"error":"method not allowed"}"#.to_string(),
+        ),
+        ("GET", "/health", String::new(), 200, r#"{"status":"ok"}"#.to_string()),
+        (
+            "GET",
+            "/metrics?deterministic=1",
+            String::new(),
+            200,
+            concat!(
+                r#"{"check_requests":1,"check_many_requests":1,"check_many_histories":2,"#,
+                r#""linearization_requests":2,"sessions_created":1,"session_events":3,"#,
+                r#""session_verdicts":1,"verdicts_linearizable":3,"verdicts_not_linearizable":1,"#,
+                r#""verdicts_inconclusive":0,"cache_hits":0,"cache_misses":1,"parse_errors":1,"#,
+                r#""not_found":1,"rejected_backpressure":0,"rejected_oversize":0,"#,
+                r#""distinct_states_estimate":6}"#,
+            )
+            .to_string(),
+        ),
+    ];
+    for (method, target, body, status, expected) in exchanges {
+        assert_eq!(
+            route_text(&service, method, target, &body),
+            (status, expected),
+            "{method} {target}"
+        );
+    }
+
+    // Witness recording off, and a state budget too small to decide.
+    let witness_off = CheckService::new(AppConfig {
+        witness: false,
+        ..AppConfig::default()
+    });
+    assert_eq!(
+        route_text(&witness_off, "POST", "/check", CHECK),
+        (
+            200,
+            format!(r#"{{"decision":true,"witness":null,{CHECK_STATS}}}"#)
+        )
+    );
+    let starved = CheckService::new(AppConfig {
+        state_budget: 1,
+        ..AppConfig::default()
+    });
+    assert_eq!(
+        route_text(&starved, "POST", "/check", CHECK),
+        (
+            200,
+            r#"{"decision":null,"witness":null,"stats":{"states_explored":2,"states_memoized":0,"enumeration_nodes":0,"memo_probes":1,"memo_hits":0,"memo_arena_high_water":2}}"#.to_string()
+        )
+    );
+    // An enumeration that runs out of work before its first order.
+    let capped = CheckService::new(AppConfig {
+        enumeration_work_cap: 3,
+        ..AppConfig::default()
+    });
+    assert_eq!(
+        route_text(&capped, "POST", "/linearizations", ORDERS),
+        (
+            200,
+            r#"{"linearizations":[],"count":0,"truncated":false,"work_capped":true}"#.to_string()
+        )
+    );
 }
