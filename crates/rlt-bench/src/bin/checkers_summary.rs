@@ -17,11 +17,16 @@
 //!   thread, so only the `engine_batch` rows have `threads` above 1. A second
 //!   array, `enumeration_rows`, pins the enumeration walks: orders emitted and
 //!   enumeration nodes visited by `Checker::linearizations` drains (single-register
-//!   and product walks, full and first-64) and by the Theorem 13 family check.
-//!   Every field but `mean_wall_nanos` and `iterations` is deterministic, and CI
-//!   diffs the regenerated file against the tracked one with those two masked.
+//!   and product walks, full and first-64) and by the Theorem 13 family check. A
+//!   third, `algorithm3_rows`, times Algorithm 3 (the on-line write
+//!   strong-linearization function) on Algorithm 2 traces of growing length, and
+//!   the engine on the head-to-head trace. Every field but `mean_wall_nanos` and
+//!   `iterations` is deterministic, and CI diffs the regenerated file against the
+//!   tracked one with those two masked.
 //! * `BENCH_game.json` — experiment E2: cost of 10-round Figure 1/2 games per
-//!   register mode and process count, plus full termination experiments.
+//!   register mode and process count, plus full termination experiments. Each
+//!   row's `mean_rounds` comes from a fixed block of seeds, so CI diffs this file
+//!   the same way.
 //! * `BENCH_abd.json` — experiments E3 (ABD write+read round-trip cost as the
 //!   cluster grows and under minority crashes), E13 (adversarial message schedules:
 //!   deliveries-to-counterexample per delivery adversary on the faulty cluster, plus
@@ -42,9 +47,10 @@ use rlt_bench::tracked::{
 use rlt_bench::{
     best_mean_time, distinct_value_workload, incremental_resweep, incremental_sweep,
     invocation_ordered, lamport_workload, mean_time, multi_register_workload, small_history_corpus,
-    stream_checker,
+    stream_checker, vector_workload,
 };
 use rlt_game::{run_game, termination_experiment, GameConfig};
+use rlt_registers::algorithm3::vector_linearization;
 use rlt_registers::counterexample::theorem13_family;
 use rlt_sim::RegisterMode;
 use rlt_spec::reference::reference_check_linearizable;
@@ -83,6 +89,18 @@ const ENUMERATION_SIZES: &[(&str, usize, Option<usize>)] = &[
     ("multi_register_3x", 40, Some(ENUMERATION_PREFIX)),
     ("multi_register_3x", 80, Some(ENUMERATION_PREFIX)),
 ];
+
+/// Algorithm 3 rows: processes, decisions and seed of each Algorithm 2 trace, and
+/// whether the engine checks the same trace (the head-to-head row).
+const ALGORITHM3_TRACES: &[(usize, usize, u64, bool)] = &[
+    (4, 20, 11, false),
+    (4, 60, 11, false),
+    (4, 120, 11, false),
+    (3, 40, 5, true),
+];
+
+/// Seeds `1..=GAME_SEEDS` give each `game_10_rounds` row its `mean_rounds`.
+const GAME_SEEDS: u64 = 1000;
 
 // Workload geometry (sizes, seeds, thresholds) lives in `rlt_bench::tracked`.
 
@@ -460,7 +478,74 @@ fn enumeration_rows() -> Vec<EnumerationRow> {
     rows
 }
 
-fn write_checkers_json(rows: &[Row], enumeration: &[EnumerationRow], out_path: &str) {
+/// One Algorithm 3 row: Algorithm 3 (or, on the head-to-head trace, the engine)
+/// on one Algorithm 2 trace. `linearized` says that Algorithm 3's output is a
+/// linearization of the trace's history, or that the engine found one.
+struct Algorithm3Row {
+    checker: &'static str,
+    workload: String,
+    ops: usize,
+    linearized: bool,
+    /// The engine's search states; Algorithm 3 does not search.
+    states_explored: Option<u64>,
+    mean_wall_nanos: u128,
+    iterations: u64,
+}
+
+fn algorithm3_rows() -> Vec<Algorithm3Row> {
+    let mut rows = Vec::new();
+    for &(processes, decisions, seed, head_to_head) in ALGORITHM3_TRACES {
+        let trace = vector_workload(processes, decisions, seed).trace();
+        let workload = format!("vector_trace_{processes}p/{decisions}");
+        let linearized = vector_linearization(&trace, None)
+            .is_some_and(|lin| lin.is_linearization_of(&trace.history, &0));
+        let (mean_wall_nanos, iterations, _) =
+            mean_time(|| vector_linearization(&trace, None).is_some());
+        rows.push(Algorithm3Row {
+            checker: "algorithm3",
+            workload: workload.clone(),
+            ops: trace.history.len(),
+            linearized,
+            states_explored: None,
+            mean_wall_nanos,
+            iterations,
+        });
+        if head_to_head {
+            let checker = Checker::new(0i64);
+            let probe = checker.check(&trace.history);
+            let (mean_wall_nanos, iterations, linearized) =
+                mean_time(|| checker.check(&trace.history).is_linearizable());
+            rows.push(Algorithm3Row {
+                checker: "engine",
+                workload,
+                ops: trace.history.len(),
+                linearized,
+                states_explored: Some(probe.stats().states_explored),
+                mean_wall_nanos,
+                iterations,
+            });
+        }
+    }
+    for r in &rows {
+        eprintln!(
+            "{:>15} {}: {} ops, linearized {}, {:.3} ms/iter over {} iters",
+            r.checker,
+            r.workload,
+            r.ops,
+            r.linearized,
+            r.mean_wall_nanos as f64 / 1e6,
+            r.iterations
+        );
+    }
+    rows
+}
+
+fn write_checkers_json(
+    rows: &[Row],
+    enumeration: &[EnumerationRow],
+    algorithm3: &[Algorithm3Row],
+    out_path: &str,
+) {
     // Hand-rolled JSON: the workspace deliberately has no serialization dependency.
     let mut json = String::from(
         "{\n  \"experiment\": \"E10-E11-checker-and-parallel-scaling\",\n  \"rows\": [\n",
@@ -506,14 +591,32 @@ fn write_checkers_json(rows: &[Row], enumeration: &[EnumerationRow], out_path: &
             if i + 1 < enumeration.len() { "," } else { "" }
         );
     }
+    json.push_str("  ],\n  \"algorithm3_rows\": [\n");
+    for (i, r) in algorithm3.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"checker\": \"{}\", \"workload\": \"{}\", \"ops\": {}, \
+             \"linearized\": {}, \"states_explored\": {}, \
+             \"mean_wall_nanos\": {}, \"iterations\": {}}}{}",
+            r.checker,
+            r.workload,
+            r.ops,
+            r.linearized,
+            r.states_explored
+                .map_or_else(|| "null".to_string(), |s| s.to_string()),
+            r.mean_wall_nanos,
+            r.iterations,
+            if i + 1 < algorithm3.len() { "," } else { "" }
+        );
+    }
     json.push_str("  ]\n}\n");
     std::fs::write(out_path, &json).expect("write checkers summary JSON");
     eprintln!("wrote {out_path}");
 }
 
 fn write_game_json(out_path: &str) {
-    // E2: per-mode cost of 10-round games (the benches/game.rs workload) and of a
-    // 100-trial termination experiment.
+    // E2: per-mode cost of 10-round games and of a 100-trial termination
+    // experiment.
     struct GameRow {
         bench: &'static str,
         mode: &'static str,
@@ -531,15 +634,13 @@ fn write_game_json(out_path: &str) {
             ("write_strong", RegisterMode::WriteStrongLinearizable),
             ("atomic", RegisterMode::Atomic),
         ] {
+            let total_rounds: u64 = (1..=GAME_SEEDS)
+                .map(|seed| run_game(mode, &cfg, seed).rounds_executed)
+                .sum();
             let mut seed = 0u64;
-            let mut total_rounds = 0u64;
-            let mut runs = 0u64;
             let (mean_wall_nanos, iterations, _) = mean_time(|| {
                 seed += 1;
-                let outcome = run_game(mode, &cfg, seed);
-                total_rounds += outcome.rounds_executed;
-                runs += 1;
-                outcome.all_returned
+                run_game(mode, &cfg, seed).all_returned
             });
             rows.push(GameRow {
                 bench: "game_10_rounds",
@@ -547,7 +648,7 @@ fn write_game_json(out_path: &str) {
                 processes: n,
                 mean_wall_nanos,
                 iterations,
-                mean_rounds: Some(total_rounds as f64 / runs as f64),
+                mean_rounds: Some(total_rounds as f64 / GAME_SEEDS as f64),
             });
         }
     }
@@ -611,7 +712,8 @@ fn main() {
 
     let rows = checker_rows();
     let enumeration = enumeration_rows();
-    write_checkers_json(&rows, &enumeration, &checkers_path);
+    let algorithm3 = algorithm3_rows();
+    write_checkers_json(&rows, &enumeration, &algorithm3, &checkers_path);
     write_game_json(&game_path);
     rlt_bench::abd_summary::write_abd_json(&abd_path);
 }

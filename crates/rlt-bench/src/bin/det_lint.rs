@@ -9,7 +9,7 @@
 //!   runs. First-party code defaults to `BTreeMap`/`BTreeSet`; each hash-map
 //!   use must be allowlisted (they are fine for membership-only lookups).
 //! * `Instant::now` / `SystemTime::now` — wall-clock reads outside `rlt-bench`
-//!   (benches measure; everything else runs on [`rlt_sim`] virtual time).
+//!   (`rlt-bench` measures; everything else runs on [`rlt_sim`] virtual time).
 //! * `available_parallelism` / `thread::current` — thread-count or thread-id
 //!   dependent logic outside the vendored pool breaks the RLT_THREADS
 //!   bit-identical-output guarantee.

@@ -2,7 +2,9 @@
 //!
 //! Boots in-process server instances, drives them over real loopback HTTP with
 //! the tracked seeded workloads, and writes `BENCH_server.json` with
-//! checks/sec + p50/p99 latency rows:
+//! checks/sec and latency rows. Every row reports its latency sample count and
+//! median; a row of at least 40 samples also reports p95, and a smaller row
+//! reports its median alone, since any higher percentile would be no tail:
 //!
 //! * `check` rows — the 80/160/320-decision `lamport_history` workloads through
 //!   `POST /check` with the interning cache off (every request runs a real
@@ -47,6 +49,9 @@ const ROUNDS: usize = 25;
 const SESSION_DECISIONS: usize = 160;
 /// Events (invocations + completions) per `POST /sessions/{id}/events` body.
 const SESSION_CHUNK_EVENTS: usize = 16;
+/// Fewest latency samples for which a row reports p95 (at 200 samples, ten lie
+/// beyond it).
+const MIN_TAIL_SAMPLES: usize = 40;
 
 /// Maps the i64 workload domain into [`Value`] bijectively (`0` is the initial
 /// value on both sides), so verdicts over the mapped history are the verdicts
@@ -86,9 +91,20 @@ struct Row {
     requests: usize,
     clients: usize,
     checks_per_sec: f64,
-    p50_micros: u128,
-    p99_micros: u128,
+    /// Per-request latencies (µs), sorted.
+    latencies: Vec<u128>,
     divergences: usize,
+}
+
+impl Row {
+    fn p50_micros(&self) -> u128 {
+        percentile(&self.latencies, 0.50)
+    }
+
+    /// `None` below [`MIN_TAIL_SAMPLES`] samples.
+    fn p95_micros(&self) -> Option<u128> {
+        (self.latencies.len() >= MIN_TAIL_SAMPLES).then(|| percentile(&self.latencies, 0.95))
+    }
 }
 
 fn percentile(sorted: &[u128], p: f64) -> u128 {
@@ -101,14 +117,16 @@ fn percentile(sorted: &[u128], p: f64) -> u128 {
 
 fn log_row(r: &Row) {
     eprintln!(
-        "{:>13} {} ({} clients): {} reqs, {:.0} checks/s, p50 {} µs, p99 {} µs, {} divergences",
+        "{:>13} {} ({} clients): {} reqs, {:.0} checks/s, {} samples, p50 {} µs{}, {} divergences",
         r.endpoint,
         r.workload,
         r.clients,
         r.requests,
         r.checks_per_sec,
-        r.p50_micros,
-        r.p99_micros,
+        r.latencies.len(),
+        r.p50_micros(),
+        r.p95_micros()
+            .map_or_else(String::new, |p95| format!(", p95 {p95} µs")),
         r.divergences
     );
 }
@@ -271,8 +289,7 @@ fn session_row(handle: &ServerHandle) -> Row {
         requests: 1 + 2 * chunks.len(),
         clients: 1,
         checks_per_sec: chunks.len() as f64 / wall,
-        p50_micros: percentile(&latencies, 0.50),
-        p99_micros: percentile(&latencies, 0.99),
+        latencies,
         divergences,
     }
 }
@@ -321,8 +338,7 @@ fn cached_row(bodies: &[String]) -> (Row, String) {
         requests: ROUNDS * bodies.len(),
         clients: 1,
         checks_per_sec: (ROUNDS * bodies.len()) as f64 / wall,
-        p50_micros: percentile(&latencies, 0.50),
-        p99_micros: percentile(&latencies, 0.99),
+        latencies,
         divergences,
     };
     let counters = handle.service().metrics_json(true);
@@ -338,15 +354,17 @@ fn write_json(rows: &[Row], out_path: &str) {
             json,
             "    {{\"endpoint\": \"{}\", \"workload\": \"{}\", \"ops\": {}, \
              \"requests\": {}, \"clients\": {}, \"checks_per_sec\": {:.1}, \
-             \"p50_micros\": {}, \"p99_micros\": {}, \"divergences\": {}}}{}",
+             \"samples\": {}, \"p50_micros\": {}{}, \"divergences\": {}}}{}",
             r.endpoint,
             r.workload,
             r.ops,
             r.requests,
             r.clients,
             r.checks_per_sec,
-            r.p50_micros,
-            r.p99_micros,
+            r.latencies.len(),
+            r.p50_micros(),
+            r.p95_micros()
+                .map_or_else(String::new, |p95| format!(", \"p95_micros\": {p95}")),
             r.divergences,
             if i + 1 < rows.len() { "," } else { "" }
         );
@@ -383,8 +401,7 @@ fn main() {
             requests: latencies.len(),
             clients: CLIENTS,
             checks_per_sec: latencies.len() as f64 / wall,
-            p50_micros: percentile(&latencies, 0.50),
-            p99_micros: percentile(&latencies, 0.99),
+            latencies,
             divergences,
         };
         log_row(&row);

@@ -1,16 +1,13 @@
-//! Shared helpers for the Criterion benchmark harness.
+//! Seeded workloads and timing helpers shared by the summary bins.
 //!
-//! The benchmarks (in `benches/`) regenerate the quantitative side of every experiment
-//! in `EXPERIMENTS.md`:
+//! The bins (in `src/bin/`) regenerate the quantitative side of `EXPERIMENTS.md`:
 //!
-//! * `registers` — cost of Algorithm 2 (vector timestamps) vs Algorithm 4 (Lamport
-//!   clocks) operations, threaded and simulated, as the number of processes grows.
-//! * `checkers` — scaling of the linearizability checker and of Algorithm 3 with
-//!   history length.
-//! * `game` — cost per round of the Figure 1/2 schedule under each register mode, and
-//!   of a full termination experiment.
-//! * `abd` — cost of ABD write/read round trips as the cluster grows.
-//! * `consensus` — cost of a full randomized-consensus instance.
+//! * `checkers_summary` — `BENCH_checkers.json` (the checker, batch, memo-arena,
+//!   incremental, enumeration and Algorithm 3 rows), `BENCH_game.json` (the cost of
+//!   the Figure 1/2 game) and `BENCH_abd.json` (ABD cost, hunts, faults and fuzzing).
+//! * `server_load` — `BENCH_server.json` (the checking service under load).
+//! * `fuzz_hunt` and `schedule_lint` — the fuzzer and schedule-analyzer smoke runs.
+//! * `det_lint` — the determinism lint over first-party sources.
 
 #![warn(missing_docs)]
 
@@ -64,7 +61,7 @@ use rlt_registers::schedule::{random_run, WorkloadParams};
 use rlt_spec::{History, HistoryBuilder, OpId, Operation, ProcessId, RegisterId};
 
 /// Parameters of the tracked `BENCH_checkers.json` workloads, which
-/// `checkers_summary` measures and the `checkers` bench group shares. CI diffs
+/// `checkers_summary` measures. CI diffs
 /// every deterministic field of the regenerated file against the tracked one, so
 /// changing any of these redefines what the tracked rows mean — regenerate the
 /// JSON in the same commit.
@@ -156,8 +153,8 @@ pub fn incremental_resweep(
     all_linearizable
 }
 
-/// Builds an Algorithm 2 trace from a seeded random workload (used by the checker
-/// benchmarks so the workload generation is not measured).
+/// Builds an Algorithm 2 trace from a seeded random workload (used by the
+/// Algorithm 3 rows so the workload generation is not measured).
 #[must_use]
 pub fn vector_workload(n: usize, decisions: usize, seed: u64) -> VectorSim {
     let mut sim = VectorSim::new(n);
@@ -261,8 +258,8 @@ pub fn distinct_value_workload(ops: usize, burst: usize, seed: u64) -> History<i
 /// mixed pending/completed operations, small value domain). At ~10 operations a
 /// history, allocation is a visible fraction of per-check time — exactly the workload
 /// where a reused [`rlt_spec::Checker`]'s warm scratch arenas pay off; the
-/// `checker_reuse` bench group and the `BENCH_checkers.json` `checker_reused` /
-/// `checker_fresh` rows both run over this corpus.
+/// `BENCH_checkers.json` `checker_reused` / `checker_fresh` rows run over this
+/// corpus.
 #[must_use]
 pub fn small_history_corpus(
     count: usize,

@@ -18,7 +18,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlt_sim::{CoinSource, RegisterMode, SharedMem};
 use rlt_spec::{Checker, ProcessId, RegisterId, Value};
-use serde::{Deserialize, Serialize};
 
 /// The MWMR register `R1` of Algorithm 1.
 pub const R1: RegisterId = RegisterId(0);
@@ -28,7 +27,7 @@ pub const R2: RegisterId = RegisterId(1);
 pub const C: RegisterId = RegisterId(2);
 
 /// Configuration of a game run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GameConfig {
     /// Number of processes (`n ≥ 3`): hosts `p0`, `p1` and players `p2 … p_{n-1}`.
     pub n: usize,
@@ -82,7 +81,7 @@ impl GameConfig {
 }
 
 /// What happened in one round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundReport {
     /// The round number (1-based).
     pub round: u64,
@@ -95,7 +94,7 @@ pub struct RoundReport {
 }
 
 /// Outcome of a game run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GameOutcome {
     /// `true` if every process returned (reached line 16 or 36) within the round budget.
     pub all_returned: bool,

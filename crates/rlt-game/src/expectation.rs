@@ -14,11 +14,10 @@
 use crate::algorithm1::{run_trials, GameConfig};
 use crate::termination::{mode_label, MODES};
 use rlt_sim::RegisterMode;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Empirical expectations measured over many seeded trials of Algorithm 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpectationReport {
     /// Human-readable register mode.
     pub mode_label: String,

@@ -13,11 +13,10 @@
 
 use crate::algorithm1::{run_game, run_trials, GameConfig, GameOutcome};
 use rlt_sim::RegisterMode;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Aggregated termination statistics over many trials of the game.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurvivalStats {
     /// The register mode the trials were run against.
     pub mode_label: String,

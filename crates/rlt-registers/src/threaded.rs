@@ -4,10 +4,10 @@
 //! interleavings; [`ThreadedRegister`] runs the very same protocol, for any
 //! [`Construction`], over lock-based SWMR cells under genuine OS-thread concurrency,
 //! recording every MWMR-level operation through a [`SharedRecorder`]. It is used for
-//! stress tests (the recorded histories are checked for linearizability) and for the
-//! Criterion benchmarks comparing the cost of the vector-timestamp construction
-//! ([`VectorRegister`], Algorithm 2) against the Lamport-clock construction
-//! ([`LamportRegister`], Algorithm 4).
+//! stress tests of the vector-timestamp construction ([`VectorRegister`],
+//! Algorithm 2) and the Lamport-clock construction ([`LamportRegister`],
+//! Algorithm 4), whose recorded histories are checked for linearizability, and by
+//! the `quickstart` example.
 
 use crate::algorithm2::Vector;
 use crate::algorithm4::Lamport;

@@ -10,12 +10,11 @@
 //! Both are compared lexicographically, giving the total orders used by the readers
 //! (line 14 of Algorithm 2, line 11 of Algorithm 4).
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// One component of a vector timestamp: a finite counter or `∞`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TsEntry {
     /// A finite counter value.
     Finite(u64),
@@ -68,7 +67,7 @@ impl fmt::Display for TsEntry {
 
 /// A vector timestamp of length `n` (one component per process), compared
 /// lexicographically with `∞` greater than every finite value.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VectorTs {
     entries: Vec<TsEntry>,
 }
@@ -173,9 +172,7 @@ impl fmt::Display for VectorTs {
 
 /// A Lamport-clock timestamp `⟨sq, pid⟩` (Algorithm 4), compared lexicographically: by
 /// sequence number first, then by writer id.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LamportTs {
     /// The sequence number.
     pub sq: u64,

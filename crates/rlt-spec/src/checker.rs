@@ -219,7 +219,7 @@ impl<V: RegisterValue> CheckerBuilder<V> {
     }
 
     /// Caps the number of enumeration nodes a [`Checker::linearizations`] iterator
-    /// (or an eager [`Checker::enumerate`]) may visit before failing with
+    /// may visit before failing with
     /// [`EnumerationLimitExceeded`]. Default: [`DEFAULT_ENUMERATION_WORK_LIMIT`].
     #[must_use]
     pub fn enumeration_work_cap(mut self, nodes: u64) -> Self {
@@ -282,8 +282,7 @@ impl<V: RegisterValue> CheckerBuilder<V> {
 /// * [`Checker::check_many`] — a batch, fanned across the thread policy's pool, each
 ///   entry bit-identical to the corresponding solo [`Checker::check`];
 /// * [`Checker::linearizations`] — a lazy streaming [`Linearizations`] iterator over
-///   every linearization of a history;
-/// * [`Checker::enumerate`] — the eager form of the same enumeration.
+///   every linearization of a history.
 #[derive(Debug)]
 pub struct Checker<V> {
     init: V,
@@ -321,7 +320,7 @@ impl<V: RegisterValue> Checker<V> {
     }
 
     /// Number of warm scratch arenas currently parked in the session (observability
-    /// for the reuse tests and benches).
+    /// for the reuse tests and the service's `arenas_warm` gauge).
     #[must_use]
     pub fn idle_scratch_arenas(&self) -> usize {
         self.scratch.idle_arenas()
@@ -388,27 +387,10 @@ impl<V: RegisterValue> Checker<V> {
 
     /// Streams the linearizations of `history` lazily: the returned
     /// [`Linearizations`] iterator runs the underlying search exactly as far as it is
-    /// pulled, in the same emission order as [`Checker::enumerate`], bounded by the
-    /// session's enumeration work cap.
+    /// pulled, bounded by the session's enumeration work cap.
     #[must_use]
     pub fn linearizations<'s>(&'s self, history: &'s History<V>) -> Linearizations<'s, V> {
         Linearizations::new(history, &self.init, self.enumeration_work_cap)
-    }
-
-    /// Eagerly enumerates the linearizations of `history`, up to `max_results`, as
-    /// materialized sequential histories. Equivalent to draining
-    /// [`Checker::linearizations`] and materializing every order, but in one call.
-    pub fn enumerate(
-        &self,
-        history: &History<V>,
-        max_results: usize,
-    ) -> Result<Vec<SeqHistory<V>>, EnumerationLimitExceeded> {
-        let engine = Engine::new(history, &self.init);
-        let orders = engine.enumerate(max_results, self.enumeration_work_cap)?;
-        Ok(orders
-            .iter()
-            .map(|order| order_to_seq(history, order.iter().map(|&g| engine.op(g))))
-            .collect())
     }
 }
 
@@ -592,29 +574,6 @@ mod tests {
         assert!(warm >= 1, "checks must park their arenas");
         let _ = checker.check(&stale_history());
         assert_eq!(checker.idle_scratch_arenas(), warm, "arenas are reused");
-    }
-
-    #[test]
-    fn enumerate_and_linearizations_agree() {
-        let mut b = HistoryBuilder::new();
-        let w0 = b.invoke_write(ProcessId(0), R, 1i64);
-        let w1 = b.invoke_write(ProcessId(1), R, 2i64);
-        b.respond_write(w0);
-        b.respond_write(w1);
-        let h = b.build();
-        let checker = Checker::new(0i64);
-        let eager: Vec<Vec<_>> = checker
-            .enumerate(&h, usize::MAX)
-            .unwrap()
-            .iter()
-            .map(SeqHistory::op_ids)
-            .collect();
-        let streamed: Vec<Vec<_>> = checker
-            .linearizations(&h)
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(eager, streamed);
-        assert!(eager.len() >= 2);
     }
 
     #[test]

@@ -48,19 +48,18 @@
 //! histories over scoped threads. One lazy layer sits on top:
 //!
 //! 6. **Per-register enumeration with a lazy interleaving product** —
-//!    [`Engine::enumerate`] on a multi-register history first enumerates each
+//!    [`Linearizations`] on a multi-register history first enumerates each
 //!    register's linearizations separately, folds them into per-register prefix
 //!    tries, and then walks the *product* of the tries lazily, interleaving under the
 //!    global real-time relation. The product DFS visits only prefixes of valid
 //!    per-register linearizations (the joint search also wades through
 //!    state-inconsistent dead ends), emits orders in **exactly** the joint search's
-//!    order, and stops as soon as `max_results` orders exist. Enumeration stays
+//!    order, and stops as soon as the consumer stops pulling. Enumeration stays
 //!    bounded by an explicit work cap — per-register search nodes plus product nodes —
 //!    so adversarial inputs fail loudly instead of hanging. One register whose *own*
 //!    linearization space blows the budget makes the product's discovery stage
-//!    impossible, so that case falls back to the joint DFS (lazily bounded by
-//!    `max_results`, like the pre-product enumerator); total work stays within 2x
-//!    the cap.
+//!    impossible, so that case falls back to the joint DFS (lazy too, like the
+//!    pre-product enumerator); total work stays within 2x the cap.
 //!
 //! # The memo arena
 //!
@@ -1484,8 +1483,8 @@ pub const DEFAULT_SPLIT_THRESHOLD: u32 = 24;
 /// precomputed, operations partitioned per register.
 ///
 /// Build it once per history with [`Engine::new`], then run [`Engine::check`] (witness
-/// search with per-register composition) or [`Engine::enumerate`] (joint enumeration of
-/// all linearizations) any number of times.
+/// search with per-register composition) any number of times. A [`Linearizations`]
+/// iterator enumerates over an engine of its own.
 #[derive(Debug)]
 pub struct Engine<'a, V> {
     history: &'a History<V>,
@@ -1494,8 +1493,8 @@ pub struct Engine<'a, V> {
     /// One subproblem per register of `mirror`, in register order.
     per_register: Vec<SubProblem>,
     /// Joint subproblem of a history with several registers (or none), built on the
-    /// first enumeration and shared across `enumerate` calls (`OnceLock` rather than
-    /// `OnceCell` so a prepared engine can be shared across pool threads).
+    /// first enumeration pull (`OnceLock` rather than `OnceCell` so a prepared engine
+    /// can be shared across pool threads).
     joint: OnceLock<SubProblem>,
 }
 
@@ -1583,41 +1582,13 @@ impl<'a, V: RegisterValue> Engine<'a, V> {
             scratch,
         )
     }
-
-    /// Enumerates every linearization order of the history, up to `max_results`,
-    /// visiting at most `work_limit` search nodes.
-    ///
-    /// Orders list searched-op indices (see [`Engine::op`]). The sequence of orders produced — values
-    /// and emission order both — matches the original recursive joint enumerator
-    /// exactly. This is the eager form of [`Linearizations`]: it drains the same
-    /// streaming core until `max_results` orders exist, the space is exhausted, or
-    /// the work cap trips.
-    pub fn enumerate(
-        &self,
-        max_results: usize,
-        work_limit: u64,
-    ) -> Result<Vec<Vec<usize>>, EnumerationLimitExceeded> {
-        let mut core = EnumCore::new(work_limit);
-        let mut orders = Vec::new();
-        while orders.len() < max_results {
-            match core.next_order(self) {
-                Some(Ok(order)) => orders.push(order),
-                Some(Err(err)) => return Err(err),
-                None => break,
-            }
-        }
-        Ok(orders)
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Streaming enumeration
 // ---------------------------------------------------------------------------
 
-/// Engine-independent state of a streaming enumeration: which stage the walk is in
-/// plus its resumable DFS state. Kept separate from [`Linearizations`] (which owns the
-/// engine) so the eager [`Engine::enumerate`] can drive the identical code path by
-/// reference.
+/// Which stage a streaming enumeration is in, plus its resumable DFS state.
 #[derive(Debug)]
 enum EnumStage {
     /// Nothing pulled yet; the first pull picks the stage (and, for multi-register
@@ -1643,23 +1614,42 @@ enum EnumStage {
     Finished { nodes: u64 },
 }
 
+/// A lazy, work-capped iterator over **every** linearization of one history, in
+/// exactly the emission order of the original recursive joint DFS: create it with
+/// [`crate::Checker::linearizations`].
+///
+/// Each [`Iterator::next`] call resumes the underlying search exactly until the next
+/// order is found, so `take(1)` (or dropping the iterator mid-way) pays only for the
+/// prefix of the search it consumed — this is what lets existential checks like
+/// [`crate::ExtensionFamily`] short-circuit instead of materializing a bounded batch
+/// of orders per history. Items are `Ok(order)` (operation ids, in linearization
+/// order) until either the space is exhausted (`None`) or the cumulative enumeration
+/// work exceeds the iterator's cap, which yields one
+/// `Err(`[`EnumerationLimitExceeded`]`)` and then fuses.
 #[derive(Debug)]
-struct EnumCore {
+pub struct Linearizations<'a, V> {
+    engine: Engine<'a, V>,
     work_limit: u64,
     stage: EnumStage,
 }
 
-impl EnumCore {
-    fn new(work_limit: u64) -> Self {
-        EnumCore {
+impl<'a, V: RegisterValue> Linearizations<'a, V> {
+    /// Prepares a streaming enumeration of `history` (initial value `init`, at most
+    /// `work_limit` search nodes). No search work happens until the first pull.
+    pub(crate) fn new(history: &'a History<V>, init: &'a V, work_limit: u64) -> Self {
+        Linearizations {
+            engine: Engine::new(history, init),
             work_limit,
             stage: EnumStage::Unstarted,
         }
     }
 
-    /// Total enumeration nodes visited so far (discovery plus walk); a finished or
+    /// Enumeration nodes visited so far — per-register discovery plus the product (or
+    /// joint) walk. This is the work counter the laziness tests pin: a consumer that
+    /// stops early must observe strictly fewer nodes than a full drain. A finished or
     /// poisoned enumeration keeps reporting its final count.
-    fn nodes_visited(&self) -> u64 {
+    #[must_use]
+    pub fn nodes_visited(&self) -> u64 {
         match &self.stage {
             EnumStage::Unstarted => 0,
             EnumStage::Finished { nodes } => *nodes,
@@ -1672,6 +1662,24 @@ impl EnumCore {
         }
     }
 
+    /// Materializes an order previously yielded by this iterator as a well-formed
+    /// sequential history: operations appear in linearization order, with linearized
+    /// pending operations given a synthetic response just past the history's horizon.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` contains an id that does not occur in the history.
+    #[must_use]
+    pub fn materialize(&self, order: &[OpId]) -> SeqHistory<V> {
+        let history = self.engine.history;
+        order_to_seq(
+            history,
+            order
+                .iter()
+                .map(|&id| history.get(id).expect("order ids come from this history")),
+        )
+    }
+
     /// Picks the stage on first pull. Multi-register histories run per-register
     /// discovery here: each register's full set of linearizations, folded into a
     /// prefix trie, with the shared work budget draining as we go. Discovery cannot
@@ -1680,7 +1688,8 @@ impl EnumCore {
     /// budget falls back to the joint DFS — which *is* lazy and therefore still
     /// succeeds when the consumer wants only a few orders, exactly as the pre-product
     /// enumerator did. Total work stays within 2x the cap.
-    fn start<V: RegisterValue>(&mut self, engine: &Engine<'_, V>) {
+    fn start(&mut self) {
+        let engine = &self.engine;
         if engine.mirror.registers.len() <= 1 {
             self.stage = EnumStage::Joint {
                 walk: OrderWalk::new(engine.joint_subproblem()),
@@ -1689,10 +1698,9 @@ impl EnumCore {
             };
             return;
         }
-        let per_register = &engine.per_register;
         let mut nodes_total = 0u64;
-        let mut tries = Vec::with_capacity(per_register.len());
-        for sub in per_register {
+        let mut tries = Vec::with_capacity(engine.per_register.len());
+        for sub in &engine.per_register {
             match enumerate_all_orders(sub, self.work_limit.saturating_sub(nodes_total)) {
                 Ok((orders, nodes)) => {
                     nodes_total += nodes;
@@ -1715,42 +1723,42 @@ impl EnumCore {
             prior_nodes: nodes_total,
         };
     }
+}
 
-    /// Pulls the next linearization order (as searched-op indices), running
-    /// the underlying DFS exactly until it is found. Yields
-    /// `Err(EnumerationLimitExceeded)` once — and then fuses — if the cumulative node
-    /// count exceeds the work cap.
-    fn next_order<V: RegisterValue>(
-        &mut self,
-        engine: &Engine<'_, V>,
-    ) -> Option<Result<Vec<usize>, EnumerationLimitExceeded>> {
+impl<V: RegisterValue> Iterator for Linearizations<'_, V> {
+    type Item = Result<Vec<OpId>, EnumerationLimitExceeded>;
+
+    /// Pulls the next linearization order, running the underlying DFS exactly until
+    /// it is found.
+    fn next(&mut self) -> Option<Self::Item> {
         if matches!(self.stage, EnumStage::Unstarted) {
-            self.start(engine);
+            self.start();
         }
+        let joint = self.engine.joint_subproblem();
         let step = match &mut self.stage {
             EnumStage::Unstarted => unreachable!("started above"),
             EnumStage::Finished { .. } => return None,
-            EnumStage::Joint { walk, node_cap, .. } => {
-                let joint = engine.joint_subproblem();
-                match walk.next_order(joint, *node_cap) {
-                    WalkStep::Order(order) => WalkStep::Order(
-                        order
-                            .iter()
-                            .map(|&i| joint.ops[i as usize].global)
-                            .collect(),
-                    ),
-                    other => other,
-                }
-            }
+            EnumStage::Joint { walk, node_cap, .. } => match walk.next_order(joint, *node_cap) {
+                WalkStep::Order(order) => WalkStep::Order(
+                    order
+                        .iter()
+                        .map(|&i| joint.ops[i as usize].global)
+                        .collect(),
+                ),
+                other => other,
+            },
             EnumStage::Product {
                 tries,
                 walk,
                 node_cap,
                 ..
-            } => walk.next_order(engine.joint_subproblem(), tries, *node_cap),
+            } => walk.next_order(joint, tries, *node_cap),
         };
         match step {
-            WalkStep::Order(order) => Some(Ok(order.into_iter().map(|g| g as usize).collect())),
+            WalkStep::Order(order) => Some(Ok(order
+                .iter()
+                .map(|&g| self.engine.op(g as usize).id)
+                .collect())),
             WalkStep::CapExceeded => {
                 let nodes_visited = self.nodes_visited();
                 self.stage = EnumStage::Finished {
@@ -1764,72 +1772,6 @@ impl EnumCore {
                 };
                 None
             }
-        }
-    }
-}
-
-/// A lazy, work-capped iterator over **every** linearization of one history, in
-/// exactly the emission order of the eager enumerator (and of the original recursive
-/// joint DFS): create it with [`crate::Checker::linearizations`].
-///
-/// Each [`Iterator::next`] call resumes the underlying search exactly until the next
-/// order is found, so `take(1)` (or dropping the iterator mid-way) pays only for the
-/// prefix of the search it consumed — this is what lets existential checks like
-/// [`crate::ExtensionFamily`] short-circuit instead of materializing a bounded batch
-/// of orders per history. Items are `Ok(order)` (operation ids, in linearization
-/// order) until either the space is exhausted (`None`) or the cumulative enumeration
-/// work exceeds the iterator's cap, which yields one
-/// `Err(`[`EnumerationLimitExceeded`]`)` and then fuses.
-#[derive(Debug)]
-pub struct Linearizations<'a, V> {
-    engine: Engine<'a, V>,
-    core: EnumCore,
-}
-
-impl<'a, V: RegisterValue> Linearizations<'a, V> {
-    /// Prepares a streaming enumeration of `history` (initial value `init`, at most
-    /// `work_limit` search nodes). No search work happens until the first pull.
-    pub(crate) fn new(history: &'a History<V>, init: &'a V, work_limit: u64) -> Self {
-        Linearizations {
-            engine: Engine::new(history, init),
-            core: EnumCore::new(work_limit),
-        }
-    }
-
-    /// Enumeration nodes visited so far — per-register discovery plus the product (or
-    /// joint) walk. This is the work counter the laziness tests pin: a consumer that
-    /// stops early must observe strictly fewer nodes than a full drain.
-    #[must_use]
-    pub fn nodes_visited(&self) -> u64 {
-        self.core.nodes_visited()
-    }
-
-    /// Materializes an order previously yielded by this iterator as a well-formed
-    /// sequential history: operations appear in linearization order, with linearized
-    /// pending operations given a synthetic response just past the history's horizon.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` contains an id that does not occur in the history.
-    #[must_use]
-    pub fn materialize(&self, order: &[OpId]) -> SeqHistory<V> {
-        let history = self.engine.history;
-        order_to_seq(
-            history,
-            order
-                .iter()
-                .map(|&id| history.get(id).expect("order ids come from this history")),
-        )
-    }
-}
-
-impl<V: RegisterValue> Iterator for Linearizations<'_, V> {
-    type Item = Result<Vec<OpId>, EnumerationLimitExceeded>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.core.next_order(&self.engine)? {
-            Ok(order) => Some(Ok(order.iter().map(|&g| self.engine.op(g).id).collect())),
-            Err(err) => Some(Err(err)),
         }
     }
 }
@@ -1949,6 +1891,15 @@ mod tests {
         assert!(relaxed.order.is_some());
     }
 
+    /// Pulls up to `max` linearizations of `h` under a `work_limit`-node cap.
+    fn orders(
+        h: &History<i64>,
+        max: usize,
+        work_limit: u64,
+    ) -> Result<Vec<Vec<OpId>>, EnumerationLimitExceeded> {
+        Linearizations::new(h, &0, work_limit).take(max).collect()
+    }
+
     #[test]
     fn enumerate_work_cap_fails_loudly() {
         let mut b = HistoryBuilder::new();
@@ -1959,8 +1910,7 @@ mod tests {
             b.respond_write(id);
         }
         let h = b.build();
-        let engine = Engine::new(&h, &0);
-        let err = engine.enumerate(usize::MAX, 50).unwrap_err();
+        let err = orders(&h, usize::MAX, 50).unwrap_err();
         assert!(err.nodes_visited > 50);
         assert!(err.to_string().contains("work cap"));
     }
@@ -1981,11 +1931,10 @@ mod tests {
             b.respond_write(id);
         }
         let h = b.build();
-        let engine = Engine::new(&h, &0);
-        let all = engine.enumerate(usize::MAX, 1_000_000).unwrap();
+        let all = orders(&h, usize::MAX, 1_000_000).unwrap();
         assert_eq!(all.len(), 24);
-        // max_results cuts the product off early — lazily, without generating all 24.
-        let three = engine.enumerate(3, 1_000_000).unwrap();
+        // take(3) cuts the product off early — lazily, without generating all 24.
+        let three = orders(&h, 3, 1_000_000).unwrap();
         assert_eq!(three, all[..3].to_vec());
     }
 
@@ -2003,10 +1952,9 @@ mod tests {
             b.respond_write(id);
         }
         let h = b.build();
-        let engine = Engine::new(&h, &0);
-        let err = engine.enumerate(usize::MAX, 40).unwrap_err();
+        let err = orders(&h, usize::MAX, 40).unwrap_err();
         assert!(err.nodes_visited > 40);
-        assert!(engine.enumerate(usize::MAX, 10_000_000).is_ok());
+        assert!(orders(&h, usize::MAX, 10_000_000).is_ok());
     }
 
     #[test]
@@ -2014,7 +1962,7 @@ mod tests {
         // Two registers, eight mutually concurrent completed writes each: each
         // register alone has 8! = 40,320 linearizations, far past a 10,000-node
         // budget, so the product's per-register discovery stage cannot finish.
-        // With a small max_results the joint DFS finds the first order in a handful
+        // Pulling one order, the joint DFS finds it in a handful
         // of nodes — the fallback must preserve that (this was an Ok -> Err
         // regression caught in review).
         let mut b = HistoryBuilder::new();
@@ -2029,17 +1977,14 @@ mod tests {
             b.respond_write(id);
         }
         let h = b.build();
-        let engine = Engine::new(&h, &0);
-        let first = engine
-            .enumerate(1, 10_000)
-            .expect("joint fallback succeeds");
+        let first = orders(&h, 1, 10_000).expect("joint fallback succeeds");
         assert_eq!(first.len(), 1);
         // The fallback emits the definitional (joint DFS) first order: ops in
-        // ascending global index, since all sixteen writes are mutually concurrent.
-        assert_eq!(first[0], (0..16).collect::<Vec<usize>>());
-        // An over-budget request without a small cap still fails loudly, counting
-        // both the discovery attempt and the joint rerun.
-        let err = engine.enumerate(usize::MAX, 10_000).unwrap_err();
+        // ascending id, since all sixteen writes are mutually concurrent.
+        assert_eq!(first[0], (0..16).map(OpId).collect::<Vec<_>>());
+        // A full drain still fails loudly, counting both the discovery attempt and
+        // the joint rerun.
+        let err = orders(&h, usize::MAX, 10_000).unwrap_err();
         assert!(err.nodes_visited > 10_000);
     }
 

@@ -3,7 +3,6 @@
 
 use crate::ids::{OpId, ProcessId, RegisterId, Time};
 use crate::op::{OpKind, Operation};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -13,7 +12,7 @@ use std::fmt;
 /// stores its invocation time and, once it responds, its response time. All event times
 /// inside one history are distinct, so the real-time order of events is total and
 /// prefixes of the history are identified by a cut-off [`Time`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct History<V> {
     ops: Vec<Operation<V>>,
 }

@@ -1,15 +1,12 @@
 //! Identifier newtypes shared by every layer: processes, registers, operations, and
 //! logical time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a process in the system.
 ///
 /// The paper indexes processes `p0, p1, ..., p_{n-1}`; the wrapped value is that index.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProcessId(pub usize);
 
 impl fmt::Display for ProcessId {
@@ -28,9 +25,7 @@ impl From<usize> for ProcessId {
 ///
 /// Histories may span several registers (Algorithm 1 uses three: `R1`, `R2`, and `C`);
 /// linearizability is checked over the combined multi-register history.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RegisterId(pub usize);
 
 impl fmt::Display for RegisterId {
@@ -46,9 +41,7 @@ impl From<usize> for RegisterId {
 }
 
 /// Unique identifier of an operation within a [`crate::History`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct OpId(pub u64);
 
 impl fmt::Display for OpId {
@@ -62,9 +55,7 @@ impl fmt::Display for OpId {
 /// Times are strictly increasing event counters assigned by the history recorder
 /// (simulator or [`crate::HistoryBuilder`]); two events never share a time, which keeps
 /// real-time precedence (Definition 1) unambiguous.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(pub u64);
 
 impl Time {

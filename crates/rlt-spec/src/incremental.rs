@@ -73,7 +73,9 @@
 //! Per-register searches run with private full budgets; verdict time replays the
 //! batch engine's shared-budget accounting in register order and falls back to one
 //! full re-check the moment the replay detects the shared budget would have run dry:
-//! the engine's sequential search, run over the session's own subproblems. The
+//! the engine's sequential search, run over the session's own subproblems. A first
+//! register whose own search ran dry needs no re-check: the batch engine searches
+//! it first, with the whole budget, and stops there too. The
 //! cached per-register witnesses merge into the global witness through the engine's
 //! one merge function.
 //!
@@ -246,10 +248,10 @@ impl<V> IncrementalVerdict<V> {
     }
 }
 
-/// Cached result of one register's last completed search: the local witness order
-/// (or `None` for an exhaustive failure) and the exact [`SearchStats`] a
-/// from-scratch private-budget search of the *current* subproblem would produce —
-/// the invariant every reuse/resume step preserves.
+/// Cached result of one register's last search: the local witness order (or
+/// `None` for an exhaustive failure or a search that ran dry) and the exact
+/// [`SearchStats`] a from-scratch private-budget search of the *current*
+/// subproblem would produce — the invariant every reuse/resume step preserves.
 #[derive(Debug)]
 struct RegCache {
     order: Option<Vec<u32>>,
@@ -263,8 +265,8 @@ struct RegCache {
 struct RegisterSession {
     sub: SubProblem,
     scratch: SearchScratch,
-    /// The last completed search. While it succeeded, `scratch` holds its live
-    /// frozen stack: every successful search is resumable.
+    /// The last search. While it succeeded, `scratch` holds its live frozen stack:
+    /// every successful search is resumable.
     cached: Option<RegCache>,
     /// Geometry at the search that produced `cached`: taken-bitset words and memo
     /// size class (the frozen table's layout), plus the op/completed counts used to
@@ -302,6 +304,17 @@ impl RegisterSession {
             completed_mask: vec![0],
             max_resp: 0,
         }
+    }
+
+    /// Caches `order` and `stats` as the search of the current subproblem, with
+    /// the geometry it ran at.
+    fn freeze(&mut self, order: Option<Vec<u32>>, stats: SearchStats) {
+        let n = self.sub.ops.len();
+        self.freeze_len = n;
+        self.freeze_completed = self.sub.completed;
+        self.freeze_words = words_for(n);
+        self.freeze_memo_class = memo_size_class(n);
+        self.cached = Some(RegCache { order, stats });
     }
 }
 
@@ -764,9 +777,10 @@ impl<V: RegisterValue> IncrementalChecker<V> {
             }
             if words_for(n) == sess.freeze_words && memo_size_class(n) == sess.freeze_memo_class {
                 if cache.order.is_none() || sess.scratch.frozen_completed() == sess.sub.completed {
-                    // A completed exhaustive failure never reached an all-completed
-                    // configuration, so safely appended ops never unlock: the
-                    // from-scratch trajectory — counters included — is unchanged.
+                    // An exhaustive failure, or a search that ran dry, never reached
+                    // an all-completed configuration, so safely appended ops never
+                    // unlock: the from-scratch trajectory — counters included, and
+                    // the node where the budget runs out — is unchanged.
                     // Likewise a success whose frozen order already takes every
                     // completed op: only pending writes were appended and/or pending
                     // writes the frozen search had taken completed in place. Neither
@@ -779,9 +793,8 @@ impl<V: RegisterValue> IncrementalChecker<V> {
                     stats.registers_reused += 1;
                     return;
                 }
-                let cache = sess.cached.take().expect("checked above");
-                let frozen_states = cache.stats.states_explored;
                 let mut search_stats = cache.stats;
+                let frozen_states = search_stats.states_explored;
                 let mut budget = limit - frozen_states;
                 let reused = sess.scratch.memo_entries();
                 let order =
@@ -791,14 +804,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
                 stats.memo_entries_rebuilt += sess.scratch.memo_entries().saturating_sub(reused);
                 stats.incremental_states +=
                     search_stats.states_explored.saturating_sub(frozen_states);
-                if !search_stats.limit_hit {
-                    sess.freeze_len = n;
-                    sess.freeze_completed = sess.sub.completed;
-                    sess.cached = Some(RegCache {
-                        order,
-                        stats: search_stats,
-                    });
-                }
+                sess.freeze(order, search_stats);
                 return;
             }
         }
@@ -808,18 +814,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         stats.registers_researched += 1;
         stats.incremental_states += search_stats.states_explored;
         stats.memo_entries_rebuilt += sess.scratch.memo_entries();
-        if search_stats.limit_hit {
-            sess.cached = None;
-        } else {
-            sess.freeze_len = n;
-            sess.freeze_completed = sess.sub.completed;
-            sess.freeze_words = words_for(n);
-            sess.freeze_memo_class = memo_size_class(n);
-            sess.cached = Some(RegCache {
-                order,
-                stats: search_stats,
-            });
-        }
+        sess.freeze(order, search_stats);
     }
 
     /// Checks the history accumulated so far, reusing every per-register search the
@@ -882,10 +877,13 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         // budget would have run dry, run one full re-check instead of guessing.
         let mut consumed = 0u64;
         let mut stats = SearchStats::default();
-        for sess in &self.regs {
-            let Some(cache) = &sess.cached else {
-                return self.full_fallback();
-            };
+        for (k, sess) in self.regs.iter().enumerate() {
+            let cache = sess.cached.as_ref().expect("ensured above");
+            if k == 0 && cache.stats.limit_hit {
+                // The batch engine searches the first register first, with the
+                // whole budget, and stops where this search ran dry.
+                return self.finish(CheckOutcome::new(None, cache.stats));
+            }
             if cache.stats.limit_hit || consumed + cache.stats.states_explored > self.state_budget {
                 return self.full_fallback();
             }
@@ -941,7 +939,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
     /// One full re-check of the accumulated history: the batch engine's sequential
     /// search over the session's own per-register subproblems, with the shared
     /// budget — definitionally bit-identical to `Checker::check`. The escape hatch
-    /// for budget-replay misses and limit-hit register searches.
+    /// for budget-replay misses and for a later register whose search ran dry.
     fn full_fallback(&mut self) -> IncrementalVerdict<V> {
         self.stats.full_fallbacks += 1;
         let outcome = check_registers(
@@ -1558,18 +1556,73 @@ mod tests {
         }
     }
 
-    /// Tiny state budgets force the verdict-time replay into the full sequential
-    /// fallback; the session must report it and agree with batch.
+    /// Three completed writes of 1 to register `register`, one after another from
+    /// `t`.
+    fn serial_writes(register: usize, first_id: u64, t: u64) -> Vec<Operation<i64>> {
+        (0..3u64)
+            .map(|i| {
+                let inv = t + 2 * i;
+                event(
+                    first_id + i,
+                    0,
+                    register,
+                    OpKind::Write(1),
+                    inv,
+                    Some(inv + 1),
+                )
+            })
+            .collect()
+    }
+
+    /// A later register that runs dry costs one full re-check, which the session
+    /// reports: its private search had the whole budget, while the batch engine's
+    /// had only what the registers before it left.
     #[test]
     fn budget_fallback_reported_and_identical() {
-        let history = random_history(3, 10, 1, 2);
+        let mut ops = vec![event(9, 1, 0, OpKind::Write(5), 1, Some(2))];
+        ops.extend(serial_writes(1, 0, 3));
+        let history = History::from_operations(ops);
         let config = || Checker::builder(0i64).state_budget(2);
         let checker = config().build();
         let mut session = config().build_incremental();
         session.sync_with(&history);
         let incremental = session.verdict();
         let batch = checker.check(&history);
+        assert!(!batch.is_conclusive());
         assert_eq!(incremental.as_verdict(), &batch);
-        assert!(session.stats().full_fallbacks > 0);
+        assert_eq!(session.stats().full_fallbacks, 1);
+    }
+
+    /// A first register that runs dry is searched once, with the whole budget, as
+    /// the batch engine searches it, and no fallback repeats that search. The
+    /// session keeps the result while a safely appended op leaves the search's
+    /// trajectory unchanged.
+    #[test]
+    fn a_dry_first_register_is_searched_once() {
+        let budget = 2;
+        let config = || Checker::builder(0i64).state_budget(budget);
+        let checker = config().build();
+        let assert_searched_once = |session: &mut IncrementalChecker<i64>,
+                                    history: &History<i64>| {
+            let batch = checker.check(history);
+            assert!(!batch.is_conclusive(), "{history}");
+            assert_eq!(session.verdict().as_verdict(), &batch, "{history}");
+            let stats = session.stats();
+            assert_eq!(stats.incremental_states, budget + 1, "{history}");
+            assert_eq!(stats.full_fallbacks, 0, "{history}");
+        };
+        let history = random_history(3, 10, 1, 2);
+        let mut session = config().build_incremental();
+        session.sync_with(&history);
+        assert_searched_once(&mut session, &history);
+
+        let mut ops = serial_writes(0, 0, 1);
+        let mut session = config().build_incremental();
+        session.append_batch(ops.clone());
+        assert_searched_once(&mut session, &History::from_operations(ops.clone()));
+        let next = event(3, 0, 0, OpKind::Write(1), 7, Some(8));
+        ops.push(next.clone());
+        session.append(next);
+        assert_searched_once(&mut session, &History::from_operations(ops));
     }
 }

@@ -11,8 +11,8 @@ pub use crate::engine::EnumerationLimitExceeded;
 /// Default cap on the number of search states explored by a [`crate::Checker`] check.
 pub const DEFAULT_STATE_LIMIT: u64 = 20_000_000;
 
-/// Default cap on search nodes visited by a [`crate::Checker`] enumeration (eager or
-/// streaming) before it declares the input adversarial and fails with
+/// Default cap on search nodes visited by a [`crate::Checker`] enumeration before it
+/// declares the input adversarial and fails with
 /// [`EnumerationLimitExceeded`].
 pub const DEFAULT_ENUMERATION_WORK_LIMIT: u64 = 20_000_000;
 
@@ -199,9 +199,11 @@ mod tests {
         b.respond_write(w0);
         b.respond_write(w1);
         let h = b.build();
-        let all = checker().enumerate(&h, 100).unwrap();
+        let orders: Vec<Vec<OpId>> = checker()
+            .linearizations(&h)
+            .collect::<Result<_, _>>()
+            .unwrap();
         // Both interleavings of the two concurrent writes must appear.
-        let orders: Vec<Vec<OpId>> = all.iter().map(|s| s.write_ids()).collect();
         assert!(orders.contains(&vec![OpId(0), OpId(1)]));
         assert!(orders.contains(&vec![OpId(1), OpId(0)]));
     }
@@ -212,9 +214,11 @@ mod tests {
         b.write(ProcessId(0), R, 1i64);
         b.write(ProcessId(0), R, 2i64);
         let h = b.build();
-        let all = checker().enumerate(&h, 100).unwrap();
-        assert_eq!(all.len(), 1);
-        assert_eq!(all[0].write_ids(), vec![OpId(0), OpId(1)]);
+        let orders: Vec<Vec<OpId>> = checker()
+            .linearizations(&h)
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(orders, vec![vec![OpId(0), OpId(1)]]);
     }
 
     #[test]
@@ -228,10 +232,13 @@ mod tests {
         }
         let h = b.build();
         let tight = Checker::builder(0i64).enumeration_work_cap(10).build();
-        let err: EnumerationLimitExceeded = tight.enumerate(&h, usize::MAX).unwrap_err();
+        let err: EnumerationLimitExceeded = tight
+            .linearizations(&h)
+            .find_map(Result::err)
+            .expect("the cap trips");
         assert!(err.nodes_visited > 10);
         // A generous cap succeeds on the same history.
-        assert!(checker().enumerate(&h, 10).is_ok());
+        assert!(checker().linearizations(&h).take(10).all(|o| o.is_ok()));
     }
 
     #[test]

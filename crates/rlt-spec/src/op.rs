@@ -1,7 +1,6 @@
 //! Operations: reads and writes with invocation/response intervals.
 
 use crate::ids::{OpId, ProcessId, RegisterId, Time};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of a register operation together with its payload.
@@ -9,7 +8,7 @@ use std::fmt;
 /// * A `Write(v)` carries the value being written.
 /// * A `Read(resp)` carries the value returned, or `None` while the read is pending
 ///   (or crashed before responding).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OpKind<V> {
     /// A write of the given value.
     Write(V),
@@ -35,7 +34,7 @@ impl<V> OpKind<V> {
 ///
 /// `responded_at == None` means the operation is *pending* (its response does not
 /// appear in the history).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Operation<V> {
     /// Unique identifier of the operation within its history.
     pub id: OpId,

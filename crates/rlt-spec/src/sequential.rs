@@ -3,7 +3,6 @@
 use crate::history::History;
 use crate::ids::{OpId, RegisterId};
 use crate::op::{OpKind, Operation};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -12,7 +11,7 @@ use std::fmt;
 /// This is the codomain of linearization functions (Definition 2). Every operation in a
 /// sequential history is complete: pending operations from the concurrent history either
 /// get a matching response added or are dropped.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SeqHistory<V> {
     ops: Vec<Operation<V>>,
 }

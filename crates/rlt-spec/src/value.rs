@@ -1,7 +1,6 @@
 //! A concrete register value type covering every value domain the paper's algorithms
 //! use, plus the trait bound alias used by the generic checkers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::Hash;
 
@@ -21,7 +20,7 @@ impl<T> RegisterValue for T where T: Clone + Eq + Ord + Hash + fmt::Debug {}
 /// * `Pair(i, j)` — the `[i, j]` tuples written into `R1` in line 3 of Algorithm 1.
 /// * `Tagged { val, tag }` — a value paired with an opaque integer tag, used by the
 ///   MWMR constructions where readers return `(v, ts)` tuples.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Value {
     /// The register's initial value.
     #[default]

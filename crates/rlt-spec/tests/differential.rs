@@ -89,11 +89,10 @@ fn checker_enumeration_matches_reference_exactly() {
         for seed in 0..300u64 {
             let h = random_history(seed * 7 + registers as u64, 7, registers);
             let engine: Vec<Vec<OpId>> = checker
-                .enumerate(&h, 10_000)
-                .expect("within work cap")
-                .iter()
-                .map(|s| s.op_ids())
-                .collect();
+                .linearizations(&h)
+                .take(10_000)
+                .collect::<Result<_, _>>()
+                .expect("within work cap");
             let reference: Vec<Vec<OpId>> = reference_enumerate_linearizations(&h, &0, 10_000)
                 .iter()
                 .map(|s| s.op_ids())
@@ -157,11 +156,10 @@ fn shuffled_histories_match_reference_verdicts_and_enumerations() {
                 seed,
             );
             let engine: Vec<Vec<OpId>> = checker
-                .enumerate(&h, 10_000)
-                .expect("within work cap")
-                .iter()
-                .map(|s| s.op_ids())
-                .collect();
+                .linearizations(&h)
+                .take(10_000)
+                .collect::<Result<_, _>>()
+                .expect("within work cap");
             let reference: Vec<Vec<OpId>> = reference_enumerate_linearizations(&h, &0, 10_000)
                 .iter()
                 .map(|s| s.op_ids())
@@ -182,5 +180,9 @@ fn a_read_listed_before_the_write_it_returns_is_linearizable() {
         .expect("well-formed");
     let checker = Checker::new(Value::Init);
     assert!(checker.check(&h).is_linearizable());
-    assert_eq!(checker.enumerate(&h, 16).expect("within work cap").len(), 1);
+    let orders: Vec<_> = checker
+        .linearizations(&h)
+        .collect::<Result<_, _>>()
+        .expect("within work cap");
+    assert_eq!(orders.len(), 1);
 }

@@ -17,8 +17,7 @@ mod common;
 use common::random_history;
 use rlt_spec::reference::reference_enumerate_linearizations;
 use rlt_spec::{
-    Checker, Engine, ExtensionFamily, History, HistoryBuilder, OpId, ProcessId, RegisterId,
-    ThreadPolicy,
+    Checker, ExtensionFamily, History, HistoryBuilder, OpId, ProcessId, RegisterId, ThreadPolicy,
 };
 
 fn pool(threads: usize) -> rayon::ThreadPool {
@@ -111,15 +110,16 @@ fn multi_register_enumeration_matches_reference_exactly() {
     // The lazy interleaving product against the pre-engine reference enumerator on
     // three-register histories (the in-crate differential suite covers 1–2 registers):
     // same orders, same emission sequence.
+    let uncapped = Checker::builder(0i64)
+        .enumeration_work_cap(u64::MAX)
+        .build();
     for seed in 0..300u64 {
         let h = random_history(seed * 13 + 3, 8, 3);
-        let engine = Engine::new(&h, &0);
-        let product: Vec<Vec<OpId>> = engine
-            .enumerate(10_000, u64::MAX)
-            .expect("within work cap")
-            .iter()
-            .map(|order| order.iter().map(|&i| engine.op(i).id).collect())
-            .collect();
+        let product: Vec<Vec<OpId>> = uncapped
+            .linearizations(&h)
+            .take(10_000)
+            .collect::<Result<_, _>>()
+            .expect("within work cap");
         let reference: Vec<Vec<OpId>> = reference_enumerate_linearizations(&h, &0, 10_000)
             .iter()
             .map(|s| s.op_ids())
@@ -140,9 +140,18 @@ fn enumeration_output_is_independent_of_thread_count() {
     let checker = Checker::new(0i64);
     for seed in 0..100u64 {
         let h = random_history(seed * 17 + 7, 9, 2);
-        let sequential = seq_pool.install(|| checker.enumerate(&h, 10_000));
-        let parallel = par_pool.install(|| checker.enumerate(&h, 10_000));
-        assert_eq!(sequential.unwrap(), parallel.unwrap(), "seed {seed}");
+        let drain = || -> Vec<Vec<OpId>> {
+            checker
+                .linearizations(&h)
+                .take(10_000)
+                .collect::<Result<_, _>>()
+                .expect("within work cap")
+        };
+        assert_eq!(
+            seq_pool.install(drain),
+            par_pool.install(drain),
+            "seed {seed}"
+        );
     }
 }
 

@@ -1,10 +1,9 @@
-//! Streaming-enumeration suite: the lazy [`Linearizations`] iterator against the
-//! eager enumeration, on the same seeded corpus the differential suite uses.
+//! Streaming-enumeration suite: the lazy [`Linearizations`] iterator on the same
+//! seeded corpus the differential suite uses. (Its emission order is pinned
+//! against the reference enumerator by the differential and parallel suites.)
 //!
-//! Three contracts are pinned here:
+//! Two contracts are pinned here:
 //!
-//! * **Bit-identity** — the iterator's emission order and contents equal the eager
-//!   [`Checker::enumerate`] exactly, across the full 3,000-history corpus.
 //! * **Laziness** — `take(1)` performs strictly less enumeration work than a full
 //!   drain (measured by the exposed [`Linearizations::nodes_visited`] counter), and
 //!   dropping the iterator mid-way is safe at any point.
@@ -36,36 +35,11 @@ fn drained_nodes(checker: &Checker<i64>, h: &History<i64>, max: usize) -> u64 {
 }
 
 #[test]
-fn streaming_emission_is_bit_identical_to_eager_across_the_corpus() {
-    let checker = Checker::new(0i64);
-    for registers in 1..=3usize {
-        for seed in 0..1_000u64 {
-            let h = random_history(seed * 3 + registers as u64, 10, registers);
-            let eager: Vec<Vec<OpId>> = checker
-                .enumerate(&h, 10_000)
-                .expect("within work cap")
-                .iter()
-                .map(|s| s.op_ids())
-                .collect();
-            let streamed: Vec<Vec<OpId>> = checker
-                .linearizations(&h)
-                .take(10_000)
-                .collect::<Result<_, _>>()
-                .expect("within work cap");
-            assert_eq!(
-                streamed, eager,
-                "stream diverged from eager enumeration on seed {seed} ({registers} regs): {h}"
-            );
-        }
-    }
-}
-
-#[test]
 fn take_one_does_strictly_less_work_than_a_full_drain() {
     // The acceptance bar: on the 3-register corpus, pulling one order must cost
-    // strictly fewer enumeration nodes than eager (full) enumeration. Individual
-    // histories with a unique linearization can tie, so the assertion sums over the
-    // corpus — and also checks per-history that lazy never exceeds eager.
+    // strictly fewer enumeration nodes than a full drain. Individual histories with
+    // a unique linearization can tie, so the assertion sums over the corpus — and
+    // also checks per-history that take(1) never exceeds the drain.
     let checker = Checker::new(0i64);
     let mut lazy_total = 0u64;
     let mut eager_total = 0u64;
@@ -80,12 +54,15 @@ fn take_one_does_strictly_less_work_than_a_full_drain() {
             lazy <= eager,
             "take(1) out-worked the full drain on seed {seed}: {lazy} vs {eager}"
         );
-        // Content check: the first streamed order is the first eager order.
-        let eager_first = checker.enumerate(&h, 1).unwrap();
+        // Content check: the first order is a linearization, and there is one
+        // exactly when the checker says the history is linearizable.
         match first {
-            Some(Ok(order)) => assert_eq!(order, eager_first[0].op_ids(), "seed {seed}"),
+            Some(Ok(order)) => {
+                let lin = checker.linearizations(&h).materialize(&order);
+                assert!(lin.is_linearization_of(&h, &0), "seed {seed}");
+            }
             Some(Err(err)) => panic!("unexpected work-cap error on seed {seed}: {err}"),
-            None => assert!(eager_first.is_empty(), "seed {seed}"),
+            None => assert!(!checker.check(&h).is_linearizable(), "seed {seed}"),
         }
         lazy_total += lazy;
         eager_total += eager;
@@ -104,14 +81,9 @@ fn iterator_can_be_dropped_at_any_point() {
         // Never pulled.
         let unused: Linearizations<'_, i64> = checker.linearizations(&h);
         drop(unused);
-        // Dropped mid-iteration: the already-yielded prefix must match the eager
-        // prefix, and dropping must not disturb later sessions on the same checker.
-        let eager: Vec<Vec<OpId>> = checker
-            .enumerate(&h, 3)
-            .unwrap()
-            .iter()
-            .map(|s| s.op_ids())
-            .collect();
+        // Dropped mid-iteration: the already-yielded prefix must match a later
+        // full drain's, so dropping does not disturb later sessions on the same
+        // checker.
         let mut it = checker.linearizations(&h);
         let mut prefix = Vec::new();
         for _ in 0..3 {
@@ -122,7 +94,11 @@ fn iterator_can_be_dropped_at_any_point() {
             }
         }
         drop(it);
-        assert_eq!(prefix, eager, "seed {seed}");
+        let drained: Vec<Vec<OpId>> = checker
+            .linearizations(&h)
+            .collect::<Result<_, _>>()
+            .expect("within work cap");
+        assert_eq!(prefix, drained[..prefix.len()], "seed {seed}");
     }
 }
 
