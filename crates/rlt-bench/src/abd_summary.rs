@@ -22,7 +22,7 @@
 //!   identical deliveries-to-counterexample.
 //! * **E17/E18 — schedule fuzzing and static triage** (`fuzz_rows`).
 
-use crate::mean_time;
+use crate::{host_cpus, mean_time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rlt_mp::adversary::hunt_new_old_inversion;
@@ -385,6 +385,7 @@ pub fn write_abd_json(out_path: &str) {
     });
     let fields = [
         ("experiment", "\"E3-abd-cost\"".to_string()),
+        ("host_cpus", host_cpus().to_string()),
         ("rows", array(&cost)),
         (
             "adversary_experiment",

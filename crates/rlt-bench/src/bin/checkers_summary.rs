@@ -45,7 +45,7 @@ use rlt_bench::tracked::{
     WORKLOAD_SEED,
 };
 use rlt_bench::{
-    best_mean_time, distinct_value_workload, incremental_resweep, incremental_sweep,
+    best_mean_time, distinct_value_workload, host_cpus, incremental_resweep, incremental_sweep,
     invocation_ordered, lamport_workload, mean_time, multi_register_workload, small_history_corpus,
     stream_checker, vector_workload,
 };
@@ -547,8 +547,9 @@ fn write_checkers_json(
     out_path: &str,
 ) {
     // Hand-rolled JSON: the workspace deliberately has no serialization dependency.
-    let mut json = String::from(
-        "{\n  \"experiment\": \"E10-E11-checker-and-parallel-scaling\",\n  \"rows\": [\n",
+    let mut json = format!(
+        "{{\n  \"experiment\": \"E10-E11-checker-and-parallel-scaling\",\n  \"host_cpus\": {},\n  \"rows\": [\n",
+        host_cpus()
     );
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
@@ -672,7 +673,10 @@ fn write_game_json(out_path: &str) {
             mean_rounds: last_mean_round,
         });
     }
-    let mut json = String::from("{\n  \"experiment\": \"E2-game-cost\",\n  \"rows\": [\n");
+    let mut json = format!(
+        "{{\n  \"experiment\": \"E2-game-cost\",\n  \"host_cpus\": {},\n  \"rows\": [\n",
+        host_cpus()
+    );
     for (i, r) in rows.iter().enumerate() {
         let mean_rounds_json = r
             .mean_rounds

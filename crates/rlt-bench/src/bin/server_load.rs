@@ -30,7 +30,7 @@
 
 use httpd::Client;
 use rlt_bench::tracked::{WORKLOAD_PROCESSES, WORKLOAD_SEED};
-use rlt_bench::{invocation_ordered, lamport_workload};
+use rlt_bench::{host_cpus, invocation_ordered, lamport_workload};
 use rlt_server::{serve, AppConfig, ServerHandle};
 use rlt_spec::wire::{format_history, parse_history, verdict_to_json};
 use rlt_spec::{History, OpKind, Operation, Value};
@@ -347,8 +347,10 @@ fn cached_row(bodies: &[String]) -> (Row, String) {
 }
 
 fn write_json(rows: &[Row], out_path: &str) {
-    let mut json =
-        String::from("{\n  \"experiment\": \"E16-server-throughput-latency\",\n  \"rows\": [\n");
+    let mut json = format!(
+        "{{\n  \"experiment\": \"E16-server-throughput-latency\",\n  \"host_cpus\": {},\n  \"rows\": [\n",
+        host_cpus()
+    );
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             json,

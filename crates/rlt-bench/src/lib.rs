@@ -18,6 +18,14 @@ pub mod abd_summary;
 /// stay comparable.
 pub const MEASURE_BUDGET_NANOS: u128 = 200_000_000;
 
+/// The host's CPU count as the standard library reports it (1 when it cannot
+/// tell). Every `BENCH_*.json` header records it as `"host_cpus"`, so that
+/// nobody compares the files' wall-clock fields across hosts without knowing it.
+#[must_use]
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Times `f` repeatedly until [`MEASURE_BUDGET_NANOS`] is spent; returns the mean
 /// nanoseconds per iteration, the iteration count, and `f`'s last return value.
 pub fn mean_time<F: FnMut() -> bool>(mut f: F) -> (u128, u64, bool) {

@@ -10,6 +10,14 @@
 //! straight from [`parse_history`] into [`IncrementalChecker::try_extend`], whose
 //! admission check rejects what would otherwise panic the engine.
 //!
+//! One mutex, `sessions`, guards the session map and each session's state.
+//! [`CheckService::session_events`] parses its body before it takes the mutex,
+//! so events calls parse in parallel; under it, the answers keep the order they
+//! would have if the parse ran there: an unknown id is a `404` that counts no
+//! parse error, then comes a parse error, then the `max_ops` check, then
+//! `try_extend`. A verdict poll still computes the verdict and renders its JSON
+//! under the mutex.
+//!
 //! `/check` is cache-first: [`CheckService::check_text`] looks the body up
 //! before parsing it, so a repeated body costs one hash and one compare of its
 //! bytes. Skipping the parse cannot change a response or a counter: only bodies
@@ -100,6 +108,7 @@ pub struct CheckService {
     /// counters without an HTTP round trip.
     pub metrics: Metrics,
     checker: Checker<Value>,
+    /// The session map and every session's state (see the module docs).
     sessions: Mutex<HashMap<u64, IncrementalChecker<Value>>>,
     next_session: AtomicU64,
     /// Interned verdicts keyed by the exact request body. The std hasher is
@@ -424,7 +433,7 @@ impl CheckService {
         let applied = if initial.trim().is_empty() {
             0
         } else {
-            let (applied, seeded) = self.apply_events(&mut session, initial);
+            let (applied, seeded) = self.apply_events(&mut session, &parse_history(initial));
             seeded?;
             applied
         };
@@ -456,33 +465,36 @@ impl CheckService {
     /// `POST /sessions/{id}/events`: applies wire-text events (new operations
     /// and completions of pending ones) to a session. Returns the session's
     /// total operation count. On error the events before the offending one stay
-    /// applied and counted.
+    /// applied and counted. The body is parsed before the sessions mutex is
+    /// taken; an unknown id still answers `404` ahead of a parse error.
     pub fn session_events(&self, id: u64, body: &str) -> Result<usize, ServiceError> {
+        let parsed = parse_history(body);
         let mut sessions = self.sessions.lock();
         let session = sessions.get_mut(&id).ok_or_else(|| {
             self.metrics.not_found.fetch_add(1, Ordering::Relaxed);
             ServiceError::NotFound(format!("no session {id}"))
         })?;
-        let (applied, result) = self.apply_events(session, body);
+        let (applied, result) = self.apply_events(session, &parsed);
         self.metrics
             .session_events
             .fetch_add(applied, Ordering::Relaxed);
         result.map(|()| session.len())
     }
 
-    /// Parses one events body, checks `max_ops`, and extends the session with
+    /// Counts a parse error, checks `max_ops`, and extends the session with
     /// [`IncrementalChecker::try_extend`], whose rejection names the offending
-    /// op. Returns the number of events applied, for the caller to count.
+    /// op. `parsed` is an events body already through [`parse_history`].
+    /// Returns the number of events applied, for the caller to count.
     fn apply_events(
         &self,
         session: &mut IncrementalChecker<Value>,
-        body: &str,
+        parsed: &Result<History<Value>, WireError>,
     ) -> (u64, Result<(), ServiceError>) {
         let parse_err = |message: String| {
             self.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
             ServiceError::Parse(message)
         };
-        let parsed = match parse_history(body) {
+        let parsed = match parsed {
             Ok(parsed) => parsed,
             Err(e) => return (0, Err(parse_err(e.to_string()))),
         };
@@ -499,7 +511,7 @@ impl CheckService {
                 ))),
             );
         }
-        let (applied, result) = session.try_extend(&parsed);
+        let (applied, result) = session.try_extend(parsed);
         (applied, result.map_err(parse_err))
     }
 

@@ -10,7 +10,7 @@ use httpd::Client;
 use rlt_core::server::handlers::route;
 use rlt_core::server::{serve, AppConfig, CheckService, ServerHandle};
 use rlt_core::spec::wire::{format_history, parse_history, verdict_to_json};
-use rlt_core::spec::History;
+use rlt_core::spec::{History, Operation, Value};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,6 +128,16 @@ fn unknown_sessions_and_routes_get_404_wrong_methods_405() {
         .post("/sessions/999/events", "op0 p0 R0 write 1 @ t1..t2\n")
         .expect("POST events");
     assert_eq!(resp.status, 404);
+    // A malformed body to an unknown session is a 404 as well: the id is
+    // looked up before the parse result, so no parse error is counted.
+    let metrics = &handle.service().metrics;
+    let not_found = metrics.not_found.load(Ordering::SeqCst);
+    let resp = client
+        .post("/sessions/999/events", "not a history line\n")
+        .expect("POST malformed events");
+    assert_eq!(resp.status, 404, "{}", resp.body);
+    assert_eq!(metrics.parse_errors.load(Ordering::SeqCst), 0);
+    assert_eq!(metrics.not_found.load(Ordering::SeqCst), not_found + 1);
     let resp = client.delete("/sessions/999").expect("DELETE session");
     assert_eq!(resp.status, 404);
     let resp = client.get("/no/such/route").expect("GET");
@@ -329,23 +339,19 @@ fn no_content_reply_has_no_body() {
     handle.shutdown();
 }
 
-/// The monitoring-session pin: after every event chunk, the served verdict is
-/// byte-identical to a direct `IncrementalChecker` fed the same prefix, and the
-/// served history echoes the session's operation stream.
-#[test]
-fn session_verdicts_match_direct_incremental_checker() {
-    let (handle, mut client) = server(AppConfig::default());
-    let history = random_history(42, 24);
-    let ops = history.operations();
-    let created = client.post("/sessions", "").expect("POST /sessions");
-    assert_eq!(created.status, 201);
-    let id = session_id(&created.body);
+/// One events body: `chunk` in wire text.
+fn events_body(chunk: &[Operation<Value>]) -> String {
+    format_history(&History::from_operations(chunk.to_vec()))
+}
 
-    let mut direct = handle.service().build_checker().incremental();
-    for chunk in ops.chunks(5) {
-        let body = format_history(&History::from_operations(chunk.to_vec()));
+/// Streams `history` into session `id` in chunks of 5 ops and polls the
+/// verdict after every chunk. Every poll must start with the verdict of a
+/// direct `IncrementalChecker` fed the same prefix.
+fn stream_and_poll(client: &mut Client, service: &CheckService, id: u64, history: &History<Value>) {
+    let mut direct = service.build_checker().incremental();
+    for chunk in history.operations().chunks(5) {
         let resp = client
-            .post(&format!("/sessions/{id}/events"), &body)
+            .post(&format!("/sessions/{id}/events"), &events_body(chunk))
             .expect("POST events");
         assert_eq!(resp.status, 200, "{}", resp.body);
         for op in chunk {
@@ -361,11 +367,23 @@ fn session_verdicts_match_direct_incremental_checker() {
         );
         assert!(
             served.body.starts_with(&expected),
-            "served {} vs library {}",
-            served.body,
-            expected
+            "session {id}: served {} vs library {expected}",
+            served.body
         );
     }
+}
+
+/// The monitoring-session pin: after every event chunk, the served verdict is
+/// byte-identical to a direct `IncrementalChecker` fed the same prefix, and the
+/// served history echoes the session's operation stream.
+#[test]
+fn session_verdicts_match_direct_incremental_checker() {
+    let (handle, mut client) = server(AppConfig::default());
+    let history = random_history(42, 24);
+    let created = client.post("/sessions", "").expect("POST /sessions");
+    assert_eq!(created.status, 201);
+    let id = session_id(&created.body);
+    stream_and_poll(&mut client, handle.service(), id, &history);
     // The echoed history parses back to exactly the session's operations.
     let echoed = client
         .get(&format!("/sessions/{id}/history"))
@@ -375,7 +393,59 @@ fn session_verdicts_match_direct_incremental_checker() {
         parse_history(&echoed.body)
             .expect("echo parses")
             .operations(),
-        ops
+        history.operations()
+    );
+    handle.shutdown();
+}
+
+/// Sessions driven at the same time. Four clients, one per default worker,
+/// each stream their own seeded sessions in chunks and poll the verdict after
+/// every chunk. Every poll starts with the verdict of a direct
+/// `IncrementalChecker` over the same prefix, and the deterministic counters
+/// equal, byte for byte, a sequential replay of the same streams on a fresh
+/// service: they are sums and one HLL max-merge, so no interleaving moves them.
+#[test]
+fn concurrent_sessions_match_the_library_and_a_sequential_replay() {
+    const CLIENTS: u64 = 4;
+    const SESSIONS: u64 = 3;
+    let histories = |c: u64| (0..SESSIONS).map(move |k| random_history(100 + c * SESSIONS + k, 24));
+    let handle = serve(AppConfig::default()).expect("bind");
+    let (addr, service) = (handle.addr(), handle.service());
+    std::thread::scope(|s| {
+        for c in 0..CLIENTS {
+            s.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                for history in histories(c) {
+                    let created = client.post("/sessions", "").expect("POST /sessions");
+                    assert_eq!(created.status, 201, "{}", created.body);
+                    let id = session_id(&created.body);
+                    stream_and_poll(&mut client, service, id, &history);
+                    let deleted = client.delete(&format!("/sessions/{id}")).expect("DELETE");
+                    assert_eq!(deleted.status, 204);
+                }
+            });
+        }
+    });
+    let replay = CheckService::new(AppConfig::default());
+    for c in 0..CLIENTS {
+        for history in histories(c) {
+            let (id, _) = replay.create_session("").expect("create");
+            for chunk in history.operations().chunks(5) {
+                replay
+                    .session_events(id, &events_body(chunk))
+                    .expect("events");
+                replay.session_verdict(id).expect("verdict");
+            }
+            replay.delete_session(id).expect("delete");
+        }
+    }
+    let mut client = Client::connect(addr).expect("connect");
+    let served = client.get("/metrics?deterministic=1").expect("metrics");
+    assert_eq!(served.body, replay.metrics_json(true));
+    assert!(
+        served.body.contains("\"sessions_created\":12,"),
+        "{}",
+        served.body
     );
     handle.shutdown();
 }
